@@ -11,8 +11,10 @@ scaled by the per-mode power profile g_l.  Two budget conventions:
 * ``total`` — the budget is total_power regardless of channel count.
 
 The ergodic estimator first solves the expectation-constrained
-multiplier on one sample set, then averages the instantaneous sum rate
-of the induced rule over an independent sample set.  Channel substreams
+multiplier exactly on one sample set: T draws of K channels under a
+sample-average budget P are one water filling over the T*K pooled draws
+with budget T*P.  It then averages the instantaneous sum rate of the
+induced rule over an independent sample set.  Channel substreams
 are keyed by their mode-major flat index, so systems sharing channels
 (e.g. an OEM link's mode-0 streams and the MIMO baseline) see identical
 draws for the channels they share.
@@ -21,7 +23,7 @@ draws for the channels they share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,21 +118,22 @@ def ergodic_point(mean_grid: np.ndarray, total_power: float, normalization: str,
                   trials: int, seed: int) -> tuple[SePoint, float]:
     """Monte-Carlo ergodic SE of water-filled channels with the given means.
 
-    Returns the curve point and the solved multiplier.
+    Returns the curve point and the solved multiplier.  The point's
+    ``mean_snr_db`` is NaN: the callers label it with their own SNR.
     """
     if trials < 1_000:
         raise InvalidConfigError(f"need at least 1000 trials, got {trials}")
     mean_grid = np.asarray(mean_grid, dtype=float)
     budget = _budget(total_power, mean_grid.size, normalization)
-    means_flat = flatten_mode_major(mean_grid)
     # waterfill_ergodic samples its own stage-0 substreams from this seed.
     mu_star, rule = waterfill_ergodic(mean_grid, budget, samples=trials, seed=seed)
-    gammas = sample_snr_realizations(means_flat, trials, seed, stage=_SE_STAGE)
+    gammas = sample_snr_realizations(
+        flatten_mode_major(mean_grid), trials, seed, stage=_SE_STAGE
+    )
     powers = rule(gammas)
     per_trial = np.log2(1.0 + powers * gammas).sum(axis=1)
-    mean_snr_db = 10.0 * math.log10(means_flat.max()) if means_flat.max() > 0 else -math.inf
     point = SePoint(
-        mean_snr_db=mean_snr_db,
+        mean_snr_db=math.nan,
         se=float(per_trial.mean()),
         stderr=float(per_trial.std(ddof=1) / math.sqrt(trials)),
     )
@@ -148,7 +151,7 @@ def ergodic_se_oem(cfg: OemConfig, fading: FadingModel, total_power: float,
     point, _ = ergodic_point(
         fading.mean_grid(n_streams), total_power, fading.normalization, trials, seed
     )
-    return SePoint(mean_snr_db=fading.mean_snr_db, se=point.se, stderr=point.stderr)
+    return replace(point, mean_snr_db=fading.mean_snr_db)
 
 
 def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
@@ -158,7 +161,7 @@ def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
         raise InvalidConfigError("need at least one transmit and one receive antenna")
     mean_grid = 10.0 ** (mean_snr_db / 10.0) * np.ones((min(n, m), 1))
     point, _ = ergodic_point(mean_grid, total_power, normalization, trials, seed)
-    return SePoint(mean_snr_db=mean_snr_db, se=point.se, stderr=point.stderr)
+    return replace(point, mean_snr_db=mean_snr_db)
 
 
 def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float],

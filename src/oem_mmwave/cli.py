@@ -3,12 +3,11 @@
 Every subcommand that writes files also writes a JSON run manifest next
 to them (same path with a ``.manifest.json`` suffix) echoing the fully
 resolved configuration, seed, and output paths.  All output is
-deterministic for a fixed seed; the optional OEM_THREADS environment
-variable caps internal worker counts and never changes results (the
-current implementation is vectorized single-process).
+deterministic for a fixed seed.
 
-Exit codes: 0 success, 2 invalid flags, 3 config-schema violation,
-4 simulation error.
+Exit codes: 0 success, 2 invalid flags, 3 invalid config or input file,
+4 simulation error.  Toolkit errors are mapped to exit codes in ``main``
+only.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .channel import build_mode_channels, mode_power_profile, VARIANTS
 from .config import OemConfig
 from .errors import InvalidConfigError, OemError
 from .geometry import scenario_check
-from .waterfill import SnrGrid, waterfill_instantaneous
+from .waterfill import waterfill_instantaneous
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -131,31 +130,37 @@ def _cmd_channel(args) -> int:
 # -- waterfill -----------------------------------------------------------
 
 
-def _cmd_waterfill(args) -> int:
-    rows = []
+def _read_snr_csv(path: str) -> list[tuple[int, int, float]]:
+    """Rows (i, l, gamma) of a gamma CSV, at most one per channel."""
+    rows, seen = [], set()
     try:
-        with open(args.snr_csv, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.append((int(row["i"]), int(row["l"]), float(row["gamma"])))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"bad SNR csv: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                i, l, gamma = int(row["i"]), int(row["l"]), float(row["gamma"])
+                if i < 0 or l < 0:
+                    raise ValueError("stream/mode indices must be nonnegative")
+                if not (math.isfinite(gamma) and gamma >= 0.0):
+                    raise ValueError(f"gamma must be finite and nonnegative, got {row['gamma']}")
+                if (i, l) in seen:
+                    raise ValueError(f"channel i={i} l={l} repeats an earlier row")
+                seen.add((i, l))
+                rows.append((i, l, gamma))
+    except OSError as exc:
+        raise InvalidConfigError(f"bad SNR csv: {exc}") from exc
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"bad SNR csv, line {reader.line_num}: {exc}") from exc
     if not rows:
-        print("SNR csv holds no channels", file=sys.stderr)
-        return EXIT_CONFIG
-    if any(r[0] < 0 or r[1] < 0 for r in rows):
-        print("bad SNR csv: stream/mode indices must be nonnegative", file=sys.stderr)
-        return EXIT_CONFIG
-    n_streams = max(r[0] for r in rows) + 1
-    n_modes = max(r[1] for r in rows) + 1
-    grid = np.zeros((n_streams, n_modes))
+        raise InvalidConfigError("SNR csv holds no channels")
+    return rows
+
+
+def _cmd_waterfill(args) -> int:
+    rows = _read_snr_csv(args.snr_csv)
+    grid = np.zeros((max(r[0] for r in rows) + 1, max(r[1] for r in rows) + 1))
     for i, l, gamma in rows:
         grid[i, l] = gamma
-    try:
-        policy = waterfill_instantaneous(SnrGrid(values=grid), args.total_power)
-    except OemError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+    policy = waterfill_instantaneous(grid, args.total_power)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "l", "gamma", "power"])
@@ -196,21 +201,17 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"bad --snr-db: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        profile = mode_power_profile(cfg, convergent=(args.model == "convergent"))
-        if args.model == "exact":
-            # The exact-sum and Bessel forms share the same magnitude
-            # profile in the large-U limit; use the Bessel profile.
-            profile = mode_power_profile(cfg, convergent=False)
-        fading = FadingModel(
-            mean_snr_db=0.0, mode_profile=profile, normalization=args.normalization,
-        )
-        oem_curve, mimo_curve = sweep(
-            cfg, fading, snr_list, args.total_power, args.trials, args.seed
-        )
-    except OemError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+    profile = mode_power_profile(cfg, convergent=(args.model == "convergent"))
+    if args.model == "exact":
+        # The exact-sum and Bessel forms share the same magnitude
+        # profile in the large-U limit; use the Bessel profile.
+        profile = mode_power_profile(cfg, convergent=False)
+    fading = FadingModel(
+        mean_snr_db=0.0, mode_profile=profile, normalization=args.normalization,
+    )
+    oem_curve, mimo_curve = sweep(
+        cfg, fading, snr_list, args.total_power, args.trials, args.seed
+    )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["snr_db", "se_oem", "se_oem_stderr", "se_mimo", "se_mimo_stderr"])
@@ -236,12 +237,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    cfg = _load_config(args.config)
-    try:
-        report = scenario_check(cfg)
-    except OemError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+    report = scenario_check(_load_config(args.config))
     record = {
         "scenario": report.scenario,
         "use_oem": report.use_oem,
@@ -259,6 +255,20 @@ def _cmd_scenario(args) -> int:
 
 
 # -- parser --------------------------------------------------------------
+
+
+def _trial_count(text: str) -> int:
+    trials = int(text)
+    if trials < 1_000:
+        raise argparse.ArgumentTypeError(f"need at least 1000 trials, got {text}")
+    return trials
+
+
+def _power_budget(text: str) -> float:
+    power = float(text)
+    if not (math.isfinite(power) and power > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return power
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,21 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     waterfill = sub.add_parser("waterfill", help="instantaneous water-filling on a gamma CSV")
     waterfill.add_argument("--snr-csv", required=True)
-    waterfill.add_argument("--total-power", type=float, required=True)
+    waterfill.add_argument("--total-power", type=_power_budget, required=True)
     waterfill.add_argument("--out", required=True)
     waterfill.set_defaults(func=_cmd_waterfill)
 
     simulate = sub.add_parser("simulate", help="ergodic SE sweep, OEM vs MIMO baseline")
     simulate.add_argument("--config", required=True)
     simulate.add_argument("--snr-db", required=True, help="start:stop:step in dB")
-    simulate.add_argument("--trials", type=int, required=True)
+    simulate.add_argument("--trials", type=_trial_count, required=True)
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--out", required=True)
     simulate.add_argument("--model", choices=("exact", "bessel", "convergent"),
                           default="convergent")
     simulate.add_argument("--normalization", choices=("per-channel", "total"),
                           default="per-channel")
-    simulate.add_argument("--total-power", type=float, default=1.0)
+    simulate.add_argument("--total-power", type=_power_budget, default=1.0)
     simulate.set_defaults(func=_cmd_simulate)
 
     scenario = sub.add_parser("scenario", help="wavelength-regime check")
@@ -321,8 +331,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except InvalidConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,11 +23,3 @@ class RankDeficientError(OemError, ValueError):
 
 class NumericSingularityError(OemError, ArithmeticError):
     """A closed-form expression hit a vanishing denominator."""
-
-
-class BisectionError(OemError, RuntimeError):
-    """The multiplier search failed to meet the power budget."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (final relative residual {residual:.3e})")
-        self.residual = residual

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import BisectionError, DomainError, InvalidConfigError
+from .errors import DomainError, InvalidConfigError
 
 LN2 = math.log(2.0)
 
@@ -86,41 +86,54 @@ def flatten_mode_major(grid: np.ndarray) -> np.ndarray:
     return np.asarray(grid).flatten(order="F")
 
 
-def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
-    """Iterative active-set water filling over one SNR realization.
+def _water_level(gamma: np.ndarray, total_power: float) -> float:
+    """Exact water level of ``total_power`` over the positive entries of gamma.
 
-    Starts from all channels with positive SNR, solves the water level
-    from the budget over the current candidate set, drops every channel
-    whose tentative power is not strictly positive, and repeats until
-    the set stabilizes.  Channels at the threshold exactly count as
-    inactive.  If no channel has positive SNR the outage (all-zero)
-    policy is returned.
+    Sorts the reciprocals 1/gamma ascending and takes the largest prefix
+    k whose level (P + sum_{i<=k} 1/gamma_(i)) / k lies strictly above
+    1/gamma_(k), so channels exactly at the level stay off.  The level
+    of that prefix is then re-summed pairwise.  Returns 0 when nothing
+    can be filled: no positive entry, or a budget below the resolution
+    of the best 1/gamma.
+    """
+    inv = 1.0 / gamma[gamma > 0.0]
+    inv.sort()
+    levels = np.cumsum(inv)
+    levels += total_power
+    levels /= np.arange(1, inv.size + 1)
+    filled = np.flatnonzero(levels > inv)
+    if filled.size == 0:
+        return 0.0
+    k = int(filled[-1]) + 1
+    return float((total_power + inv[:k].sum()) / k)
+
+
+def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
+    """Powers max(0, water - 1/gamma), zero where gamma is not positive."""
+    gamma = np.asarray(gamma, dtype=float)
+    out = np.zeros_like(gamma)
+    mask = gamma > 0.0
+    out[mask] = np.maximum(water - 1.0 / gamma[mask], 0.0)
+    return out
+
+
+def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
+    """Exact water filling over one SNR realization.
+
+    The water level comes from one sort and cumulative sum of 1/gamma
+    (see ``_water_level``); every channel below it gets the difference.
+    Channels at the level exactly count as inactive.  If no channel has
+    positive SNR the outage (all-zero) policy is returned.
     """
     if total_power <= 0.0:
         raise InvalidConfigError(f"total power must be positive, got {total_power}")
     gamma = _grid_values(snr)
-    active = gamma > 0.0
-    if not np.any(active):
-        return PowerPolicy(
-            allocations=np.zeros_like(gamma), water_level=0.0,
-            active_set=(), total_power=total_power,
-        )
-    inv = np.zeros_like(gamma)
-    inv[active] = 1.0 / gamma[active]
-    while True:
-        count = int(np.count_nonzero(active))
-        water = (total_power + inv[active].sum()) / count
-        # The best channel always survives: water > 1/gamma_max whenever
-        # the budget is positive, so the loop cannot empty the set.
-        keep = active & (water - inv > 0.0)
-        if keep.sum() == count:
-            break
-        active = keep
-    allocations = np.where(active, water - inv, 0.0)
-    pairs = tuple(sorted((int(i), int(l)) for i, l in zip(*np.nonzero(active))))
+    water = _water_level(gamma, total_power)
+    allocations = _allocate(gamma, water)
+    streams, modes = np.nonzero(allocations)
     return PowerPolicy(
-        allocations=allocations, water_level=float(water),
-        active_set=pairs, total_power=total_power,
+        allocations=allocations, water_level=water,
+        active_set=tuple(zip(streams.tolist(), modes.tolist())), total_power=total_power,
     )
 
 
@@ -142,15 +155,7 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
 
 def _allocation_rule(mu: float) -> Callable[[np.ndarray], np.ndarray]:
     water = 1.0 / (mu * LN2)
-
-    def rule(gamma: np.ndarray) -> np.ndarray:
-        gamma = np.asarray(gamma, dtype=float)
-        out = np.zeros_like(gamma)
-        mask = gamma > 0.0
-        out[mask] = np.maximum(water - 1.0 / gamma[mask], 0.0)
-        return out
-
-    return rule
+    return lambda gamma: _allocate(gamma, water)
 
 
 def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_000,
@@ -158,9 +163,12 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     """Solve the expectation-constrained water-filling multiplier.
 
     Draws ``samples`` exponential SNR realizations per channel with the
-    given means and bisects mu until the sample-average allocated power
-    of the rule P(gamma) = max(0, 1/(mu ln 2) - 1/gamma) meets the
-    budget to 1e-6 relative.  Returns (mu_star, rule).
+    given means.  The sample-average budget over those T draws of K
+    channels is instantaneous water filling over the T*K pooled draws
+    with budget T*P, so the exact water level w of the pooled draws
+    gives mu* = 1/(w ln 2), and the rule
+    P(gamma) = max(0, 1/(mu* ln 2) - 1/gamma) meets the budget on the
+    sample to rounding.  Returns (mu_star, rule).
     """
     if total_power <= 0.0:
         raise InvalidConfigError(f"total power must be positive, got {total_power}")
@@ -170,33 +178,9 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     if not np.any(means > 0.0):
         raise InvalidConfigError("at least one channel must have positive mean SNR")
     gammas = sample_snr_realizations(means, samples, seed)
-
-    def mean_alloc(mu: float) -> float:
-        return float(_allocation_rule(mu)(gammas).sum(axis=1).mean())
-
-    # mean_alloc is strictly decreasing in mu; bracket the budget first.
-    lo = hi = 1.0 / (total_power * LN2)
-    for _ in range(200):
-        if mean_alloc(lo) > total_power:
-            break
-        lo /= 2.0
-    for _ in range(200):
-        if mean_alloc(hi) < total_power:
-            break
-        hi *= 2.0
-    residual = lambda mu: abs(mean_alloc(mu) - total_power) / total_power
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) <= 1e-6:
-            return mid, _allocation_rule(mid)
-        if mean_alloc(mid) > total_power:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    if residual(mid) <= 1e-6:
-        return mid, _allocation_rule(mid)
-    raise BisectionError("multiplier bisection did not meet the power budget", residual(mid))
+    water = _water_level(gammas, samples * total_power)
+    mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
+    return mu_star, _allocation_rule(mu_star)
 
 
 def classify_region(gamma_0: float, gamma_1: float, mu_star: float) -> str:
@@ -219,7 +203,7 @@ def classify_region(gamma_0: float, gamma_1: float, mu_star: float) -> str:
 
 
 def brute_force_oracle(snr: GridLike, total_power: float) -> PowerPolicy:
-    """Exhaustive active-set search; independent check of the iterative solver.
+    """Exhaustive active-set search; independent check of the sort-based solver.
 
     Enumerates every nonempty candidate set (at most 2^6 - 1 channels
     supported), solves the equal-water-level system on it, keeps

@@ -113,7 +113,7 @@ def test_2_non_convergent_collapse(base_cfg):
 
 
 def test_3_waterfill_oracle_equivalence():
-    """Iterative allocation matches exhaustive active-set search.
+    """Sort-based allocation matches exhaustive active-set search.
 
     100 random instances of up to 6 channels: per-channel powers within
     1e-6 of the budget scale, budget met to 1e-9, and the water-level

@@ -125,6 +125,33 @@ class TestWaterfill:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_exits_3(self, gamma, tmp_path, capsys):
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_text(f"i,l,gamma\n0,0,4.0\n0,1,{gamma}\n")
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "waterfill", "--snr-csv", str(snr_csv),
+            "--total-power", "1.0", "--out", str(out_csv),
+        )
+        assert code == 3
+        assert "line 3" in err and gamma in err
+        assert not out_csv.exists()
+
+    def test_duplicate_channel_exits_3(self, tmp_path, capsys):
+        # the second (0, 0) row would replace the first in the grid, and
+        # both rows would be written out with the whole budget of 1
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_text("i,l,gamma\n0,0,5\n0,0,0.1\n")
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "waterfill", "--snr-csv", str(snr_csv),
+            "--total-power", "1", "--out", str(out_csv),
+        )
+        assert code == 3
+        assert "line 3" in err and "i=0 l=0" in err
+        assert not out_csv.exists()
+
 
 class TestSimulate:
     def test_deterministic_output(self, config_path, tmp_path, capsys):
@@ -164,14 +191,33 @@ class TestSimulate:
         assert manifest["seed"] == 1
         assert str(out) in manifest["outputs"]
 
-    def test_too_few_trials_exits_4(self, config_path, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "simulate", "--config", config_path,
-            "--snr-db", "0:10:5", "--trials", "10", "--seed", "7",
-            "--out", str(tmp_path / "x.csv"),
+    def test_too_few_trials_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--config", config_path,
+                "--snr-db", "0:10:5", "--trials", "999", "--seed", "7",
+                "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "--trials: need at least 1000 trials, got 999" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power", ["-1", "0", "nan", "inf"])
+    def test_bad_total_power_exits_2(self, power, config_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--config", config_path,
+                "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
+                "--total-power", power, "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        # the flag's own value, not the budget scaled by the channel count
+        assert f"--total-power: must be positive and finite, got {power}" in (
+            capsys.readouterr().err
         )
-        assert code == 4
-        assert "simulation error" in err
+        assert not out.exists()
 
     def test_bad_range_exits_2(self, config_path, tmp_path, capsys):
         code, _, _ = run(

@@ -43,11 +43,30 @@ class TestInstantaneous:
         oracle = brute_force_oracle(np.array([4.0, 0.5]), 1.0)
         assert np.allclose(policy.allocations, oracle.allocations)
 
+    def test_channel_at_the_water_level_stays_off(self):
+        # w = (1 + 1/1) / 1 = 2 equals 1/gamma of the second channel, so
+        # the second channel would get zero power and stays inactive
+        policy = waterfill_instantaneous(np.array([1.0, 0.5]), 1.0)
+        assert policy.water_level == 2.0
+        assert policy.allocations.ravel().tolist() == [1.0, 0.0]
+        assert policy.active_set == ((0, 0),)
+        oracle = brute_force_oracle(np.array([1.0, 0.5]), 1.0)
+        assert policy.active_set == oracle.active_set
+        assert np.array_equal(policy.allocations, oracle.allocations)
+        assert policy.water_level == oracle.water_level
+
     def test_all_dead_channels_give_outage(self):
         policy = waterfill_instantaneous(np.zeros((2, 2)), 1.0)
         assert policy.is_outage
         assert np.all(policy.allocations == 0)
         assert policy.mu_star == math.inf
+
+    def test_budget_below_resolution_is_outage(self):
+        # 1e20 + 1e-5 rounds to 1e20: no channel can take any power
+        policy = waterfill_instantaneous(np.array([1e-20]), 1e-5)
+        assert policy.is_outage
+        assert policy.water_level == 0.0
+        assert np.all(policy.allocations == 0)
 
     def test_grid_input_keeps_shape(self):
         grid = SnrGrid(values=np.array([[4.0, 1.0], [2.0, 0.1]]))
@@ -123,6 +142,21 @@ class TestErgodic:
         fresh = sample_snr_realizations(means.flatten(order="F"), 50_000, seed=999)
         assert rule(fresh).sum(axis=1).mean() == pytest.approx(2.0, rel=0.01)
 
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0])
+    def test_budget_met_exactly_on_solving_sample(self, snr_db):
+        means = 10.0 ** (snr_db / 10.0) * np.array([[1.0, 0.3], [1.0, 0.3], [1.0, 0.3]])
+        mu, rule = waterfill_ergodic(means, 6.0, samples=20_000, seed=5)
+        solved_on = sample_snr_realizations(means.flatten(order="F"), 20_000, seed=5)
+        assert rule(solved_on).sum(axis=1).mean() == pytest.approx(6.0, rel=1e-12)
+
+    def test_multiplier_is_pooled_instantaneous_solve(self):
+        # the sample-average budget over T draws is instantaneous water
+        # filling over all T x K pooled draws with budget T * P
+        means = np.array([[20.0, 8.0, 0.0], [15.0, 3.0, 1.0]])
+        mu, _ = waterfill_ergodic(means, 2.0, samples=2_000, seed=11)
+        pooled = sample_snr_realizations(means.flatten(order="F"), 2_000, seed=11)
+        assert mu == waterfill_instantaneous(pooled, 2_000 * 2.0).mu_star
+
     def test_rule_is_monotone_and_saturates(self):
         mu, rule = waterfill_ergodic(np.array([[10.0]]), 1.0, samples=5_000, seed=0)
         grid = np.logspace(-3, 6, 400)
@@ -130,6 +164,11 @@ class TestErgodic:
         assert np.all(np.diff(powers) >= 0)
         assert np.all(powers <= 1.0 / (mu * LOG2) + 1e-15)
         assert powers[-1] == pytest.approx(1.0 / (mu * LOG2), rel=1e-5)
+
+    def test_budget_below_resolution_gives_zero_rule(self):
+        mu, rule = waterfill_ergodic(np.array([[1e-30]]), 1e-20, samples=1_000, seed=0)
+        assert mu == math.inf
+        assert np.all(rule(np.logspace(-3, 6, 10)) == 0.0)
 
     def test_small_sample_count_rejected(self):
         with pytest.raises(InvalidConfigError):
