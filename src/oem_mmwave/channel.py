@@ -1,24 +1,30 @@
 """Per-mode channel gains of the UCA vortex link.
 
-Three variants are implemented:
+The mode-l gain between transmit UCA n and receive UCA m is c_l * B[m, n]:
+a per-mode coefficient c_l times the distance term B[m, n] = beta *
+lambda * exp(-j 2 pi d_mn / lambda) / (4 pi d_mn).  So every mode matrix
+is V * c_l * B, and the mode power profile is |c_l / c_0|^2.  The
+variants differ only in c_l:
 
 * ``exact-sum`` — the finite sum over transmit elements of the far-field
-  element gains with the progressive per-element phase ramp.
+  element phases with the progressive per-element phase ramp.
 * ``bessel`` — the closed form where the element sum is replaced by a
   Bessel function of the first kind; exact in the large-U limit.
 * ``convergent`` — the Bessel form with the reduced divergence angle and
   per-mode amplitude gains of the converging reflector.
 
-The Bessel evaluator integrates the periodic integral representation
-with the trapezoid rule, which converges spectrally for these analytic
-integrands; an independent power-series oracle lives in the test suite.
+``element_gain``, the literal per-element gain, is not of this form and
+serves the tests as a reference.  The Bessel evaluator integrates the
+periodic integral representation with the trapezoid rule, which
+converges spectrally for these analytic integrands; an independent
+power-series oracle lives in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,28 +62,19 @@ def bessel_j(order: int, x: float) -> float:
     return float(np.mean(np.cos(order * t - x * np.sin(t))))
 
 
-def default_conv_gains(cfg: OemConfig) -> np.ndarray:
-    """Equal-gain idealization of the converging reflector.
-
-    Per-mode amplitude gains that bring every mode up to the mode-0
-    magnitude at the convergent angle; mode 0 is left untouched.  Modes
-    whose Bessel factor vanishes at the convergent angle cannot be
-    equalized and get zero gain.
-    """
-    arg = 2.0 * math.pi * cfg.r2 * math.sin(cfg.phi_c) / cfg.wavelength
-    j0 = abs(bessel_j(0, arg))
-    gains = np.empty(cfg.u_elems)
-    for l in range(cfg.u_elems):
-        jl = abs(bessel_j(l, arg))
-        gains[l] = j0 / jl if jl > 1e-12 else 0.0
-    return gains
-
-
 def conv_gains(cfg: OemConfig) -> np.ndarray:
-    """Configured per-mode convergence gains, or the equal-gain default."""
+    """Configured per-mode convergence gains, or the equal-gain default.
+
+    The default idealizes the converging reflector: amplitude gains that
+    bring every mode up to the mode-0 magnitude at the convergent angle.
+    Modes whose Bessel factor vanishes there cannot be equalized and get
+    zero gain.
+    """
     if cfg.conv_gains is not None:
         return np.asarray(cfg.conv_gains, dtype=float)
-    return default_conv_gains(cfg)
+    arg = 2.0 * math.pi * cfg.r2 * math.sin(cfg.phi_c) / cfg.wavelength
+    mags = np.abs([bessel_j(l, arg) for l in range(cfg.u_elems)])
+    return np.divide(mags[0], mags, out=np.zeros(cfg.u_elems), where=mags > 1e-12)
 
 
 def element_gain(cfg: OemConfig, layout: ElementLayout, m: int, n: int, u: int, v: int) -> complex:
@@ -96,28 +93,29 @@ def element_gain(cfg: OemConfig, layout: ElementLayout, m: int, n: int, u: int, 
     return amp * complex(math.cos(phase), math.sin(phase))
 
 
-def _mode_gain_from_distance(cfg: OemConfig, d: float, l: int, kind: str,
-                             gains: Optional[np.ndarray] = None) -> complex:
-    lam = cfg.wavelength
+def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
+    """(U,) per-mode factors c_l of the gains c_l * B[m, n]; none depends on (m, n)."""
     u_count = cfg.u_elems
-    base = cfg.beta * lam * np.exp(-2j * math.pi * d / lam) / (4.0 * math.pi * d)
+    if kind not in VARIANTS:
+        raise InvalidConfigError(f"unknown channel variant {kind!r}; expected one of {VARIANTS}")
     if kind == "exact-sum":
         psi_u = 2.0 * math.pi * np.arange(u_count) / u_count
-        ramp = np.exp(1j * psi_u * l)
+        ramp = np.exp(1j * np.outer(np.arange(u_count), psi_u))
         wavefront = np.exp(
-            1j * 2.0 * math.pi / lam * cfg.r2 * math.sin(cfg.phi) * np.cos(psi_u - cfg.theta)
+            1j * 2.0 * math.pi / cfg.wavelength * cfg.r2 * math.sin(cfg.phi)
+            * np.cos(psi_u - cfg.theta)
         )
-        return complex(base / math.sqrt(u_count) * np.sum(ramp * wavefront))
-    if kind == "bessel":
-        angle, amp = cfg.phi, 1.0
-    elif kind == "convergent":
-        angle = cfg.phi_c
-        amp = float((gains if gains is not None else conv_gains(cfg))[l])
-    else:
-        raise InvalidConfigError(f"unknown channel variant {kind!r}; expected one of {VARIANTS}")
-    arg = 2.0 * math.pi * cfg.r2 * math.sin(angle) / lam
-    spiral = np.exp(1j * cfg.theta * l) * (1j) ** l
-    return complex(amp * base * math.sqrt(u_count) * spiral * bessel_j(l, arg))
+        return np.sum(ramp * wavefront, axis=1) / math.sqrt(u_count)
+    angle, amps = (cfg.phi, np.ones(u_count)) if kind == "bessel" else (cfg.phi_c, conv_gains(cfg))
+    arg = 2.0 * math.pi * cfg.r2 * math.sin(angle) / cfg.wavelength
+    return np.array([float(amps[l]) * math.sqrt(u_count) * (np.exp(1j * cfg.theta * l) * (1j) ** l)
+                     * bessel_j(l, arg) for l in range(u_count)])
+
+
+def _base_gain(cfg: OemConfig, d):
+    """Distance term beta * lambda * exp(-j 2 pi d / lambda) / (4 pi d), elementwise in d."""
+    lam = cfg.wavelength
+    return cfg.beta * lam * np.exp(1j * (-2.0 * math.pi * d / lam)) / (4.0 * math.pi * d)
 
 
 def mode_gain(cfg: OemConfig, m: int, n: int, l: int, kind: str = "bessel",
@@ -125,46 +123,33 @@ def mode_gain(cfg: OemConfig, m: int, n: int, l: int, kind: str = "bessel",
     """Channel gain of OAM mode l between transmit UCA n and receive UCA m."""
     if not (0 <= l < cfg.u_elems):
         raise DomainError(f"mode index {l} outside 0..{cfg.u_elems - 1}")
-    if layout is None:
-        layout = build_layout(cfg)
-    d = float(layout.center_distances[m, n])
-    return _mode_gain_from_distance(cfg, d, l, kind)
+    d = float((layout or build_layout(cfg)).center_distances[m, n])
+    return complex(_mode_coefficients(cfg, kind)[l] * _base_gain(cfg, d))
 
 
 def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> list[ModeChannel]:
     """Deterministic line-of-sight channel matrices for all modes 0..U-1.
 
-    Entry (m, n) of mode l's matrix is V times the per-UCA mode gain, so
+    Mode l's matrix is V * c_l * B: V times the per-UCA mode gains, so
     the matrices apply directly to mode-decomposed receive signals.
     """
-    layout = build_layout(cfg)
-    distances = layout.center_distances
-    gains = conv_gains(cfg) if kind == "convergent" else None
+    base = _base_gain(cfg, build_layout(cfg).center_distances)
     channels = []
-    for l in range(cfg.u_elems):
-        matrix = np.empty((cfg.m_rx, cfg.n_tx), dtype=complex)
-        for m in range(cfg.m_rx):
-            for n in range(cfg.n_tx):
-                matrix[m, n] = cfg.v_elems * _mode_gain_from_distance(
-                    cfg, float(distances[m, n]), l, kind, gains
-                )
+    for l, coeff in enumerate(_mode_coefficients(cfg, kind)):
+        matrix = cfg.v_elems * (coeff * base)
         if not np.all(np.isfinite(matrix)):
             raise InvalidConfigError(f"mode {l} channel matrix has non-finite entries")
         channels.append(ModeChannel(mode=l, matrix=matrix))
     return channels
 
 
-def mode_power_profile(cfg: OemConfig, convergent: bool = True) -> np.ndarray:
-    """Relative per-mode power gains g_l, normalized so g_0 = 1.
+def mode_power_profile(cfg: OemConfig, kind: str = "convergent") -> np.ndarray:
+    """Relative per-mode power gains g_l = |c_l / c_0|^2 of one channel variant.
 
-    Non-convergent: |J_l|^2 / |J_0|^2 at the divergence angle.
-    Convergent: |A_l J_l|^2 / |A_0 J_0|^2 at the convergent angle.
+    These are also the squared Frobenius-norm ratios of the matrices that
+    ``build_mode_channels`` returns for the same variant.
     """
-    angle = cfg.phi_c if convergent else cfg.phi
-    arg = 2.0 * math.pi * cfg.r2 * math.sin(angle) / cfg.wavelength
-    amps = np.array([abs(bessel_j(l, arg)) for l in range(cfg.u_elems)])
-    if convergent:
-        amps = amps * conv_gains(cfg)
+    amps = np.abs(_mode_coefficients(cfg, kind))
     if amps[0] == 0.0:
         raise DomainError("mode 0 gain vanished; cannot normalize the profile")
     return (amps / amps[0]) ** 2

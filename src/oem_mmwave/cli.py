@@ -3,7 +3,7 @@
 Every subcommand that writes files also writes a JSON run manifest next
 to them (same path with a ``.manifest.json`` suffix) echoing the fully
 resolved configuration, seed, and output paths.  All output is
-deterministic for a fixed seed.
+deterministic for a fixed seed, and never left half-written.
 
 Exit codes: 0 success, 2 invalid flags, 3 invalid config or input file,
 4 simulation error.  Toolkit errors are mapped to exit codes in ``main``
@@ -13,9 +13,11 @@ only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -42,9 +44,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """Text handle on a temporary file that replaces ``path`` only once fully written."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_manifest(command: str, config_echo: dict, seed, outputs: list[str]) -> None:
-    if not outputs:
-        return
     manifest = {
         "command": command,
         "config_echo": config_echo,
@@ -53,7 +65,8 @@ def _write_manifest(command: str, config_echo: dict, seed, outputs: list[str]) -
         "outputs": outputs,
     }
     path = Path(outputs[0]).with_suffix(Path(outputs[0]).suffix + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _replace_on_success(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(path: str) -> OemConfig:
@@ -110,19 +123,15 @@ def _cmd_channel(args) -> int:
     if args.mode is not None and not (0 <= args.mode < cfg.u_elems):
         print(f"mode must lie in 0..{cfg.u_elems - 1}", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for ch in channels:
-        if args.mode is not None and ch.mode != args.mode:
-            continue
-        for m in range(cfg.m_rx):
-            for n in range(cfg.n_tx):
-                entry = ch.matrix[m, n]
-                rows.append((ch.mode, m + 1, n + 1, entry.real, entry.imag))
-    with open(args.out, "w", newline="") as fh:
+    with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["mode", "m", "n", "re", "im"])
-        for mode, m, n, re, im in rows:
-            writer.writerow([mode, m, n, _fmt(re), _fmt(im)])
+        for ch in channels:
+            if args.mode is not None and ch.mode != args.mode:
+                continue
+            for m, row in enumerate(ch.matrix.tolist(), start=1):
+                for n, entry in enumerate(row, start=1):
+                    writer.writerow([ch.mode, m, n, _fmt(entry.real), _fmt(entry.imag)])
     _write_manifest("channel", cfg.to_json_dict(), None, [args.out])
     return EXIT_OK
 
@@ -161,7 +170,7 @@ def _cmd_waterfill(args) -> int:
     for i, l, gamma in rows:
         grid[i, l] = gamma
     policy = waterfill_instantaneous(grid, args.total_power)
-    with open(args.out, "w", newline="") as fh:
+    with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "l", "gamma", "power"])
         for i, l, gamma in rows:
@@ -172,7 +181,8 @@ def _cmd_waterfill(args) -> int:
         "water_level": policy.water_level,
         "active_count": len(policy.active_set),
     }
-    Path(summary_path).write_text(json.dumps(summary, indent=2) + "\n")
+    with _replace_on_success(summary_path) as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
     _write_manifest(
         "waterfill", {"snr_csv": args.snr_csv, "total_power": args.total_power},
         None, [args.out, summary_path],
@@ -201,18 +211,14 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"bad --snr-db: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    profile = mode_power_profile(cfg, convergent=(args.model == "convergent"))
-    if args.model == "exact":
-        # The exact-sum and Bessel forms share the same magnitude
-        # profile in the large-U limit; use the Bessel profile.
-        profile = mode_power_profile(cfg, convergent=False)
+    profile = mode_power_profile(cfg, args.model)
     fading = FadingModel(
         mean_snr_db=0.0, mode_profile=profile, normalization=args.normalization,
     )
     oem_curve, mimo_curve = sweep(
         cfg, fading, snr_list, args.total_power, args.trials, args.seed
     )
-    with open(args.out, "w", newline="") as fh:
+    with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["snr_db", "se_oem", "se_oem_stderr", "se_mimo", "se_mimo_stderr"])
         for op, mp in zip(oem_curve.points, mimo_curve.points):
@@ -313,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trials", type=_trial_count, required=True)
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--out", required=True)
-    simulate.add_argument("--model", choices=("exact", "bessel", "convergent"),
-                          default="convergent")
+    simulate.add_argument("--model", choices=VARIANTS, default="convergent")
     simulate.add_argument("--normalization", choices=("per-channel", "total"),
                           default="per-channel")
     simulate.add_argument("--total-power", type=_power_budget, default=1.0)

@@ -4,10 +4,12 @@ The JSON schema mirrors the dataclass field names one-to-one.  Angles
 (``phi``, ``phi_c``, ``theta``) are stored in DEGREES in the file and
 converted to radians on load; ``beta`` is stored as a two-element
 ``[re, im]`` list.  Everything else is SI units (meters, watts).
+Counts must be JSON integers, every other value a finite JSON number.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -15,6 +17,20 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import InvalidConfigError
+
+_COUNTS = ("n_tx", "m_rx", "u_elems", "v_elems")
+_REALS = ("r1", "r2", "wavelength", "phi", "phi_c", "theta", "link_distance", "noise_var")
+
+
+def _json_number(name: str, value, integer: bool = False):
+    """A JSON integer, or a JSON number as a float; anything else names the field."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise InvalidConfigError(
+            f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise InvalidConfigError(f"{name} is out of range, got {value}") from None
 
 
 @dataclass(frozen=True)
@@ -68,25 +84,29 @@ class OemConfig:
             problems.append(
                 f"alias-free decomposition needs V >= U, got V={self.v_elems} U={self.u_elems}"
             )
-        if not (self.r1 > self.r2 > 0.0):
-            problems.append(f"need r1 > r2 > 0, got r1={self.r1} r2={self.r2}")
-        if self.wavelength <= 0.0:
-            problems.append("wavelength must be positive")
+        if not (math.inf > self.r1 > self.r2 > 0.0):
+            problems.append(f"need finite r1 > r2 > 0, got r1={self.r1} r2={self.r2}")
+        if not (0.0 < self.wavelength < math.inf):
+            problems.append(f"wavelength must be positive and finite, got {self.wavelength}")
         if not (0.0 < self.phi < math.pi / 2):
-            problems.append(f"divergence angle must lie in (0, pi/2), got {self.phi}")
+            problems.append(f"divergence angle phi must lie in (0, pi/2), got {self.phi}")
         if not (0.0 <= self.phi_c <= self.phi):
-            problems.append(f"convergent angle must lie in [0, phi], got {self.phi_c}")
+            problems.append(f"convergent angle phi_c must lie in [0, phi], got {self.phi_c}")
+        if not math.isfinite(self.theta):
+            problems.append(f"theta must be finite, got {self.theta}")
+        if not cmath.isfinite(self.beta):
+            problems.append(f"beta must be finite, got {self.beta}")
         if self.conv_gains is not None:
             if len(self.conv_gains) != self.u_elems:
                 problems.append(
                     f"conv_gains needs exactly U={self.u_elems} entries, got {len(self.conv_gains)}"
                 )
-            elif any(g < 0.0 for g in self.conv_gains):
-                problems.append("conv_gains entries must be nonnegative")
-        if self.link_distance <= 0.0:
-            problems.append("link_distance must be positive")
-        if self.noise_var < 0.0:
-            problems.append("noise_var must be nonnegative")
+            elif not all(0.0 <= g < math.inf for g in self.conv_gains):
+                problems.append("conv_gains entries must be finite and nonnegative")
+        if not (0.0 < self.link_distance < math.inf):
+            problems.append(f"link_distance must be positive and finite, got {self.link_distance}")
+        if not (0.0 <= self.noise_var < math.inf):
+            problems.append(f"noise_var must be nonnegative and finite, got {self.noise_var}")
         if problems:
             raise InvalidConfigError("; ".join(problems))
 
@@ -121,38 +141,26 @@ class OemConfig:
         missing = required - d.keys()
         if missing:
             raise InvalidConfigError(f"config missing fields: {sorted(missing)}")
-        unknown = d.keys() - {
-            "n_tx", "m_rx", "u_elems", "v_elems", "r1", "r2", "wavelength",
-            "phi", "phi_c", "theta", "beta", "link_distance", "conv_gains", "noise_var",
-        }
+        unknown = d.keys() - {*_COUNTS, *_REALS, "beta", "conv_gains"}
         if unknown:
             raise InvalidConfigError(f"config has unknown fields: {sorted(unknown)}")
-        beta = d.get("beta", [1.0, 0.0])
-        if isinstance(beta, (int, float)):
-            beta = complex(beta)
-        else:
-            beta = complex(beta[0], beta[1])
-        try:
-            return cls(
-                n_tx=int(d["n_tx"]),
-                m_rx=int(d["m_rx"]),
-                u_elems=int(d["u_elems"]),
-                v_elems=int(d["v_elems"]),
-                r1=float(d["r1"]),
-                r2=float(d["r2"]),
-                wavelength=float(d["wavelength"]),
-                phi=math.radians(float(d["phi"])),
-                phi_c=math.radians(float(d["phi_c"])),
-                theta=math.radians(float(d.get("theta", 0.0))),
-                beta=beta,
-                link_distance=float(d.get("link_distance", 100.0)),
-                conv_gains=d.get("conv_gains"),
-                noise_var=float(d.get("noise_var", 1.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidConfigError):
-                raise
-            raise InvalidConfigError(f"malformed config value: {exc}") from exc
+        d = {"theta": 0.0, "beta": [1.0, 0.0], "link_distance": 100.0,
+             "conv_gains": None, "noise_var": 1.0, **d}
+        beta = d["beta"] if isinstance(d["beta"], list) else [d["beta"], 0.0]
+        if len(beta) != 2:
+            raise InvalidConfigError(f"beta must be a number or [re, im], got {d['beta']!r}")
+        gains = d["conv_gains"]
+        if not isinstance(gains, (list, type(None))):
+            raise InvalidConfigError(f"conv_gains must be a list or null, got {gains!r}")
+        reals = {name: _json_number(name, d[name]) for name in _REALS}
+        for angle in ("phi", "phi_c", "theta"):
+            reals[angle] = math.radians(reals[angle])
+        return cls(
+            **{name: _json_number(name, d[name], integer=True) for name in _COUNTS},
+            **reals,
+            beta=complex(*(_json_number("beta", x) for x in beta)),
+            conv_gains=None if gains is None else [_json_number("conv_gains", g) for g in gains],
+        )
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")

@@ -98,7 +98,7 @@ def test_2_non_convergent_collapse(base_cfg):
     """
     with criterion(2, "non-convergent-collapse"):
         cfg = base_cfg.with_(n_tx=4, m_rx=4, u_elems=2, v_elems=2, r2=1e-5)
-        profile = mode_power_profile(cfg, convergent=False)
+        profile = mode_power_profile(cfg, "bessel")
         assert profile[1] / profile[0] < 1e-3
         for snr_db in range(0, 31, 5):
             fading = FadingModel(

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from oem_mmwave import (
     mode_gain,
     mode_power_profile,
 )
-from oem_mmwave.channel import conv_gains
+from oem_mmwave.channel import VARIANTS, conv_gains
 from oem_mmwave.errors import DomainError
 
 
@@ -165,9 +166,57 @@ class TestBuildModeChannels:
             assert np.allclose(off, off[0, 0], rtol=1e-12)
 
 
+def mode_ratio_oracle(cfg, kind, l):
+    """c_l / c_0 of one variant, written out from the model's formulas.
+
+    exact-sum: the element sum over psi_u = 2 pi u / U of the ramp
+    exp(j l psi_u) times the wavefront exp(j 2 pi r2 sin(phi) cos(psi_u -
+    theta) / lambda).  bessel and convergent: A_l exp(j l theta) j^l
+    J_l(x) / (A_0 J_0(x)), with the series oracle for J and the
+    configured gains A.
+    """
+    if kind == "exact-sum":
+        def element_sum(order):
+            total = 0j
+            for u in range(cfg.u_elems):
+                psi = 2 * math.pi * u / cfg.u_elems
+                total += cmath.exp(1j * (order * psi + 2 * math.pi / cfg.wavelength * cfg.r2
+                                         * math.sin(cfg.phi) * math.cos(psi - cfg.theta)))
+            return total
+        return element_sum(l) / element_sum(0)
+    angle = cfg.phi if kind == "bessel" else cfg.phi_c
+    amps = np.ones(cfg.u_elems) if kind == "bessel" else cfg.conv_gains
+    x = 2 * math.pi * cfg.r2 * math.sin(angle) / cfg.wavelength
+    return (amps[l] * cmath.exp(1j * l * cfg.theta) * 1j ** l * bessel_series(l, x)
+            / (amps[0] * bessel_series(0, x)))
+
+
+class TestRankOneModes:
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_every_mode_is_a_multiple_of_mode_zero(self, base_cfg, kind):
+        cfg = base_cfg.with_(n_tx=3, m_rx=4, conv_gains=(1.0, 0.5, 2.0, 3.0))
+        channels = build_mode_channels(cfg, kind)
+        h0 = channels[0].matrix
+        for ch in channels:
+            expected = mode_ratio_oracle(cfg, kind, ch.mode) * h0
+            assert np.max(np.abs(ch.matrix - expected)) <= 1e-12 * np.max(np.abs(ch.matrix))
+
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_profile_is_the_squared_norm_ratio_of_the_channels(self, base_cfg, kind):
+        channels = build_mode_channels(base_cfg, kind)
+        norms = np.array([np.linalg.norm(ch.matrix) ** 2 for ch in channels])
+        assert np.allclose(mode_power_profile(base_cfg, kind), norms / norms[0],
+                           rtol=1e-12, atol=0.0)
+
+    def test_vanishing_mode_zero_rejected(self, base_cfg):
+        cfg = base_cfg.with_(conv_gains=(0.0, 1.0, 1.0, 1.0))
+        with pytest.raises(DomainError):
+            mode_power_profile(cfg, "convergent")
+
+
 class TestConvergenceGains:
     def test_default_gains_equalize_modes(self, base_cfg):
-        profile = mode_power_profile(base_cfg, convergent=True)
+        profile = mode_power_profile(base_cfg, "convergent")
         assert profile[0] == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(profile, 1.0, rtol=1e-9)
 
@@ -176,7 +225,7 @@ class TestConvergenceGains:
         assert np.allclose(conv_gains(cfg), [1.0, 2.0, 3.0, 4.0])
 
     def test_nonconvergent_profile_follows_bessel_decay(self, base_cfg):
-        profile = mode_power_profile(base_cfg, convergent=False)
+        profile = mode_power_profile(base_cfg, "bessel")
         arg = 2 * math.pi * base_cfg.r2 * math.sin(base_cfg.phi) / base_cfg.wavelength
         expected = np.array(
             [bessel_series(l, arg) ** 2 for l in range(base_cfg.u_elems)]

@@ -3,8 +3,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from oem_mmwave import OemConfig, build_mode_channels, cli
 from oem_mmwave.cli import main
 
 from conftest import WAVELENGTH_35GHZ
@@ -74,6 +76,20 @@ class TestScenario:
         path.write_text("{}")
         code, _, err = run(capsys, "scenario", "--config", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_var", math.nan), ("theta", math.nan), ("beta", math.nan),
+        ("conv_gains", [math.nan, 1.0, 1.0, 1.0]), ("wavelength", math.inf),
+        ("link_distance", math.inf), ("n_tx", 3.7), ("beta", "ab"), ("n_tx", True),
+    ])
+    def test_bad_value_exits_3_naming_the_field(self, field, value, base_cfg, tmp_path, capsys):
+        d = base_cfg.to_json_dict()
+        d[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        code, _, err = run(capsys, "scenario", "--config", str(path))
+        assert code == 3
+        assert field in err
 
 
 class TestChannel:
@@ -191,6 +207,19 @@ class TestSimulate:
         assert manifest["seed"] == 1
         assert str(out) in manifest["outputs"]
 
+    def test_exact_sum_profile_is_the_channel_norm_ratio(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--config", config_path, "--model", "exact-sum",
+            "--snr-db", "0:0:1", "--trials", "1000", "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        echo = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["config_echo"]
+        channels = build_mode_channels(OemConfig.load(config_path), "exact-sum")
+        norms = np.array([np.linalg.norm(ch.matrix) ** 2 for ch in channels])
+        assert echo["model"] == "exact-sum"
+        assert echo["mode_profile"] == pytest.approx(list(norms / norms[0]), rel=1e-12)
+
     def test_too_few_trials_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
@@ -226,3 +255,29 @@ class TestSimulate:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", ["channel", "waterfill", "simulate"])
+    def test_failed_write_leaves_old_output_whole(self, command, config_path, tmp_path,
+                                                  monkeypatch):
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_text("i,l,gamma\n0,0,4.0\n0,1,1.0\n")
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"previous run\n")
+        argv = {
+            "channel": ["channel", "--config", config_path],
+            "waterfill": ["waterfill", "--snr-csv", str(snr_csv), "--total-power", "1"],
+            "simulate": ["simulate", "--config", config_path, "--snr-db", "0:0:1",
+                         "--trials", "1000", "--seed", "1"],
+        }[command] + ["--out", str(out)]
+        before = sorted(os.listdir(tmp_path))
+
+        def fail(x):
+            raise RuntimeError("formatting failed mid-write")
+
+        monkeypatch.setattr(cli, "_fmt", fail)
+        with pytest.raises(RuntimeError):
+            main(argv)
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(os.listdir(tmp_path)) == before

@@ -2,9 +2,28 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oem_mmwave import OemConfig
 from oem_mmwave.errors import InvalidConfigError
+
+from conftest import WAVELENGTH_35GHZ
+
+VALID = {
+    "n_tx": 2, "m_rx": 3, "u_elems": 4, "v_elems": 8, "r1": 0.1, "r2": 0.004,
+    "wavelength": WAVELENGTH_35GHZ, "phi": 30.0, "phi_c": 3.0, "theta": 10.0,
+    "beta": [1.0, 0.0], "link_distance": 50.0, "conv_gains": None, "noise_var": 1.0,
+}
+
+# Anything json.loads can return, plus values near the valid ones so that
+# some drawn configs get past the type checks to the range checks.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([0, 1, 4, 8, 0.004, 0.1, 30.0, [1.0, 0.5], [1.0, 1.0, 1.0, 1.0]]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
 
 
 class TestValidation:
@@ -72,3 +91,17 @@ class TestJsonRoundTrip:
         path.write_text("{not json")
         with pytest.raises(InvalidConfigError):
             OemConfig.load(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    overrides=st.dictionaries(st.sampled_from([*VALID, "bandwidth"]), JSON_VALUES, max_size=4),
+    dropped=st.sets(st.sampled_from(list(VALID)), max_size=2),
+)
+def test_any_json_object_gives_a_config_or_invalid_config_error(overrides, dropped):
+    d = {k: v for k, v in {**VALID, **overrides}.items() if k not in dropped}
+    try:
+        cfg = OemConfig.from_json_dict(d)
+    except InvalidConfigError:
+        return
+    assert isinstance(cfg, OemConfig)

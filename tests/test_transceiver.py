@@ -7,6 +7,7 @@ from oem_mmwave import (
     ModeChannel,
     build_mode_channels,
     decompose_modes,
+    mode_power_profile,
     propagate,
     synthesize_elements,
     zf_detect,
@@ -164,6 +165,19 @@ class TestZfDetect:
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0)
         with pytest.raises(RankDeficientError):
             zf_detect(dec, channels)
+
+    def test_mode_weights_scale_by_the_mode_power_profile(self, base_cfg):
+        # every mode matrix is c_l times one base matrix, so each stream's
+        # mode-l weight is its mode-0 weight times |c_l / c_0|^2
+        cfg = base_cfg.with_(n_tx=4, m_rx=4, u_elems=4, v_elems=4,
+                             link_distance=1.0, noise_var=1e-7)
+        channels = build_mode_channels(cfg, "bessel")
+        received = propagate(random_symbols(cfg), channels, cfg, noise_seed=3)
+        _, grid = zf_detect(decompose_modes(received, cfg), channels)
+        profile = mode_power_profile(cfg, "bessel")
+        for l in range(cfg.u_elems):
+            assert np.allclose(grid.values[:, l] / grid.values[:, 0], profile[l],
+                               rtol=1e-9, atol=0.0)
 
     def test_more_streams_than_antennas_rejected(self):
         channels = [ModeChannel(mode=0, matrix=np.ones((1, 2), dtype=complex))]
