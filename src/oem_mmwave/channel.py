@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .config import OemConfig
-from .errors import DomainError, InvalidConfigError
+from .errors import DomainError, InvalidConfigError, RankDeficientError
 from .geometry import ElementLayout, build_layout
 
 VARIANTS = ("exact-sum", "bessel", "convergent")
@@ -37,10 +38,45 @@ VARIANTS = ("exact-sum", "bessel", "convergent")
 
 @dataclass(frozen=True)
 class ModeChannel:
-    """Complex M x N channel matrix of one OAM mode, including the V factor."""
+    """Complex M x N channel matrix of one OAM mode, including the V factor.
+
+    The matrix is a read-only complex copy of the one passed in, so the
+    zero-forcing solution computed from it on first use stays valid.
+    """
 
     mode: int
     matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=complex)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+
+    @cached_property
+    def zf_solution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-forcing filter (H^H H)^{-1} H^H, (N, M), and the noise gains
+        diag((H^H H)^{-1}), (N,), both read-only.
+
+        Raises RankDeficientError, on every access, when M < N or the
+        singular values of H span more than ten decades.
+        """
+        h = self.matrix
+        if h.shape[0] < h.shape[1]:
+            raise RankDeficientError(
+                f"zero forcing needs M >= N, got M={h.shape[0]} N={h.shape[1]}"
+            )
+        svals = np.linalg.svd(h, compute_uv=False)
+        if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
+            raise RankDeficientError(
+                f"mode {self.mode} channel matrix is rank deficient "
+                f"(singular value ratio {svals[-1] / svals[0]:.2e})"
+            )
+        gram_inv = np.linalg.inv(h.conj().T @ h)
+        zf_filter = gram_inv @ h.conj().T
+        noise_gains = np.real(np.diag(gram_inv)).copy()
+        zf_filter.setflags(write=False)
+        noise_gains.setflags(write=False)
+        return zf_filter, noise_gains
 
 
 def bessel_j(order: int, x: float) -> float:

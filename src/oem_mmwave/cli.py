@@ -5,9 +5,9 @@ to them (same path with a ``.manifest.json`` suffix) echoing the fully
 resolved configuration, seed, and output paths.  All output is
 deterministic for a fixed seed, and never left half-written.
 
-Exit codes: 0 success, 2 invalid flags, 3 invalid config or input file,
-4 simulation error.  Toolkit errors are mapped to exit codes in ``main``
-only.
+Exit codes: 0 success, 2 invalid flags, 3 invalid config or input file
+or an output that cannot be written, 4 simulation error.  Toolkit errors
+are mapped to exit codes in ``main`` only.
 """
 
 from __future__ import annotations
@@ -46,12 +46,17 @@ def _fmt(x: float) -> str:
 
 @contextlib.contextmanager
 def _replace_on_success(path):
-    """Text handle on a temporary file that replaces ``path`` only once fully written."""
+    """Text handle on a temporary file that replaces ``path`` only once fully written.
+
+    An OSError while writing becomes an InvalidConfigError naming ``path``.
+    """
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -65,16 +65,16 @@ def propagate(symbols: np.ndarray, channels: Sequence[ModeChannel], cfg: OemConf
     if len(channels) != cfg.u_elems:
         raise InvalidConfigError(f"need one channel per mode 0..{cfg.u_elems - 1}")
     m_rx, v = cfg.m_rx, cfg.v_elems
-    out = np.zeros((m_rx, v), dtype=complex)
-    ramp_v = np.arange(v)
-    for ch in channels:
-        h = ch.matrix / v  # per-UCA gains without the decomposition factor
-        per_uca = h @ symbols[:, ch.mode]  # (M,)
-        out += np.outer(per_uca, np.exp(2j * np.pi * ramp_v * ch.mode / v))
+    # (M, U) per-UCA sums, without the decomposition factor V
+    per_uca = np.column_stack([ch.matrix @ symbols[:, ch.mode] for ch in channels]) / v
+    if per_uca.shape[0] != m_rx:
+        raise InvalidConfigError(f"channel matrices must have M = {m_rx} rows")
+    modes = [ch.mode for ch in channels]
+    ramps = np.exp(2j * np.pi * np.outer(modes, np.arange(v)) / v)  # (l, v_idx)
+    out = per_uca @ ramps
     if cfg.noise_var > 0.0:
-        rng = np.random.default_rng(noise_seed)
-        scale = np.sqrt(cfg.noise_var / 2.0)
-        out += scale * (rng.standard_normal((m_rx, v)) + 1j * rng.standard_normal((m_rx, v)))
+        noise = np.random.default_rng(noise_seed).standard_normal((2, m_rx, v))
+        out += np.sqrt(cfg.noise_var / 2.0) * (noise[0] + 1j * noise[1])
     return out
 
 
@@ -107,7 +107,9 @@ def zf_detect(decomposed: DecomposedSignal, channels: Sequence[ModeChannel]
     grid holds the per-stream weights gamma_{i,l} = 1 / (sigma_l^2 *
     [(H_l^H H_l)^{-1}]_{ii}), so a stream carrying power P is received
     at SNR P * gamma_{i,l}.  In the noiseless case (sigma_l^2 = 0) the
-    weights are reported per unit mode-noise variance instead.
+    weights are reported per unit mode-noise variance instead.  Each
+    mode's filter and noise gains come from ``ModeChannel.zf_solution``,
+    computed once per channel, so a block costs one product per mode.
     """
     values = decomposed.values
     m_rx = values.shape[0]
@@ -118,15 +120,7 @@ def zf_detect(decomposed: DecomposedSignal, channels: Sequence[ModeChannel]
     weights = np.empty((n_tx, len(channels)))
     sigma2 = decomposed.noise_var_per_mode if decomposed.noise_var_per_mode > 0.0 else 1.0
     for ch in channels:
-        h = ch.matrix
-        svals = np.linalg.svd(h, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
-            raise RankDeficientError(
-                f"mode {ch.mode} channel matrix is rank deficient "
-                f"(singular value ratio {svals[-1] / svals[0]:.2e})"
-            )
-        gram_inv = np.linalg.inv(h.conj().T @ h)
-        estimates[:, ch.mode] = gram_inv @ (h.conj().T @ values[:, ch.mode])
-        diag = np.real(np.diag(gram_inv))
-        weights[:, ch.mode] = 1.0 / (sigma2 * diag)
+        zf_filter, noise_gains = ch.zf_solution
+        estimates[:, ch.mode] = zf_filter @ values[:, ch.mode]
+        weights[:, ch.mode] = 1.0 / (sigma2 * noise_gains)
     return estimates, SnrGrid(values=weights)

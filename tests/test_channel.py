@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oem_mmwave import (
+    ModeChannel,
     bessel_j,
     build_layout,
     build_mode_channels,
@@ -164,6 +165,26 @@ class TestBuildModeChannels:
             diag = np.array([[mags[0, 0], mags[1, 1]]])
             assert np.allclose(diag, diag[0, 0], rtol=1e-12)
             assert np.allclose(off, off[0, 0], rtol=1e-12)
+
+
+class TestModeChannelImmutable:
+    def test_matrix_is_read_only(self, base_cfg):
+        for ch in build_mode_channels(base_cfg):
+            with pytest.raises(ValueError):
+                ch.matrix[0, 0] = 1.0
+
+    def test_caller_array_is_copied_and_left_writeable(self):
+        source = np.array([[2.0, 0.0], [0.0, 3.0]])
+        ch = ModeChannel(mode=0, matrix=source)
+        source[0, 0] = 99.0
+        assert source.flags.writeable
+        assert ch.matrix.dtype == complex
+        assert np.array_equal(ch.matrix, np.diag([2.0, 3.0]))
+
+    def test_zf_solution_is_read_only(self, base_cfg):
+        zf_filter, noise_gains = build_mode_channels(base_cfg)[0].zf_solution
+        assert not zf_filter.flags.writeable
+        assert not noise_gains.flags.writeable
 
 
 def mode_ratio_oracle(cfg, kind, l):

@@ -281,3 +281,19 @@ class TestOutputs:
             main(argv)
         assert out.read_bytes() == b"previous run\n"
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", ["channel", "waterfill", "simulate"])
+    def test_missing_output_directory_exits_3(self, command, config_path, tmp_path, capsys):
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_text("i,l,gamma\n0,0,4.0\n0,1,1.0\n")
+        out = tmp_path / "missing" / "out.csv"
+        argv = {
+            "channel": ["channel", "--config", config_path],
+            "waterfill": ["waterfill", "--snr-csv", str(snr_csv), "--total-power", "1"],
+            "simulate": ["simulate", "--config", config_path, "--snr-db", "0:0:1",
+                         "--trials", "1000", "--seed", "1"],
+        }[command] + ["--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert str(out) in err
+        assert not out.parent.exists()

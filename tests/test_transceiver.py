@@ -81,6 +81,21 @@ class TestPropagate:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_noise_is_two_consecutive_standard_normal_draws(self, base_cfg):
+        # the seeded noise stream stays the one of two (M, V) draws, real then imaginary
+        cfg = base_cfg.with_(noise_var=0.5)
+        y = propagate(np.zeros((cfg.n_tx, cfg.u_elems)), build_mode_channels(cfg), cfg,
+                      noise_seed=42)
+        rng = np.random.default_rng(42)
+        re = rng.standard_normal((cfg.m_rx, cfg.v_elems))
+        im = rng.standard_normal((cfg.m_rx, cfg.v_elems))
+        assert np.array_equal(y, math.sqrt(0.5 / 2.0) * (re + 1j * im))
+
+    def test_channel_row_count_must_match_config(self, base_cfg):
+        channels = build_mode_channels(base_cfg.with_(m_rx=base_cfg.m_rx + 1))
+        with pytest.raises(InvalidConfigError):
+            propagate(random_symbols(base_cfg), channels, base_cfg)
+
     def test_linearity(self, base_cfg):
         channels = build_mode_channels(base_cfg)
         s1, s2 = random_symbols(base_cfg, 1), random_symbols(base_cfg, 2)
@@ -184,6 +199,61 @@ class TestZfDetect:
         dec = DecomposedSignal(values=np.zeros((1, 1), dtype=complex), noise_var_per_mode=1.0)
         with pytest.raises(RankDeficientError):
             zf_detect(dec, channels)
+
+
+class TestZfCache:
+    @staticmethod
+    def near_field_link(base_cfg):
+        """The 1 m 16x16 U=V=4 link, where the mode matrices are well conditioned."""
+        cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4,
+                             link_distance=1.0, noise_var=1e-7)
+        channels = build_mode_channels(cfg, "convergent")
+        received = propagate(random_symbols(cfg, seed=4), channels, cfg, noise_seed=9)
+        return channels, decompose_modes(received, cfg)
+
+    def test_second_call_makes_no_svd_or_inverse(self, base_cfg, monkeypatch):
+        channels, dec = self.near_field_link(base_cfg)
+        calls = {"svd": 0, "inv": 0}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        first_est, first_grid = zf_detect(dec, channels)
+        assert calls == {"svd": len(channels), "inv": len(channels)}
+        second_est, second_grid = zf_detect(dec, channels)
+        assert calls == {"svd": len(channels), "inv": len(channels)}
+        assert np.array_equal(first_est, second_est)
+        assert np.array_equal(first_grid.values, second_grid.values)
+
+    def test_rank_deficient_raises_on_every_call(self):
+        channels = [ModeChannel(mode=0, matrix=np.ones((2, 2), dtype=complex))]
+        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0)
+        for _ in range(3):
+            with pytest.raises(RankDeficientError):
+                zf_detect(dec, channels)
+
+    def test_matches_pseudo_inverse_oracle(self, base_cfg):
+        # pinv(H) = (H^H H)^{-1} H^H, and pinv(H) pinv(H)^H = (H^H H)^{-1},
+        # so the noise gains are the squared row norms of pinv(H)
+        channels, dec = self.near_field_link(base_cfg)
+        zf_detect(dec, channels)
+        est, grid = zf_detect(dec, channels)
+        for ch in channels:
+            y = dec.values[:, ch.mode]
+            oracle_est = np.linalg.lstsq(ch.matrix, y, rcond=None)[0]
+            assert np.allclose(est[:, ch.mode], oracle_est,
+                               rtol=0.0, atol=1e-12 * np.abs(oracle_est).max())
+            pinv = np.linalg.pinv(ch.matrix)
+            oracle_weights = 1.0 / (dec.noise_var_per_mode * np.sum(np.abs(pinv) ** 2, axis=1))
+            assert np.allclose(grid.values[:, ch.mode], oracle_weights, rtol=1e-12, atol=0.0)
 
 
 class TestEndToEnd:
