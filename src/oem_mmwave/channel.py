@@ -36,12 +36,14 @@ from .geometry import ElementLayout, build_layout
 VARIANTS = ("exact-sum", "bessel", "convergent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeChannel:
     """Complex M x N channel matrix of one OAM mode, including the V factor.
 
     The matrix is a read-only complex copy of the one passed in, so the
     zero-forcing solution computed from it on first use stays valid.
+    Channels compare and hash by identity, as an ndarray field has no
+    single truth value.
     """
 
     mode: int

@@ -2,7 +2,8 @@
 
 Every subcommand that writes files also writes a JSON run manifest next
 to them (same path with a ``.manifest.json`` suffix) echoing the fully
-resolved configuration, seed, and output paths.  All output is
+resolved configuration, seed, output paths and environment (Python,
+numpy and platform versions; no timings).  All output is
 deterministic for a fixed seed, and never left half-written.
 
 Exit codes: 0 success, 2 invalid flags, 3 invalid config or input file
@@ -18,6 +19,7 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -61,6 +63,12 @@ def _replace_on_success(path):
         tmp.unlink(missing_ok=True)
 
 
+def _platform_name() -> str:
+    # platform.platform() would also scan the interpreter binary for its
+    # libc version: ~10 ms and 0.5 MB of resident memory per process.
+    return f"{platform.system()}-{platform.release()}-{platform.machine()}"
+
+
 def _write_manifest(command: str, config_echo: dict, seed, outputs: list[str]) -> None:
     manifest = {
         "command": command,
@@ -68,6 +76,11 @@ def _write_manifest(command: str, config_echo: dict, seed, outputs: list[str]) -
         "seed": seed,
         "version": __version__,
         "outputs": outputs,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": _platform_name(),
+        },
     }
     path = Path(outputs[0]).with_suffix(Path(outputs[0]).suffix + ".manifest.json")
     with _replace_on_success(path) as fh:

@@ -86,26 +86,58 @@ def flatten_mode_major(grid: np.ndarray) -> np.ndarray:
     return np.asarray(grid).flatten(order="F")
 
 
+# Prefix entries scanned per step by ``_sorted_level``: bounds its
+# temporaries without a full-length index array.
+_SCAN_CHUNK = 1 << 16
+
+
+def _sorted_level(inv: np.ndarray, total_power: float) -> float:
+    """Exact water level of ``total_power`` over ascending reciprocals ``inv``.
+
+    Takes the largest prefix k whose level (P + sum_{i<=k} inv_i) / k
+    lies strictly above inv_k, so channels exactly at the level stay off
+    and +inf entries (zero SNR) are never filled.  The level of that
+    prefix is then re-summed pairwise.  The cumulative sum is scanned
+    from the end in chunks, stopping at the first chunk that holds a
+    filled prefix.  Returns 0 when nothing can be filled.
+    """
+    levels = np.cumsum(inv)
+    for stop in range(inv.size, 0, -_SCAN_CHUNK):
+        start = max(stop - _SCAN_CHUNK, 0)
+        part = levels[start:stop]
+        part += total_power
+        part /= np.arange(start + 1, stop + 1)
+        filled = part > inv[start:stop]
+        gap = int(filled[::-1].argmax())
+        if filled[-1 - gap]:
+            k = stop - gap
+            return float((total_power + inv[:k].sum()) / k)
+    return 0.0
+
+
 def _water_level(gamma: np.ndarray, total_power: float) -> float:
     """Exact water level of ``total_power`` over the positive entries of gamma.
 
-    Sorts the reciprocals 1/gamma ascending and takes the largest prefix
-    k whose level (P + sum_{i<=k} 1/gamma_(i)) / k lies strictly above
-    1/gamma_(k), so channels exactly at the level stay off.  The level
-    of that prefix is then re-summed pairwise.  Returns 0 when nothing
-    can be filled: no positive entry, or a budget below the resolution
-    of the best 1/gamma.
+    Returns 0 when nothing can be filled: no positive entry, or a budget
+    below the resolution of the best 1/gamma.
     """
     inv = 1.0 / gamma[gamma > 0.0]
     inv.sort()
-    levels = np.cumsum(inv)
-    levels += total_power
-    levels /= np.arange(1, inv.size + 1)
-    filled = np.flatnonzero(levels > inv)
-    if filled.size == 0:
-        return 0.0
-    k = int(filled[-1]) + 1
-    return float((total_power + inv[:k].sum()) / k)
+    return _sorted_level(inv, total_power)
+
+
+def _pooled_multiplier(gammas: np.ndarray, total_power: float) -> float:
+    """mu* of the sample-average budget ``total_power`` over (samples, K) draws.
+
+    The pooled water level of the T*K draws under budget T*P, solved in
+    the draws' own buffer: ``gammas`` (nonnegative) is overwritten with
+    its sorted reciprocals, a zero draw becoming +inf.
+    """
+    with np.errstate(divide="ignore"):
+        inv = np.divide(1.0, gammas, out=gammas).reshape(-1)
+    inv.sort()
+    water = _sorted_level(inv, gammas.shape[0] * total_power)
+    return 1.0 / (water * LN2) if water > 0.0 else math.inf
 
 
 def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
@@ -153,8 +185,25 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
     return out
 
 
+def _ergodic_means(mean_snr: GridLike, total_power: float, samples: int) -> np.ndarray:
+    """Checked mode-major channel means of one ergodic solve."""
+    if total_power <= 0.0:
+        raise InvalidConfigError(f"total power must be positive, got {total_power}")
+    if samples < 1_000:
+        raise InvalidConfigError(f"need at least 1000 samples, got {samples}")
+    means = flatten_mode_major(_grid_values(mean_snr))
+    if not np.any(means > 0.0):
+        raise InvalidConfigError("at least one channel must have positive mean SNR")
+    return means
+
+
+def _rule_water_level(mu_star: float) -> float:
+    """Water level 1/(mu* ln 2) of the allocation rule; 0 when mu* is infinite."""
+    return 1.0 / (mu_star * LN2)
+
+
 def _allocation_rule(mu: float) -> Callable[[np.ndarray], np.ndarray]:
-    water = 1.0 / (mu * LN2)
+    water = _rule_water_level(mu)
     return lambda gamma: _allocate(gamma, water)
 
 
@@ -170,16 +219,9 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     P(gamma) = max(0, 1/(mu* ln 2) - 1/gamma) meets the budget on the
     sample to rounding.  Returns (mu_star, rule).
     """
-    if total_power <= 0.0:
-        raise InvalidConfigError(f"total power must be positive, got {total_power}")
-    if samples < 1_000:
-        raise InvalidConfigError(f"need at least 1000 samples, got {samples}")
-    means = flatten_mode_major(_grid_values(mean_snr))
-    if not np.any(means > 0.0):
-        raise InvalidConfigError("at least one channel must have positive mean SNR")
+    means = _ergodic_means(mean_snr, total_power, samples)
     gammas = sample_snr_realizations(means, samples, seed)
-    water = _water_level(gammas, samples * total_power)
-    mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
+    mu_star = _pooled_multiplier(gammas, total_power)
     return mu_star, _allocation_rule(mu_star)
 
 

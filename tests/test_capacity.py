@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oem_mmwave import (
     ergodic_se_oem,
     instantaneous_se,
     sweep,
+    waterfill_ergodic,
     waterfill_instantaneous,
 )
 from oem_mmwave.capacity import ergodic_point
@@ -87,6 +89,20 @@ class TestErgodicEstimators:
             ergodic_se_oem(base_cfg, fading, 1.0, 2_000, seed=0)
 
 
+class TestRateAverage:
+    def test_is_the_rule_average_bitwise(self):
+        # zero-mean channels draw zero SNR, which the in-place rate buffer
+        # turns into 1/gamma = inf and the rule skips by its mask
+        means = np.array([[100.0, 0.0], [5.0, 1.0], [0.2, 0.0]])
+        point, mu = ergodic_point(means, 3.0, "total", 2_000, seed=4)
+        mu_rule, rule = waterfill_ergodic(means, 3.0, samples=2_000, seed=4)
+        gammas = sample_snr_realizations(means.flatten(order="F"), 2_000, seed=4, stage=1)
+        per_trial = np.log2(1.0 + rule(gammas) * gammas).sum(axis=1)
+        assert mu == mu_rule
+        assert point.se == float(per_trial.mean())
+        assert point.stderr == float(per_trial.std(ddof=1) / math.sqrt(2_000))
+
+
 class TestWaterfillingOptimality:
     def test_beats_uniform_power(self):
         means = np.array([[100.0, 10.0], [50.0, 1.0]])
@@ -111,6 +127,49 @@ class TestSweep:
         fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError):
             sweep(base_cfg, fading, [], 1.0, 2_000, seed=0)
+
+    def test_profile_length_must_match_modes(self, base_cfg):
+        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems - 1))
+        with pytest.raises(InvalidConfigError):
+            sweep(base_cfg, fading, [0.0], 1.0, 2_000, seed=0)
+
+    def test_trial_floor_enforced(self, base_cfg):
+        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems))
+        with pytest.raises(InvalidConfigError):
+            sweep(base_cfg, fading, [0.0], 1.0, 999, seed=0)
+
+    @pytest.mark.parametrize("normalization", ["per-channel", "total"])
+    @pytest.mark.parametrize("profile", [[1.0, 0.7, 0.3, 0.1], [1.0, 0.0, 0.5, 0.0]])
+    def test_points_are_the_single_point_estimates_bitwise(self, base_cfg, normalization,
+                                                           profile):
+        # N != M; 5000 trials of 16 channels pool 80,000 draws, more than
+        # one chunk of the water-level scan
+        cfg = base_cfg.with_(n_tx=8, m_rx=4, u_elems=4, v_elems=4)
+        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array(profile),
+                             normalization=normalization)
+        snr_db_list = [-20.0, 0.0, 12.5, 30.0]
+        oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 5_000, seed=3)
+        for snr_db, op, mp in zip(snr_db_list, oem.points, mimo.points):
+            fad = FadingModel(mean_snr_db=snr_db, mode_profile=fading.mode_profile,
+                              normalization=normalization)
+            single_oem = ergodic_se_oem(cfg, fad, 0.2, 5_000, seed=3)
+            single_mimo = ergodic_se_mimo(8, 4, snr_db, 0.2, 5_000, seed=3,
+                                          normalization=normalization)
+            assert op.mean_snr_db == mp.mean_snr_db == snr_db
+            assert (op.se, op.stderr) == (single_oem.se, single_oem.stderr)
+            assert (mp.se, mp.stderr) == (single_mimo.se, single_mimo.stderr)
+
+    def test_working_memory_stays_below_four_draw_arrays(self, base_cfg):
+        cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4)
+        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array([1.0, 0.8, 0.6, 0.8]))
+        trials, n_channels = 10_000, 16 * 4
+        tracemalloc.start()
+        try:
+            sweep(cfg, fading, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], 0.2, trials, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * trials * n_channels * 8
 
 
 class TestFadingModel:

@@ -186,6 +186,16 @@ class TestModeChannelImmutable:
         assert not zf_filter.flags.writeable
         assert not noise_gains.flags.writeable
 
+    def test_compares_and_hashes_by_identity(self):
+        a = ModeChannel(mode=0, matrix=np.eye(2))
+        b = ModeChannel(mode=0, matrix=np.eye(2))
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert {a: "a", b: "b"}[a] == "a"
+        # the cached filter still lands on the frozen instance
+        assert a.zf_solution is a.zf_solution
+
 
 def mode_ratio_oracle(cfg, kind, l):
     """c_l / c_0 of one variant, written out from the model's formulas.

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -206,6 +207,11 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 1
         assert str(out) in manifest["outputs"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        }
 
     def test_exact_sum_profile_is_the_channel_norm_ratio(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

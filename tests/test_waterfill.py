@@ -12,7 +12,7 @@ from oem_mmwave import (
     waterfill_instantaneous,
 )
 from oem_mmwave.errors import DomainError, InvalidConfigError
-from oem_mmwave.waterfill import LN2, sample_snr_realizations
+from oem_mmwave.waterfill import LN2, _SCAN_CHUNK, _water_level, sample_snr_realizations
 
 LOG2 = LN2  # natural log of 2, the "log 2" of the allocation formulas
 
@@ -99,6 +99,27 @@ class TestInstantaneous:
         for idx in policy.active_set:
             inactive[idx] = False
         assert np.all(gamma.reshape(-1, 1)[inactive] <= threshold * (1 + 1e-12))
+
+
+def full_prefix_level(gamma, total_power):
+    """Reference water level: the full-length prefix search with an index array."""
+    inv = np.sort(1.0 / gamma[gamma > 0.0])
+    levels = (np.cumsum(inv) + total_power) / np.arange(1, inv.size + 1)
+    filled = np.flatnonzero(levels > inv)
+    if filled.size == 0:
+        return 0.0
+    k = int(filled[-1]) + 1
+    return float((total_power + inv[:k].sum()) / k)
+
+
+class TestChunkedScan:
+    @pytest.mark.parametrize("budget", [1e-300, 1e-3, 1e4, 1e5, 1e9])
+    def test_matches_the_full_prefix_search_bitwise(self, budget):
+        # 168,535 positive entries over three scan chunks; the budgets put
+        # the filled prefix in none, the first, second and third chunk
+        gamma = np.random.default_rng(5).exponential(1.0, 3 * _SCAN_CHUNK + 17)
+        gamma[::7] = 0.0
+        assert _water_level(gamma, budget) == full_prefix_level(gamma, budget)
 
 
 class TestOracleEquivalence:
