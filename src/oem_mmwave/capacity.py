@@ -17,17 +17,33 @@ with budget T*P.  It then averages the instantaneous sum rate of the
 induced rule over an independent sample set.  Channel substreams
 are keyed by their mode-major flat index, so systems sharing channels
 (e.g. an OEM link's mode-0 streams and the MIMO baseline) see identical
-draws for the channels they share.  Because an exponential draw is its
-mean times a unit draw, bit for bit, ``sweep`` draws each stage's unit
-substreams once and rescales them at every SNR point, for the OEM link
-and its MIMO baseline alike.
+draws for the channels they share.
+
+Every point of a curve has channel means s*g: s is the linear SNR and g
+a per-channel pattern that does not depend on it (the mode profile
+repeated over the streams for OEM, ones for MIMO).  So the estimator
+works on the unit draws u once per pattern and stage, and each SNR
+point costs scalar probes plus one pass over the rates:
+
+* stage 0 sorts a = 1/(u*g) and takes C = cumsum(a) once.  At SNR s the
+  pooled reciprocals are a/s, so the water level is w~/s, where
+  w~ = (s*T*P + sum a[:k]) / k for the largest k with
+  (s*T*P + C_k)/k > a_k.  That test holds up to k and fails beyond, so a
+  bisection finds k; the prefix is then re-summed pairwise.
+* stage 1 takes L = log2(u*g) once.  With w = w~/s the rate
+  log2(1 + max(0, w - 1/gamma)*gamma) of a draw gamma = s*u*g is
+  max(0, L + log2 w~), so a point needs no divide and no log per draw.
+
+``sweep`` draws each stage's unit substreams once for all its points,
+for the OEM link and its MIMO baseline alike; single-point calls are
+one-point sweeps, so a sweep point equals them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,28 +52,40 @@ from .errors import InvalidConfigError
 from .waterfill import (
     GridLike,
     PowerPolicy,
-    SnrGrid,
-    _ergodic_means,
     _grid_values,
-    _pooled_multiplier,
-    _rule_water_level,
-    flatten_mode_major,
-    sample_snr_realizations,
-    waterfill_ergodic,
+    _prefix_level,
+    _sorted_reciprocals,
+    _unit_draws,
+    sample_snr_realizations,  # noqa: F401  bound here for perfbench/tracing.py
+    waterfill_ergodic,  # noqa: F401  bound here for perfbench/tracing.py
 )
 
 NORMALIZATIONS = ("per-channel", "total")
 
-# Substream stages: waterfill_ergodic draws the multiplier samples at
-# stage 0; the rate average here uses an independent stage-1 stream.
+# Largest |mean SNR| in dB that the estimators accept.  Far beyond any
+# physical link, and well inside the float range of 10**(dB/10).
+MAX_SNR_DB = 300.0
+
+# Substream stages: stage 0 draws the samples the multiplier is solved
+# on; the rate average uses an independent stage-1 stream.
 _SE_STAGE = 1
+
+
+def _snr_linear(snr_db: float) -> float:
+    """Linear SNR of ``snr_db``; InvalidConfigError outside +-MAX_SNR_DB."""
+    if not (math.isfinite(snr_db) and abs(snr_db) <= MAX_SNR_DB):
+        raise InvalidConfigError(
+            f"mean SNR must be finite and within +-{MAX_SNR_DB:g} dB, got {snr_db}"
+        )
+    return 10.0 ** (snr_db / 10.0)
 
 
 @dataclass(frozen=True)
 class FadingModel:
     """Average-SNR structure of the fading simulation.
 
-    mean_snr_db : baseline average per-channel SNR (dB), applied to mode 0.
+    mean_snr_db : baseline average per-channel SNR (dB), applied to mode 0;
+        finite and within +-MAX_SNR_DB.
     mode_profile : relative per-mode power gains, g_0 normalized to 1.
     normalization : budget convention, "per-channel" or "total".
     """
@@ -67,6 +95,7 @@ class FadingModel:
     normalization: str = "per-channel"
 
     def __post_init__(self):
+        _snr_linear(self.mean_snr_db)
         profile = np.asarray(self.mode_profile, dtype=float)
         if profile.ndim != 1 or profile.size < 1:
             raise InvalidConfigError("mode profile must be a nonempty vector")
@@ -82,7 +111,7 @@ class FadingModel:
 
     @property
     def mean_snr_linear(self) -> float:
-        return 10.0 ** (self.mean_snr_db / 10.0)
+        return _snr_linear(self.mean_snr_db)
 
     def mean_grid(self, n_streams: int) -> np.ndarray:
         """Mean SNR matrix (streams, modes): baseline times mode gain."""
@@ -99,7 +128,6 @@ class SePoint:
 @dataclass(frozen=True)
 class SeCurve:
     points: tuple[SePoint, ...]
-    config_tag: str
 
 
 def instantaneous_se(snr: GridLike, policy: PowerPolicy) -> float:
@@ -113,34 +141,13 @@ def instantaneous_se(snr: GridLike, policy: PowerPolicy) -> float:
 
 
 def _budget(total_power: float, n_channels: int, normalization: str) -> float:
+    if not (math.isfinite(total_power) and total_power > 0.0):
+        raise InvalidConfigError(f"total power must be positive and finite, got {total_power}")
     if normalization == "per-channel":
         return total_power * n_channels
     if normalization == "total":
         return total_power
     raise InvalidConfigError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
-
-
-def _rate_point(gammas: np.ndarray, mu_star: float) -> SePoint:
-    """SE of the allocation rule with multiplier mu*, averaged over (trials, K) draws.
-
-    The rate log2(1 + max(0, w - 1/gamma) * gamma) is formed step by step
-    in one work buffer; a zero draw has 1/gamma = +inf and rate 0.  The
-    point's ``mean_snr_db`` is NaN: the callers label it.
-    """
-    work = np.empty_like(gammas)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, gammas, out=work)
-    np.subtract(_rule_water_level(mu_star), work, out=work)
-    np.maximum(work, 0.0, out=work)
-    work *= gammas
-    work += 1.0
-    np.log2(work, out=work)
-    per_trial = work.sum(axis=1)
-    return SePoint(
-        mean_snr_db=math.nan,
-        se=float(per_trial.mean()),
-        stderr=float(per_trial.std(ddof=1) / math.sqrt(gammas.shape[0])),
-    )
 
 
 def _check_trials(trials: int) -> None:
@@ -155,53 +162,96 @@ def _check_profile(cfg: OemConfig, fading: FadingModel) -> None:
         )
 
 
-def _mimo_grid(n: int, m: int, mean_snr_db: float) -> np.ndarray:
-    return 10.0 ** (mean_snr_db / 10.0) * np.ones((min(n, m), 1))
+@dataclass(frozen=True, eq=False)
+class _Pattern:
+    """One curve: per-channel gains g of substreams 0..K-1, per-trial budget, SNR points."""
+
+    gains: np.ndarray
+    budget: float
+    snr_db: tuple[float, ...]
 
 
-def ergodic_point(mean_grid: np.ndarray, total_power: float, normalization: str,
-                  trials: int, seed: int) -> tuple[SePoint, float]:
-    """Monte-Carlo ergodic SE of water-filled channels with the given means.
+def _gained(units: np.ndarray, pattern: _Pattern, in_place: bool) -> np.ndarray:
+    """Draws u*g of the pattern's channels, in the units' own buffer if ``in_place``."""
+    draws = units[:pattern.gains.size]
+    if not in_place:
+        draws = draws.copy()
+    draws *= pattern.gains[:, None]
+    return draws
 
-    Returns the curve point and the solved multiplier.  The point's
-    ``mean_snr_db`` is NaN: the callers label it with their own SNR.
+
+def _ergodic_curves(patterns: Sequence[_Pattern], trials: int, seed: int) -> list[SeCurve]:
+    """Ergodic SE curves of ``patterns``, sharing one set of draws per stage.
+
+    Each stage's unit substreams are drawn once for the largest pattern;
+    every pattern uses the first ``gains.size`` of them.  The last
+    pattern works in the draws' own buffer, so it must be the largest.
+    Stage 0 solves every point's water level w~ and is freed before
+    stage 1 averages the rates, so one stage's draws are alive at a time.
     """
     _check_trials(trials)
-    mean_grid = np.asarray(mean_grid, dtype=float)
-    budget = _budget(total_power, mean_grid.size, normalization)
-    # waterfill_ergodic samples its own stage-0 substreams from this seed.
-    mu_star, _ = waterfill_ergodic(mean_grid, budget, samples=trials, seed=seed)
-    gammas = sample_snr_realizations(
-        flatten_mode_major(mean_grid), trials, seed, stage=_SE_STAGE
-    )
-    return _rate_point(gammas, mu_star), mu_star
+    scales = [[_snr_linear(snr_db) for snr_db in p.snr_db] for p in patterns]
+    last = len(patterns) - 1
+
+    units = _unit_draws(patterns[last].gains.size, trials, seed)
+    waters = []
+    for i, (p, ss) in enumerate(zip(patterns, scales)):
+        inv = _sorted_reciprocals(_gained(units, p, i == last))
+        cums = np.cumsum(inv)
+        pooled = trials * p.budget
+        waters.append([_prefix_level(inv, cums, s * pooled) for s in ss])
+        del inv, cums  # freed before the next pattern allocates its own
+    del units
+
+    units = _unit_draws(patterns[last].gains.size, trials, seed, stage=_SE_STAGE)
+    curves = []
+    for i, (p, ws) in enumerate(zip(patterns, waters)):
+        logs = _gained(units, p, i == last)
+        with np.errstate(divide="ignore"):
+            np.log2(logs, out=logs)
+        work = np.empty_like(logs)
+        points = []
+        for snr_db, w in zip(p.snr_db, ws):
+            np.add(logs, math.log2(w) if w > 0.0 else -math.inf, out=work)
+            np.maximum(work, 0.0, out=work)
+            per_trial = work.sum(axis=0)
+            points.append(SePoint(
+                mean_snr_db=snr_db,
+                se=float(per_trial.mean()),
+                stderr=float(per_trial.std(ddof=1) / math.sqrt(trials)),
+            ))
+        curves.append(SeCurve(points=tuple(points)))
+        del logs, work
+    return curves
+
+
+def _oem_pattern(cfg: OemConfig, fading: FadingModel, total_power: float,
+                 snr_db: Sequence[float]) -> _Pattern:
+    _check_profile(cfg, fading)
+    gains = np.repeat(fading.mode_profile, min(cfg.n_tx, cfg.m_rx))
+    return _Pattern(gains, _budget(total_power, gains.size, fading.normalization), tuple(snr_db))
+
+
+def _mimo_pattern(n: int, m: int, total_power: float, normalization: str,
+                  snr_db: Sequence[float]) -> _Pattern:
+    if n < 1 or m < 1:
+        raise InvalidConfigError("need at least one transmit and one receive antenna")
+    gains = np.ones(min(n, m))
+    return _Pattern(gains, _budget(total_power, gains.size, normalization), tuple(snr_db))
 
 
 def ergodic_se_oem(cfg: OemConfig, fading: FadingModel, total_power: float,
                    trials: int, seed: int) -> SePoint:
     """Ergodic SE of the OEM link: min(N, M) streams on each of U modes."""
-    _check_profile(cfg, fading)
-    n_streams = min(cfg.n_tx, cfg.m_rx)
-    point, _ = ergodic_point(
-        fading.mean_grid(n_streams), total_power, fading.normalization, trials, seed
-    )
-    return replace(point, mean_snr_db=fading.mean_snr_db)
+    pattern = _oem_pattern(cfg, fading, total_power, [fading.mean_snr_db])
+    return _ergodic_curves([pattern], trials, seed)[0].points[0]
 
 
 def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
                     trials: int, seed: int, normalization: str = "per-channel") -> SePoint:
     """Ergodic SE of the plain multiplexing-MIMO baseline (single mode)."""
-    if n < 1 or m < 1:
-        raise InvalidConfigError("need at least one transmit and one receive antenna")
-    point, _ = ergodic_point(_mimo_grid(n, m, mean_snr_db), total_power, normalization,
-                             trials, seed)
-    return replace(point, mean_snr_db=mean_snr_db)
-
-
-def _scaled(units: np.ndarray, means: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Draws units[:, :K] * means of K channels, written to the front of buf."""
-    out = buf[:units.shape[0] * means.size].reshape(units.shape[0], means.size)
-    return np.multiply(units[:, :means.size], means, out=out)
+    pattern = _mimo_pattern(n, m, total_power, normalization, [mean_snr_db])
+    return _ergodic_curves([pattern], trials, seed)[0].points[0]
 
 
 def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float],
@@ -210,35 +260,12 @@ def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float],
 
     Every point equals the matching ``ergodic_se_oem`` or
     ``ergodic_se_mimo`` call bit for bit.  Each stage's unit draws are
-    made once for all min(N, M)*U channels and rescaled per point; the
-    MIMO channels are the first min(N, M), the OEM mode-0 ones.  Stage 0
-    solves every multiplier and is freed before stage 1 averages the
-    rates, so one stage's draws are alive at a time.
+    made once for all min(N, M)*U channels; the MIMO channels are the
+    first min(N, M), the OEM mode-0 ones.
     """
     if len(snr_db_list) == 0:
         raise InvalidConfigError("need at least one SNR point")
-    _check_profile(cfg, fading)
-    _check_trials(trials)
-    n_streams = min(cfg.n_tx, cfg.m_rx)
-    grids = [replace(fading, mean_snr_db=snr_db).mean_grid(n_streams) for snr_db in snr_db_list]
-    grids += [_mimo_grid(cfg.n_tx, cfg.m_rx, snr_db) for snr_db in snr_db_list]
-    budgets = [_budget(total_power, grid.size, fading.normalization) for grid in grids]
-    means = [_ergodic_means(grid, budget, trials) for grid, budget in zip(grids, budgets)]
-
-    n_channels = means[0].size
-    buf = np.empty(trials * n_channels)
-    units = sample_snr_realizations(np.ones(n_channels), trials, seed)
-    mus = [_pooled_multiplier(_scaled(units, m, buf), b) for m, b in zip(means, budgets)]
-    del units
-    units = sample_snr_realizations(np.ones(n_channels), trials, seed, stage=_SE_STAGE)
-    points = [
-        replace(_rate_point(_scaled(units, m, buf), mu), mean_snr_db=snr_db)
-        for m, mu, snr_db in zip(means, mus, list(snr_db_list) * 2)
-    ]
-    tag = (f"N={cfg.n_tx} M={cfg.m_rx} U={cfg.u_elems} V={cfg.v_elems} "
-           f"normalization={fading.normalization}")
-    n_points = len(snr_db_list)
-    return (
-        SeCurve(points=tuple(points[:n_points]), config_tag=f"OEM {tag}"),
-        SeCurve(points=tuple(points[n_points:]), config_tag=f"MIMO {tag}"),
-    )
+    oem = _oem_pattern(cfg, fading, total_power, snr_db_list)
+    mimo = _mimo_pattern(cfg.n_tx, cfg.m_rx, total_power, fading.normalization, snr_db_list)
+    mimo_curve, oem_curve = _ergodic_curves([mimo, oem], trials, seed)
+    return oem_curve, mimo_curve

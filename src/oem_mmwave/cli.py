@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .antenna import PatchSpec, design_dish, design_patch, feed_impedance
-from .capacity import FadingModel, sweep
+from .capacity import MAX_SNR_DB, FadingModel, sweep
 from .channel import build_mode_channels, mode_power_profile, VARIANTS
 from .config import OemConfig
 from .errors import InvalidConfigError, OemError
@@ -211,15 +211,31 @@ def _cmd_waterfill(args) -> int:
 # -- simulate ------------------------------------------------------------
 
 
+# Most points one --snr-db range may hold.
+MAX_SNR_POINTS = 1_000
+
+
 def _parse_snr_range(text: str) -> list[float]:
+    """Points start, start + step, ... up to stop of a "start:stop:step" range in dB.
+
+    start and stop must be finite and within +-MAX_SNR_DB, and the range
+    may hold at most MAX_SNR_POINTS points; the count is checked before
+    any point is built.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("expected start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("start, stop and step must be finite")
+    if max(abs(start), abs(stop)) > MAX_SNR_DB:
+        raise ValueError(f"start and stop must lie within +-{MAX_SNR_DB:g} dB")
     if step <= 0.0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_SNR_POINTS:
+        raise ValueError(f"the range holds more than {MAX_SNR_POINTS} points")
+    return [start + k * step for k in range(int(steps) + 1)]
 
 
 def _cmd_simulate(args) -> int:
@@ -333,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="ergodic SE sweep, OEM vs MIMO baseline")
     simulate.add_argument("--config", required=True)
-    simulate.add_argument("--snr-db", required=True, help="start:stop:step in dB")
+    simulate.add_argument(
+        "--snr-db", required=True,
+        help=f"start:stop:step in dB, within +-{MAX_SNR_DB:g} dB, at most {MAX_SNR_POINTS} points",
+    )
     simulate.add_argument("--trials", type=_trial_count, required=True)
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--out", required=True)

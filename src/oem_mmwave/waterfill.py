@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -28,14 +28,9 @@ GridLike = Union["SnrGrid", np.ndarray]
 
 @dataclass(frozen=True)
 class SnrGrid:
-    """Nonnegative SNR weights gamma_{i,l}, shape (streams, modes).
-
-    ``mean_values`` optionally carries the average SNRs of the ergodic
-    problem alongside an instantaneous realization.
-    """
+    """Nonnegative SNR weights gamma_{i,l}, shape (streams, modes)."""
 
     values: np.ndarray
-    mean_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -86,33 +81,29 @@ def flatten_mode_major(grid: np.ndarray) -> np.ndarray:
     return np.asarray(grid).flatten(order="F")
 
 
-# Prefix entries scanned per step by ``_sorted_level``: bounds its
-# temporaries without a full-length index array.
-_SCAN_CHUNK = 1 << 16
-
-
-def _sorted_level(inv: np.ndarray, total_power: float) -> float:
+def _prefix_level(inv: np.ndarray, cums: np.ndarray, total_power: float) -> float:
     """Exact water level of ``total_power`` over ascending reciprocals ``inv``.
 
-    Takes the largest prefix k whose level (P + sum_{i<=k} inv_i) / k
-    lies strictly above inv_k, so channels exactly at the level stay off
-    and +inf entries (zero SNR) are never filled.  The level of that
-    prefix is then re-summed pairwise.  The cumulative sum is scanned
-    from the end in chunks, stopping at the first chunk that holds a
-    filled prefix.  Returns 0 when nothing can be filled.
+    ``cums`` is the cumulative sum of ``inv``.  Takes the largest prefix
+    k whose level (P + cums_k) / k lies strictly above inv_k, so channels
+    exactly at the level stay off and +inf entries (zero SNR) are never
+    filled.  The test holds for every k up to that prefix and for none
+    beyond, since cums_k - k inv_k does not grow with k, so a bisection
+    finds k with ~log2(n) scalar probes.  The level of that prefix is
+    then re-summed pairwise, which keeps the budget exact to rounding
+    where the running sum ``cums`` has drifted.  Returns 0 when nothing
+    can be filled.
     """
-    levels = np.cumsum(inv)
-    for stop in range(inv.size, 0, -_SCAN_CHUNK):
-        start = max(stop - _SCAN_CHUNK, 0)
-        part = levels[start:stop]
-        part += total_power
-        part /= np.arange(start + 1, stop + 1)
-        filled = part > inv[start:stop]
-        gap = int(filled[::-1].argmax())
-        if filled[-1 - gap]:
-            k = stop - gap
-            return float((total_power + inv[:k].sum()) / k)
-    return 0.0
+    lo, hi = 0, inv.size
+    while lo < hi:
+        k = (lo + hi + 1) // 2
+        if (total_power + cums[k - 1]) / k > inv[k - 1]:
+            lo = k
+        else:
+            hi = k - 1
+    if lo == 0:
+        return 0.0
+    return float((total_power + inv[:lo].sum()) / lo)
 
 
 def _water_level(gamma: np.ndarray, total_power: float) -> float:
@@ -123,21 +114,19 @@ def _water_level(gamma: np.ndarray, total_power: float) -> float:
     """
     inv = 1.0 / gamma[gamma > 0.0]
     inv.sort()
-    return _sorted_level(inv, total_power)
+    return _prefix_level(inv, np.cumsum(inv), total_power)
 
 
-def _pooled_multiplier(gammas: np.ndarray, total_power: float) -> float:
-    """mu* of the sample-average budget ``total_power`` over (samples, K) draws.
+def _sorted_reciprocals(draws: np.ndarray) -> np.ndarray:
+    """Ascending reciprocals of the nonnegative ``draws``, flattened, in their own buffer.
 
-    The pooled water level of the T*K draws under budget T*P, solved in
-    the draws' own buffer: ``gammas`` (nonnegative) is overwritten with
-    its sorted reciprocals, a zero draw becoming +inf.
+    ``draws`` must be contiguous; it is overwritten.  A zero draw becomes
+    +inf and sorts last, where no water level reaches it.
     """
     with np.errstate(divide="ignore"):
-        inv = np.divide(1.0, gammas, out=gammas).reshape(-1)
+        inv = np.divide(1.0, draws, out=draws).reshape(-1)
     inv.sort()
-    water = _sorted_level(inv, gammas.shape[0] * total_power)
-    return 1.0 / (water * LN2) if water > 0.0 else math.inf
+    return inv
 
 
 def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
@@ -169,29 +158,40 @@ def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
     )
 
 
+def _unit_draws(n_channels: int, count: int, seed: int, stage: int = 0) -> np.ndarray:
+    """Draw (n_channels, count) i.i.d. unit-mean exponentials, channel-major.
+
+    Row k comes from its own generator keyed by (seed, stage, k), so two
+    configurations sharing a channel order see identical draws for the
+    channels they have in common.  A draw of mean m is m times the unit
+    draw, bit for bit.
+    """
+    out = np.empty((n_channels, count))
+    for k, row in enumerate(out):
+        np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)
+    return out
+
+
 def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
                             stage: int = 0) -> np.ndarray:
     """Draw (count, K) i.i.d. exponential SNRs, one substream per channel.
 
-    Each channel k uses its own generator keyed by (seed, stage, k), so
-    two configurations sharing a channel order see identical draws for
-    the channels they have in common.
+    Column k is ``mean_flat[k]`` times row k of ``_unit_draws``; a
+    zero-mean channel draws zeros.
     """
     mean_flat = np.asarray(mean_flat, dtype=float)
-    out = np.empty((count, mean_flat.size))
-    for k, mean in enumerate(mean_flat):
-        rng = np.random.default_rng([int(seed), int(stage), k])
-        out[:, k] = rng.exponential(mean, count) if mean > 0.0 else 0.0
-    return out
+    return (_unit_draws(mean_flat.size, count, seed, stage) * mean_flat[:, None]).T
 
 
 def _ergodic_means(mean_snr: GridLike, total_power: float, samples: int) -> np.ndarray:
     """Checked mode-major channel means of one ergodic solve."""
-    if total_power <= 0.0:
-        raise InvalidConfigError(f"total power must be positive, got {total_power}")
+    if not (math.isfinite(total_power) and total_power > 0.0):
+        raise InvalidConfigError(f"total power must be positive and finite, got {total_power}")
     if samples < 1_000:
         raise InvalidConfigError(f"need at least 1000 samples, got {samples}")
     means = flatten_mode_major(_grid_values(mean_snr))
+    if not np.all(np.isfinite(means)) or np.any(means < 0.0):
+        raise InvalidConfigError("mean SNRs must be finite and nonnegative")
     if not np.any(means > 0.0):
         raise InvalidConfigError("at least one channel must have positive mean SNR")
     return means
@@ -217,11 +217,15 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     with budget T*P, so the exact water level w of the pooled draws
     gives mu* = 1/(w ln 2), and the rule
     P(gamma) = max(0, 1/(mu* ln 2) - 1/gamma) meets the budget on the
-    sample to rounding.  Returns (mu_star, rule).
+    sample to rounding.  This is the unit-SNR case of the solver that
+    ``capacity`` runs for every point of a sweep.  Returns (mu_star, rule).
     """
     means = _ergodic_means(mean_snr, total_power, samples)
-    gammas = sample_snr_realizations(means, samples, seed)
-    mu_star = _pooled_multiplier(gammas, total_power)
+    draws = _unit_draws(means.size, samples, seed)
+    draws *= means[:, None]
+    inv = _sorted_reciprocals(draws)
+    water = _prefix_level(inv, np.cumsum(inv), samples * total_power)
+    mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
     return mu_star, _allocation_rule(mu_star)
 
 

@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oem_mmwave import (
     FadingModel,
+    OemConfig,
     PowerPolicy,
     ergodic_se_mimo,
     ergodic_se_oem,
@@ -14,9 +17,30 @@ from oem_mmwave import (
     waterfill_ergodic,
     waterfill_instantaneous,
 )
-from oem_mmwave.capacity import ergodic_point
+from oem_mmwave.capacity import MAX_SNR_DB
 from oem_mmwave.errors import InvalidConfigError
-from oem_mmwave.waterfill import sample_snr_realizations
+from oem_mmwave.waterfill import LN2, flatten_mode_major, sample_snr_realizations
+
+from conftest import WAVELENGTH_35GHZ
+
+
+def link(n, m, u):
+    """N x M link with U modes; only the counts matter to the estimators."""
+    return OemConfig(n_tx=n, m_rx=m, u_elems=u, v_elems=u, r1=0.1, r2=0.004,
+                     wavelength=WAVELENGTH_35GHZ, phi=math.radians(30.0),
+                     phi_c=math.radians(3.0))
+
+
+def literal_se(means, total_power, trials, seed):
+    """Ergodic SE by the literal formulas: the rule's multiplier from
+    ``waterfill_ergodic``, then log2(1 + max(0, w - 1/gamma) * gamma)
+    averaged over the stage-1 draws."""
+    mu, _ = waterfill_ergodic(means, total_power, samples=trials, seed=seed)
+    water = 1.0 / (mu * LN2)
+    gammas = sample_snr_realizations(flatten_mode_major(means), trials, seed, stage=1)
+    with np.errstate(divide="ignore"):
+        per_trial = np.log2(1.0 + np.maximum(water - 1.0 / gammas, 0.0) * gammas).sum(axis=1)
+    return float(per_trial.mean()), float(per_trial.std(ddof=1) / math.sqrt(trials))
 
 
 class TestInstantaneousSe:
@@ -90,23 +114,47 @@ class TestErgodicEstimators:
 
 
 class TestRateAverage:
-    def test_is_the_rule_average_bitwise(self):
-        # zero-mean channels draw zero SNR, which the in-place rate buffer
-        # turns into 1/gamma = inf and the rule skips by its mask
-        means = np.array([[100.0, 0.0], [5.0, 1.0], [0.2, 0.0]])
-        point, mu = ergodic_point(means, 3.0, "total", 2_000, seed=4)
-        mu_rule, rule = waterfill_ergodic(means, 3.0, samples=2_000, seed=4)
-        gammas = sample_snr_realizations(means.flatten(order="F"), 2_000, seed=4, stage=1)
-        per_trial = np.log2(1.0 + rule(gammas) * gammas).sum(axis=1)
-        assert mu == mu_rule
-        assert point.se == float(per_trial.mean())
-        assert point.stderr == float(per_trial.std(ddof=1) / math.sqrt(2_000))
+    @given(
+        streams=st.integers(1, 4),
+        profile_tail=st.lists(st.sampled_from([0.0, 0.01, 0.3, 1.0, 3.0]), max_size=3),
+        snr_db=st.floats(-20.0, 30.0),
+        normalization=st.sampled_from(["per-channel", "total"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_literal_rule_average(self, streams, profile_tail, snr_db, normalization,
+                                         seed):
+        # zero-gain modes draw zero SNR; the literal rate skips them by
+        # 1/gamma = inf, the estimator by log2(0) = -inf
+        profile = np.array([1.0] + profile_tail)
+        fading = FadingModel(mean_snr_db=snr_db, mode_profile=profile,
+                             normalization=normalization)
+        point = ergodic_se_oem(link(streams, streams, profile.size), fading, 0.7, 1_000, seed)
+        means = fading.mean_grid(streams)
+        budget = 0.7 * means.size if normalization == "per-channel" else 0.7
+        se, stderr = literal_se(means, budget, 1_000, seed)
+        assert point.se == pytest.approx(se, rel=1e-12)
+        assert point.stderr == pytest.approx(stderr, rel=1e-12)
+
+    @given(snr_db=st.floats(-MAX_SNR_DB, -200.0), power=st.floats(1e-300, 1e-250),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_budget_below_resolution_gives_zero(self, snr_db, power, seed):
+        means = 10.0 ** (snr_db / 10.0) * np.ones((3, 1))
+        mu, rule = waterfill_ergodic(means, power, samples=1_000, seed=seed)
+        assert mu == math.inf
+        assert np.all(rule(np.logspace(-3, 6, 10)) == 0.0)
+        point = ergodic_se_mimo(3, 5, snr_db, power, 1_000, seed, normalization="total")
+        assert (point.se, point.stderr) == (0.0, 0.0)
 
 
 class TestWaterfillingOptimality:
     def test_beats_uniform_power(self):
-        means = np.array([[100.0, 10.0], [50.0, 1.0]])
-        point, mu = ergodic_point(means, 1.0, "total", 5_000, seed=13)
+        cfg = link(2, 2, 2)
+        fading = FadingModel(mean_snr_db=20.0, mode_profile=np.array([1.0, 0.1]),
+                             normalization="total")
+        point = ergodic_se_oem(cfg, fading, 1.0, 5_000, seed=13)
+        means = fading.mean_grid(2)
         gammas = sample_snr_realizations(means.flatten(order="F"), 5_000, seed=13, stage=1)
         uniform = np.log2(1.0 + (1.0 / means.size) * gammas).sum(axis=1).mean()
         assert point.se >= uniform
@@ -171,6 +219,74 @@ class TestSweep:
             tracemalloc.stop()
         assert peak <= 4 * trials * n_channels * 8
 
+    @given(
+        snr_db_list=st.lists(st.sampled_from([-30.0, -5.0, 0.0, 7.5, 20.0, 40.0]),
+                             min_size=1, max_size=5),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_point_ignores_the_other_points_and_their_order(self, snr_db_list, order):
+        cfg = link(3, 2, 3)
+        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array([1.0, 0.0, 0.4]))
+        shuffled = list(snr_db_list)
+        order.shuffle(shuffled)
+        curves = [sweep(cfg, fading, snrs, 0.5, 1_000, seed=9)
+                  for snrs in (snr_db_list, shuffled)]
+        for snrs, (oem, mimo) in zip((snr_db_list, shuffled), curves):
+            for snr_db, op, mp in zip(snrs, oem.points, mimo.points):
+                alone_oem, alone_mimo = sweep(cfg, fading, [snr_db], 0.5, 1_000, seed=9)
+                assert op == alone_oem.points[0]
+                assert mp == alone_mimo.points[0]
+
+    def test_out_of_range_snr_rejected(self, base_cfg):
+        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems))
+        for bad in (math.nan, math.inf, MAX_SNR_DB + 1.0):
+            with pytest.raises(InvalidConfigError):
+                sweep(base_cfg, fading, [0.0, bad], 1.0, 1_000, seed=0)
+
+
+def closed_form_se(means, total_power):
+    """Ergodic SE of water filling over independent Rayleigh channels.
+
+    With exponential SNRs of means m_k, the water level w solves
+    sum_k [w e^{-1/(w m_k)} - E1(1/(w m_k)) / m_k] = P, found here by
+    bisection on log w; the SE is sum_k E1(1/(w m_k)) / ln 2
+    (Goldsmith & Varaiya, IEEE T-IT 1997).  Zero means contribute
+    nothing.
+    """
+    special = pytest.importorskip("scipy.special")
+    means = np.asarray(means, dtype=float).ravel()
+    means = means[means > 0.0]
+
+    def spent(w):
+        x = 1.0 / (w * means)
+        return float(np.sum(w * np.exp(-x) - special.exp1(x) / means))
+
+    lo, hi = 1e-300, 1.0
+    while spent(hi) < total_power:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if spent(mid) < total_power else (lo, mid)
+    return float(np.sum(special.exp1(1.0 / (hi * means)))) / LN2
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("normalization", ["per-channel", "total"])
+    @pytest.mark.parametrize("profile", [[1.0, 1.0, 1.0, 1.0], [1.0, 0.5, 0.25, 0.0]])
+    def test_sweep_matches_the_e1_closed_form(self, normalization, profile):
+        cfg = link(16, 16, 4)
+        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array(profile),
+                             normalization=normalization)
+        snr_db_list = [0.0, 10.0, 20.0, 30.0]
+        oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 10_000, seed=1)
+        for snr_db, op, mp in zip(snr_db_list, oem.points, mimo.points):
+            for point, means in ((op, replace(fading, mean_snr_db=snr_db).mean_grid(16)),
+                                 (mp, 10.0 ** (snr_db / 10.0) * np.ones(16))):
+                budget = 0.2 * means.size if normalization == "per-channel" else 0.2
+                exact = closed_form_se(means, budget)
+                assert abs(point.se - exact) <= 3.0 * point.stderr
+
 
 class TestFadingModel:
     def test_profile_must_be_normalized(self):
@@ -187,3 +303,16 @@ class TestFadingModel:
         assert grid.shape == (3, 2)
         assert np.allclose(grid[:, 0], 100.0)
         assert np.allclose(grid[:, 1], 25.0)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, MAX_SNR_DB + 0.5,
+                                        -MAX_SNR_DB - 0.5, 3100.0])
+    def test_out_of_range_snr_rejected(self, snr_db):
+        with pytest.raises(InvalidConfigError):
+            FadingModel(mean_snr_db=snr_db)
+        with pytest.raises(InvalidConfigError):
+            ergodic_se_mimo(2, 2, snr_db, 1.0, 1_000, seed=0)
+
+    def test_snr_bound_is_inclusive(self):
+        for snr_db in (-MAX_SNR_DB, MAX_SNR_DB):
+            assert FadingModel(mean_snr_db=snr_db).mean_snr_linear == 10.0 ** (snr_db / 10.0)
+            assert math.isfinite(ergodic_se_mimo(2, 2, snr_db, 1.0, 1_000, seed=0).se)

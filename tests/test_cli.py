@@ -262,6 +262,25 @@ class TestSimulate:
         )
         assert code == 2
 
+    # 0:100:0.1 holds 1001 points, one above the cap; 1e-320 makes the
+    # point count overflow to inf
+    @pytest.mark.parametrize("snr_db", ["3100:3100:1", "0:inf:1", "-inf:0:1", "nan:0:1",
+                                        "0:0:nan", "-300.5:0:1", "0:300.5:1",
+                                        "0:100:0.1", "0:30:1e-320"])
+    def test_out_of_range_snr_exits_2(self, snr_db, config_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", config_path, f"--snr-db={snr_db}",
+            "--trials", "1000", "--seed", "7", "--out", str(out),
+        )
+        assert code == 2
+        assert "bad --snr-db" in err
+        assert not out.exists()
+
+    def test_snr_range_limits_are_inclusive(self):
+        assert len(cli._parse_snr_range("0:99.9:0.1")) == cli.MAX_SNR_POINTS
+        assert cli._parse_snr_range("-300:300:600") == [-300.0, 300.0]
+
 
 class TestOutputs:
     @pytest.mark.parametrize("command", ["channel", "waterfill", "simulate"])

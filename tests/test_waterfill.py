@@ -12,7 +12,7 @@ from oem_mmwave import (
     waterfill_instantaneous,
 )
 from oem_mmwave.errors import DomainError, InvalidConfigError
-from oem_mmwave.waterfill import LN2, _SCAN_CHUNK, _water_level, sample_snr_realizations
+from oem_mmwave.waterfill import LN2, _water_level, sample_snr_realizations
 
 LOG2 = LN2  # natural log of 2, the "log 2" of the allocation formulas
 
@@ -115,9 +115,10 @@ def full_prefix_level(gamma, total_power):
 class TestChunkedScan:
     @pytest.mark.parametrize("budget", [1e-300, 1e-3, 1e4, 1e5, 1e9])
     def test_matches_the_full_prefix_search_bitwise(self, budget):
-        # 168,535 positive entries over three scan chunks; the budgets put
-        # the filled prefix in none, the first, second and third chunk
-        gamma = np.random.default_rng(5).exponential(1.0, 3 * _SCAN_CHUNK + 17)
+        # 168,535 positive entries; the budgets fill none, 2, a quarter,
+        # three fifths and nearly all of them, and the bisection must land
+        # where the search of every prefix does
+        gamma = np.random.default_rng(5).exponential(1.0, 3 * 65_536 + 17)
         gamma[::7] = 0.0
         assert _water_level(gamma, budget) == full_prefix_level(gamma, budget)
 
@@ -178,6 +179,19 @@ class TestErgodic:
         pooled = sample_snr_realizations(means.flatten(order="F"), 2_000, seed=11)
         assert mu == waterfill_instantaneous(pooled, 2_000 * 2.0).mu_star
 
+    @given(
+        means=st.lists(st.sampled_from([0.0, 1e-3, 0.5, 2.0, 40.0, 1e4]), min_size=1,
+                       max_size=6).filter(any),
+        budget=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_multiplier_is_the_pooled_solve_for_any_means(self, means, budget, seed):
+        means = np.array(means)
+        mu, _ = waterfill_ergodic(means, budget, samples=1_000, seed=seed)
+        pooled = sample_snr_realizations(means, 1_000, seed=seed)
+        assert mu == waterfill_instantaneous(pooled, 1_000 * budget).mu_star
+
     def test_rule_is_monotone_and_saturates(self):
         mu, rule = waterfill_ergodic(np.array([[10.0]]), 1.0, samples=5_000, seed=0)
         grid = np.logspace(-3, 6, 400)
@@ -194,6 +208,11 @@ class TestErgodic:
     def test_small_sample_count_rejected(self):
         with pytest.raises(InvalidConfigError):
             waterfill_ergodic(np.array([[10.0]]), 1.0, samples=10, seed=0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_means_rejected(self, bad):
+        with pytest.raises(InvalidConfigError):
+            waterfill_ergodic(np.array([[10.0, bad]]), 1.0, samples=2_000, seed=0)
 
     def test_all_zero_means_rejected(self):
         with pytest.raises(InvalidConfigError):
