@@ -23,8 +23,6 @@ from .channel import (
     ModeChannel,
     bessel_j,
     build_mode_channels,
-    element_gain,
-    mode_gain,
     mode_power_profile,
 )
 from .config import OemConfig
@@ -46,7 +44,6 @@ from .transceiver import (
 from .waterfill import (
     PowerPolicy,
     SnrGrid,
-    brute_force_oracle,
     classify_region,
     waterfill_ergodic,
     waterfill_instantaneous,

@@ -52,10 +52,11 @@ from .errors import InvalidConfigError
 from .waterfill import (
     GridLike,
     PowerPolicy,
+    _check_power,
+    _check_samples,
     _grid_values,
-    _prefix_level,
-    _sorted_reciprocals,
     _unit_draws,
+    _water_levels,
     sample_snr_realizations,  # noqa: F401  bound here for perfbench/tracing.py
     waterfill_ergodic,  # noqa: F401  bound here for perfbench/tracing.py
 )
@@ -141,25 +142,12 @@ def instantaneous_se(snr: GridLike, policy: PowerPolicy) -> float:
 
 
 def _budget(total_power: float, n_channels: int, normalization: str) -> float:
-    if not (math.isfinite(total_power) and total_power > 0.0):
-        raise InvalidConfigError(f"total power must be positive and finite, got {total_power}")
+    _check_power(total_power)
     if normalization == "per-channel":
         return total_power * n_channels
     if normalization == "total":
         return total_power
     raise InvalidConfigError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1_000:
-        raise InvalidConfigError(f"need at least 1000 trials, got {trials}")
-
-
-def _check_profile(cfg: OemConfig, fading: FadingModel) -> None:
-    if fading.mode_profile.size != cfg.u_elems:
-        raise InvalidConfigError(
-            f"mode profile has {fading.mode_profile.size} entries, config has U={cfg.u_elems} modes"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,18 +177,17 @@ def _ergodic_curves(patterns: Sequence[_Pattern], trials: int, seed: int) -> lis
     Stage 0 solves every point's water level w~ and is freed before
     stage 1 averages the rates, so one stage's draws are alive at a time.
     """
-    _check_trials(trials)
+    _check_samples(trials, "trials")
     scales = [[_snr_linear(snr_db) for snr_db in p.snr_db] for p in patterns]
     last = len(patterns) - 1
 
     units = _unit_draws(patterns[last].gains.size, trials, seed)
     waters = []
     for i, (p, ss) in enumerate(zip(patterns, scales)):
-        inv = _sorted_reciprocals(_gained(units, p, i == last))
-        cums = np.cumsum(inv)
         pooled = trials * p.budget
-        waters.append([_prefix_level(inv, cums, s * pooled) for s in ss])
-        del inv, cums  # freed before the next pattern allocates its own
+        draws = _gained(units, p, i == last)
+        waters.append(_water_levels(draws, [s * pooled for s in ss]))
+        del draws  # freed before the next pattern allocates its own
     del units
 
     units = _unit_draws(patterns[last].gains.size, trials, seed, stage=_SE_STAGE)
@@ -227,7 +214,10 @@ def _ergodic_curves(patterns: Sequence[_Pattern], trials: int, seed: int) -> lis
 
 def _oem_pattern(cfg: OemConfig, fading: FadingModel, total_power: float,
                  snr_db: Sequence[float]) -> _Pattern:
-    _check_profile(cfg, fading)
+    if fading.mode_profile.size != cfg.u_elems:
+        raise InvalidConfigError(
+            f"mode profile has {fading.mode_profile.size} entries, config has U={cfg.u_elems} modes"
+        )
     gains = np.repeat(fading.mode_profile, min(cfg.n_tx, cfg.m_rx))
     return _Pattern(gains, _budget(total_power, gains.size, fading.normalization), tuple(snr_db))
 
@@ -258,10 +248,12 @@ def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float],
           total_power: float, trials: int, seed: int) -> tuple[SeCurve, SeCurve]:
     """SE-versus-SNR curves for the OEM link and its N x M MIMO baseline.
 
-    Every point equals the matching ``ergodic_se_oem`` or
-    ``ergodic_se_mimo`` call bit for bit.  Each stage's unit draws are
-    made once for all min(N, M)*U channels; the MIMO channels are the
-    first min(N, M), the OEM mode-0 ones.
+    The points are ``snr_db_list``; ``fading.mean_snr_db`` is not used
+    (only its profile and normalization are), so any valid value may
+    stand in for it.  Every point equals the matching
+    ``ergodic_se_oem`` or ``ergodic_se_mimo`` call bit for bit.  Each
+    stage's unit draws are made once for all min(N, M)*U channels; the
+    MIMO channels are the first min(N, M), the OEM mode-0 ones.
     """
     if len(snr_db_list) == 0:
         raise InvalidConfigError("need at least one SNR point")

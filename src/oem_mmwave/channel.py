@@ -13,11 +13,11 @@ variants differ only in c_l:
 * ``convergent`` — the Bessel form with the reduced divergence angle and
   per-mode amplitude gains of the converging reflector.
 
-``element_gain``, the literal per-element gain, is not of this form and
-serves the tests as a reference.  The Bessel evaluator integrates the
-periodic integral representation with the trapezoid rule, which
-converges spectrally for these analytic integrands; an independent
-power-series oracle lives in the test suite.
+The Bessel evaluator integrates the periodic integral representation
+with the trapezoid rule, which converges spectrally for these analytic
+integrands.  The test suite holds the independent references: a
+power-series Bessel oracle and the literal per-element gain, which is
+not of the c_l * B form.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .config import OemConfig
 from .errors import DomainError, InvalidConfigError, RankDeficientError
-from .geometry import ElementLayout, build_layout
+from .geometry import build_layout
 
 VARIANTS = ("exact-sum", "bessel", "convergent")
 
@@ -100,6 +99,18 @@ def bessel_j(order: int, x: float) -> float:
     return float(np.mean(np.cos(order * t - x * np.sin(t))))
 
 
+def _bessel_factors(cfg: OemConfig, angle: float) -> np.ndarray:
+    """(U,) values J_l(2 pi r2 sin(angle) / lambda) for l = 0..U-1."""
+    arg = 2.0 * math.pi * cfg.r2 * math.sin(angle) / cfg.wavelength
+    return np.array([bessel_j(l, arg) for l in range(cfg.u_elems)])
+
+
+def _equalizing_gains(bessel: np.ndarray) -> np.ndarray:
+    """Gains |J_0| / |J_l|, zero where J_l vanishes."""
+    mags = np.abs(bessel)
+    return np.divide(mags[0], mags, out=np.zeros(mags.size), where=mags > 1e-12)
+
+
 def conv_gains(cfg: OemConfig) -> np.ndarray:
     """Configured per-mode convergence gains, or the equal-gain default.
 
@@ -110,25 +121,7 @@ def conv_gains(cfg: OemConfig) -> np.ndarray:
     """
     if cfg.conv_gains is not None:
         return np.asarray(cfg.conv_gains, dtype=float)
-    arg = 2.0 * math.pi * cfg.r2 * math.sin(cfg.phi_c) / cfg.wavelength
-    mags = np.abs([bessel_j(l, arg) for l in range(cfg.u_elems)])
-    return np.divide(mags[0], mags, out=np.zeros(cfg.u_elems), where=mags > 1e-12)
-
-
-def element_gain(cfg: OemConfig, layout: ElementLayout, m: int, n: int, u: int, v: int) -> complex:
-    """Far-field gain from transmit element (n, u) to receive element (m, v).
-
-    Inverse-distance amplitude with the first-order phase expansion
-    around the center-to-center distance: the transmit-element offset
-    enters the phase through its projection on the link direction, the
-    receive-element offset is dropped.
-    """
-    d_vec = layout.center_vectors[m, n]
-    d = float(np.linalg.norm(d_vec))
-    r_u = layout.tx_positions[n, u] - layout.tx_centers[n]
-    phase = -2.0 * math.pi / cfg.wavelength * (d - float(d_vec @ r_u) / d)
-    amp = cfg.beta * cfg.wavelength / (4.0 * math.pi * math.sqrt(cfg.u_elems) * d)
-    return amp * complex(math.cos(phase), math.sin(phase))
+    return _equalizing_gains(_bessel_factors(cfg, cfg.phi_c))
 
 
 def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
@@ -144,25 +137,20 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
             * np.cos(psi_u - cfg.theta)
         )
         return np.sum(ramp * wavefront, axis=1) / math.sqrt(u_count)
-    angle, amps = (cfg.phi, np.ones(u_count)) if kind == "bessel" else (cfg.phi_c, conv_gains(cfg))
-    arg = 2.0 * math.pi * cfg.r2 * math.sin(angle) / cfg.wavelength
+    if kind == "bessel":
+        bessel, amps = _bessel_factors(cfg, cfg.phi), np.ones(u_count)
+    else:
+        # the default gains come from the same J_l values as the coefficients
+        bessel = _bessel_factors(cfg, cfg.phi_c)
+        amps = conv_gains(cfg) if cfg.conv_gains is not None else _equalizing_gains(bessel)
     return np.array([float(amps[l]) * math.sqrt(u_count) * (np.exp(1j * cfg.theta * l) * (1j) ** l)
-                     * bessel_j(l, arg) for l in range(u_count)])
+                     * float(bessel[l]) for l in range(u_count)])
 
 
 def _base_gain(cfg: OemConfig, d):
     """Distance term beta * lambda * exp(-j 2 pi d / lambda) / (4 pi d), elementwise in d."""
     lam = cfg.wavelength
     return cfg.beta * lam * np.exp(1j * (-2.0 * math.pi * d / lam)) / (4.0 * math.pi * d)
-
-
-def mode_gain(cfg: OemConfig, m: int, n: int, l: int, kind: str = "bessel",
-              layout: Optional[ElementLayout] = None) -> complex:
-    """Channel gain of OAM mode l between transmit UCA n and receive UCA m."""
-    if not (0 <= l < cfg.u_elems):
-        raise DomainError(f"mode index {l} outside 0..{cfg.u_elems - 1}")
-    d = float((layout or build_layout(cfg)).center_distances[m, n])
-    return complex(_mode_coefficients(cfg, kind)[l] * _base_gain(cfg, d))
 
 
 def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> list[ModeChannel]:

@@ -32,7 +32,7 @@ from .channel import build_mode_channels, mode_power_profile, VARIANTS
 from .config import OemConfig
 from .errors import InvalidConfigError, OemError
 from .geometry import scenario_check
-from .waterfill import waterfill_instantaneous
+from .waterfill import MIN_SAMPLES, waterfill_instantaneous
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -299,8 +299,8 @@ def _cmd_scenario(args) -> int:
 
 def _trial_count(text: str) -> int:
     trials = int(text)
-    if trials < 1_000:
-        raise argparse.ArgumentTypeError(f"need at least 1000 trials, got {text}")
+    if trials < MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(f"need at least {MIN_SAMPLES} trials, got {text}")
     return trials
 
 

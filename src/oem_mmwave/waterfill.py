@@ -12,10 +12,9 @@ level is 1 / (mu* ln 2).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -23,12 +22,15 @@ from .errors import DomainError, InvalidConfigError
 
 LN2 = math.log(2.0)
 
+# Fewest fading draws per channel an ergodic solve accepts.
+MIN_SAMPLES = 1_000
+
 GridLike = Union["SnrGrid", np.ndarray]
 
 
 @dataclass(frozen=True)
 class SnrGrid:
-    """Nonnegative SNR weights gamma_{i,l}, shape (streams, modes)."""
+    """Finite, nonnegative SNR weights gamma_{i,l}, shape (streams, modes); a vector is one mode."""
 
     values: np.ndarray
 
@@ -36,6 +38,8 @@ class SnrGrid:
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
+        if v.ndim != 2:
+            raise InvalidConfigError(f"SNR grid must be a vector or a matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
             raise InvalidConfigError("SNR grid entries must be finite and nonnegative")
         object.__setattr__(self, "values", v)
@@ -48,14 +52,18 @@ class PowerPolicy:
     allocations : nonnegative powers, same shape as the input grid.
     water_level : common value of P + 1/gamma on active channels,
         equal to 1/(mu* ln 2); 0 for the outage (all-off) policy.
-    active_set : sorted (i, l) index pairs with positive power.
     total_power : the power budget the solve was run against.
     """
 
     allocations: np.ndarray
     water_level: float
-    active_set: tuple[tuple[int, int], ...]
     total_power: float
+
+    @property
+    def active_set(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (i, l) index pairs with positive power."""
+        streams, modes = np.nonzero(self.allocations)
+        return tuple(zip(streams.tolist(), modes.tolist()))
 
     @property
     def mu_star(self) -> float:
@@ -66,14 +74,23 @@ class PowerPolicy:
 
     @property
     def is_outage(self) -> bool:
-        return not self.active_set
+        return not self.allocations.any()
 
 
 def _grid_values(snr: GridLike) -> np.ndarray:
-    values = snr.values if isinstance(snr, SnrGrid) else np.asarray(snr, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    return values
+    """The checked (streams, modes) values of ``snr``; see ``SnrGrid``."""
+    return (snr if isinstance(snr, SnrGrid) else SnrGrid(snr)).values
+
+
+def _check_power(total_power: float) -> None:
+    """InvalidConfigError unless ``total_power`` is a positive, finite budget."""
+    if not (math.isfinite(total_power) and total_power > 0.0):
+        raise InvalidConfigError(f"total power must be positive and finite, got {total_power}")
+
+
+def _check_samples(count: int, noun: str) -> None:
+    if count < MIN_SAMPLES:
+        raise InvalidConfigError(f"need at least {MIN_SAMPLES} {noun}, got {count}")
 
 
 def flatten_mode_major(grid: np.ndarray) -> np.ndarray:
@@ -106,27 +123,22 @@ def _prefix_level(inv: np.ndarray, cums: np.ndarray, total_power: float) -> floa
     return float((total_power + inv[:lo].sum()) / lo)
 
 
-def _water_level(gamma: np.ndarray, total_power: float) -> float:
-    """Exact water level of ``total_power`` over the positive entries of gamma.
+def _water_levels(values: np.ndarray, budgets: Sequence[float]) -> list[float]:
+    """Exact water level of each of ``budgets`` over the nonnegative ``values``.
 
-    Returns 0 when nothing can be filled: no positive entry, or a budget
-    below the resolution of the best 1/gamma.
+    The reciprocals are taken in the buffer of ``values``, which is
+    overwritten, and sorted once with one cumulative sum for every
+    budget.  A zero (-0.0 included) becomes +inf and sorts last, where
+    no level reaches it.  A level is 0 when nothing can be filled: no
+    positive value, or a budget below the resolution of the best
+    1/value.
     """
-    inv = 1.0 / gamma[gamma > 0.0]
-    inv.sort()
-    return _prefix_level(inv, np.cumsum(inv), total_power)
-
-
-def _sorted_reciprocals(draws: np.ndarray) -> np.ndarray:
-    """Ascending reciprocals of the nonnegative ``draws``, flattened, in their own buffer.
-
-    ``draws`` must be contiguous; it is overwritten.  A zero draw becomes
-    +inf and sorts last, where no water level reaches it.
-    """
+    np.abs(values, out=values)
     with np.errstate(divide="ignore"):
-        inv = np.divide(1.0, draws, out=draws).reshape(-1)
+        inv = np.divide(1.0, values, out=values).reshape(-1)
     inv.sort()
-    return inv
+    cums = np.cumsum(inv)
+    return [_prefix_level(inv, cums, budget) for budget in budgets]
 
 
 def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
@@ -142,20 +154,14 @@ def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
     """Exact water filling over one SNR realization.
 
     The water level comes from one sort and cumulative sum of 1/gamma
-    (see ``_water_level``); every channel below it gets the difference.
+    (see ``_water_levels``); every channel below it gets the difference.
     Channels at the level exactly count as inactive.  If no channel has
     positive SNR the outage (all-zero) policy is returned.
     """
-    if total_power <= 0.0:
-        raise InvalidConfigError(f"total power must be positive, got {total_power}")
+    _check_power(total_power)
     gamma = _grid_values(snr)
-    water = _water_level(gamma, total_power)
-    allocations = _allocate(gamma, water)
-    streams, modes = np.nonzero(allocations)
-    return PowerPolicy(
-        allocations=allocations, water_level=water,
-        active_set=tuple(zip(streams.tolist(), modes.tolist())), total_power=total_power,
-    )
+    water = _water_levels(gamma.copy(), [total_power])[0]
+    return PowerPolicy(_allocate(gamma, water), water_level=water, total_power=total_power)
 
 
 def _unit_draws(n_channels: int, count: int, seed: int, stage: int = 0) -> np.ndarray:
@@ -183,30 +189,6 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
     return (_unit_draws(mean_flat.size, count, seed, stage) * mean_flat[:, None]).T
 
 
-def _ergodic_means(mean_snr: GridLike, total_power: float, samples: int) -> np.ndarray:
-    """Checked mode-major channel means of one ergodic solve."""
-    if not (math.isfinite(total_power) and total_power > 0.0):
-        raise InvalidConfigError(f"total power must be positive and finite, got {total_power}")
-    if samples < 1_000:
-        raise InvalidConfigError(f"need at least 1000 samples, got {samples}")
-    means = flatten_mode_major(_grid_values(mean_snr))
-    if not np.all(np.isfinite(means)) or np.any(means < 0.0):
-        raise InvalidConfigError("mean SNRs must be finite and nonnegative")
-    if not np.any(means > 0.0):
-        raise InvalidConfigError("at least one channel must have positive mean SNR")
-    return means
-
-
-def _rule_water_level(mu_star: float) -> float:
-    """Water level 1/(mu* ln 2) of the allocation rule; 0 when mu* is infinite."""
-    return 1.0 / (mu_star * LN2)
-
-
-def _allocation_rule(mu: float) -> Callable[[np.ndarray], np.ndarray]:
-    water = _rule_water_level(mu)
-    return lambda gamma: _allocate(gamma, water)
-
-
 def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_000,
                       seed: int = 0) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
     """Solve the expectation-constrained water-filling multiplier.
@@ -220,13 +202,16 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     sample to rounding.  This is the unit-SNR case of the solver that
     ``capacity`` runs for every point of a sweep.  Returns (mu_star, rule).
     """
-    means = _ergodic_means(mean_snr, total_power, samples)
+    _check_power(total_power)
+    _check_samples(samples, "samples")
+    means = flatten_mode_major(_grid_values(mean_snr))
+    if not np.any(means > 0.0):
+        raise InvalidConfigError("at least one channel must have positive mean SNR")
     draws = _unit_draws(means.size, samples, seed)
     draws *= means[:, None]
-    inv = _sorted_reciprocals(draws)
-    water = _prefix_level(inv, np.cumsum(inv), samples * total_power)
+    water = _water_levels(draws, [samples * total_power])[0]
     mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
-    return mu_star, _allocation_rule(mu_star)
+    return mu_star, lambda gamma: _allocate(gamma, 1.0 / (mu_star * LN2))
 
 
 def classify_region(gamma_0: float, gamma_1: float, mu_star: float) -> str:
@@ -246,43 +231,3 @@ def classify_region(gamma_0: float, gamma_1: float, mu_star: float) -> str:
     if second:
         return "R3"
     return "R4"
-
-
-def brute_force_oracle(snr: GridLike, total_power: float) -> PowerPolicy:
-    """Exhaustive active-set search; independent check of the sort-based solver.
-
-    Enumerates every nonempty candidate set (at most 2^6 - 1 channels
-    supported), solves the equal-water-level system on it, keeps
-    candidates whose powers are all strictly positive, and returns the
-    feasible candidate with the highest sum rate.
-    """
-    if total_power <= 0.0:
-        raise InvalidConfigError(f"total power must be positive, got {total_power}")
-    gamma = _grid_values(snr)
-    indices = [tuple(map(int, idx)) for idx in zip(*np.nonzero(gamma > 0.0))]
-    if len(indices) > 6:
-        raise DomainError(f"exhaustive search supports at most 6 channels, got {len(indices)}")
-    if not indices:
-        return PowerPolicy(
-            allocations=np.zeros_like(gamma), water_level=0.0,
-            active_set=(), total_power=total_power,
-        )
-    best = None
-    for size in range(1, len(indices) + 1):
-        for subset in itertools.combinations(indices, size):
-            g = np.array([gamma[idx] for idx in subset])
-            water = (total_power + (1.0 / g).sum()) / size
-            powers = water - 1.0 / g
-            if np.any(powers <= 0.0):
-                continue
-            rate = float(np.log2(1.0 + powers * g).sum())
-            if best is None or rate > best[0]:
-                best = (rate, subset, powers, water)
-    rate, subset, powers, water = best
-    allocations = np.zeros_like(gamma)
-    for idx, p in zip(subset, powers):
-        allocations[idx] = p
-    return PowerPolicy(
-        allocations=allocations, water_level=float(water),
-        active_set=tuple(sorted(subset)), total_power=total_power,
-    )

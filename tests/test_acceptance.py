@@ -19,7 +19,6 @@ from oem_mmwave import (
     DishDesign,
     FadingModel,
     PatchSpec,
-    brute_force_oracle,
     build_mode_channels,
     classify_region,
     decompose_modes,
@@ -27,7 +26,6 @@ from oem_mmwave import (
     design_patch,
     ergodic_se_mimo,
     ergodic_se_oem,
-    mode_gain,
     mode_power_profile,
     propagate,
     waterfill_ergodic,
@@ -37,6 +35,7 @@ from oem_mmwave import (
 from oem_mmwave.channel import bessel_j
 from oem_mmwave.cli import main
 from oem_mmwave.waterfill import LN2
+from oracles import brute_force_oracle, mode_gain
 
 SEED = 2026
 TRIALS = 10_000

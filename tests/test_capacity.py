@@ -64,6 +64,12 @@ class TestInstantaneousSe:
         with pytest.raises(InvalidConfigError):
             instantaneous_se(np.array([3.0, 1.0]), policy)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_raw_grid_rejected(self, bad):
+        policy = waterfill_instantaneous(np.array([3.0, 1.0]), 1.0)
+        with pytest.raises(InvalidConfigError):
+            instantaneous_se(np.array([bad, 2.0]), policy)
+
 
 class TestErgodicEstimators:
     def test_oem_with_one_mode_equals_mimo(self, base_cfg):

@@ -10,12 +10,12 @@ from oem_mmwave import (
     bessel_j,
     build_layout,
     build_mode_channels,
-    element_gain,
-    mode_gain,
     mode_power_profile,
 )
+from oem_mmwave import channel
 from oem_mmwave.channel import VARIANTS, conv_gains
 from oem_mmwave.errors import DomainError
+from oracles import element_gain, mode_gain
 
 
 def bessel_series(order, x, terms=60):
@@ -254,6 +254,15 @@ class TestConvergenceGains:
     def test_explicit_gains_override_default(self, base_cfg):
         cfg = base_cfg.with_(conv_gains=(1.0, 2.0, 3.0, 4.0))
         assert np.allclose(conv_gains(cfg), [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("build", [build_mode_channels, mode_power_profile])
+    def test_each_bessel_value_is_computed_once(self, base_cfg, build, monkeypatch):
+        # the default gains and the coefficients share the U values J_l
+        calls = []
+        evaluate = channel.bessel_j
+        monkeypatch.setattr(channel, "bessel_j", lambda l, x: calls.append(l) or evaluate(l, x))
+        build(base_cfg, "convergent")
+        assert calls == list(range(base_cfg.u_elems))
 
     def test_nonconvergent_profile_follows_bessel_decay(self, base_cfg):
         profile = mode_power_profile(base_cfg, "bessel")

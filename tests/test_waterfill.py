@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from oem_mmwave import (
     SnrGrid,
-    brute_force_oracle,
     classify_region,
     waterfill_ergodic,
     waterfill_instantaneous,
 )
 from oem_mmwave.errors import DomainError, InvalidConfigError
-from oem_mmwave.waterfill import LN2, _water_level, sample_snr_realizations
+from oem_mmwave.waterfill import LN2, sample_snr_realizations
+from oracles import brute_force_oracle
 
 LOG2 = LN2  # natural log of 2, the "log 2" of the allocation formulas
 
@@ -78,6 +78,25 @@ class TestInstantaneous:
         with pytest.raises(InvalidConfigError):
             waterfill_instantaneous(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(InvalidConfigError):
+            waterfill_instantaneous(np.array([1.0, 2.0]), budget)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_raw_grid_rejected(self, bad):
+        with pytest.raises(InvalidConfigError):
+            waterfill_instantaneous(np.array([bad, 2.0]), 1.0)
+
+    def test_grid_of_more_than_two_axes_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            waterfill_instantaneous(np.ones((2, 2, 2)), 1.0)
+
+    def test_negative_zero_counts_as_zero(self):
+        policy = waterfill_instantaneous(np.array([-0.0, 2.0]), 1.0)
+        assert policy.allocations.ravel().tolist() == [0.0, 1.0]
+        assert policy.water_level == 1.5
+
     @given(
         st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6),
         st.sampled_from([0.1, 1.0, 10.0]),
@@ -120,7 +139,7 @@ class TestChunkedScan:
         # where the search of every prefix does
         gamma = np.random.default_rng(5).exponential(1.0, 3 * 65_536 + 17)
         gamma[::7] = 0.0
-        assert _water_level(gamma, budget) == full_prefix_level(gamma, budget)
+        assert waterfill_instantaneous(gamma, budget).water_level == full_prefix_level(gamma, budget)
 
 
 class TestOracleEquivalence:
@@ -209,10 +228,15 @@ class TestErgodic:
         with pytest.raises(InvalidConfigError):
             waterfill_ergodic(np.array([[10.0]]), 1.0, samples=10, seed=0)
 
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
     def test_negative_or_non_finite_means_rejected(self, bad):
         with pytest.raises(InvalidConfigError):
             waterfill_ergodic(np.array([[10.0, bad]]), 1.0, samples=2_000, seed=0)
+
+    def test_negative_zero_mean_counts_as_zero(self):
+        signed, _ = waterfill_ergodic(np.array([10.0, -0.0]), 1.0, samples=1_000, seed=3)
+        unsigned, _ = waterfill_ergodic(np.array([10.0, 0.0]), 1.0, samples=1_000, seed=3)
+        assert signed == unsigned
 
     def test_all_zero_means_rejected(self):
         with pytest.raises(InvalidConfigError):
