@@ -1,8 +1,9 @@
 """Ergodic spectrum-efficiency estimation for OEM and plain massive MIMO.
 
 Fading draws each channel SNR i.i.d. exponential (Rayleigh amplitude)
-around its mean; the mean of channel (i, l) is the baseline average SNR
-scaled by the per-mode power profile g_l.  Two budget conventions:
+around its mean; the mean of channel (i, l) is the mean SNR, an argument
+of each estimator, times the per-mode power profile g_l of the
+``FadingModel``.  Two budget conventions:
 
 * ``per-channel`` — the total power budget is total_power times the
   channel count, i.e. the per-channel average budget is held fixed as
@@ -83,20 +84,16 @@ def _snr_linear(snr_db: float) -> float:
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Average-SNR structure of the fading simulation.
+    """Per-mode power profile and budget convention of the fading simulation.
 
-    mean_snr_db : baseline average per-channel SNR (dB), applied to mode 0;
-        finite and within +-MAX_SNR_DB.
     mode_profile : relative per-mode power gains, g_0 normalized to 1.
     normalization : budget convention, "per-channel" or "total".
     """
 
-    mean_snr_db: float
     mode_profile: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     normalization: str = "per-channel"
 
     def __post_init__(self):
-        _snr_linear(self.mean_snr_db)
         profile = np.asarray(self.mode_profile, dtype=float)
         if profile.ndim != 1 or profile.size < 1:
             raise InvalidConfigError("mode profile must be a nonempty vector")
@@ -109,14 +106,6 @@ class FadingModel:
                 f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
             )
         object.__setattr__(self, "mode_profile", profile)
-
-    @property
-    def mean_snr_linear(self) -> float:
-        return _snr_linear(self.mean_snr_db)
-
-    def mean_grid(self, n_streams: int) -> np.ndarray:
-        """Mean SNR matrix (streams, modes): baseline times mode gain."""
-        return self.mean_snr_linear * np.tile(self.mode_profile, (n_streams, 1))
 
 
 @dataclass(frozen=True)
@@ -152,11 +141,10 @@ def _budget(total_power: float, n_channels: int, normalization: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Pattern:
-    """One curve: per-channel gains g of substreams 0..K-1, per-trial budget, SNR points."""
+    """One curve: per-channel gains g of substreams 0..K-1 and per-trial budget."""
 
     gains: np.ndarray
     budget: float
-    snr_db: tuple[float, ...]
 
 
 def _gained(units: np.ndarray, pattern: _Pattern, in_place: bool) -> np.ndarray:
@@ -168,25 +156,30 @@ def _gained(units: np.ndarray, pattern: _Pattern, in_place: bool) -> np.ndarray:
     return draws
 
 
-def _ergodic_curves(patterns: Sequence[_Pattern], trials: int, seed: int) -> list[SeCurve]:
-    """Ergodic SE curves of ``patterns``, sharing one set of draws per stage.
+def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trials: int,
+                    seed: int) -> list[SeCurve]:
+    """Ergodic SE curves of ``patterns`` at the points ``snr_db``, one set of draws per stage.
 
-    Each stage's unit substreams are drawn once for the largest pattern;
-    every pattern uses the first ``gains.size`` of them.  The last
-    pattern works in the draws' own buffer, so it must be the largest.
-    Stage 0 solves every point's water level w~ and is freed before
-    stage 1 averages the rates, so one stage's draws are alive at a time.
+    The SNR points are checked and converted to linear once, for every
+    pattern.  Each stage's unit substreams are drawn once for the largest
+    pattern; every pattern uses the first ``gains.size`` of them.  The
+    last pattern works in the draws' own buffer, so it must be the
+    largest.  Stage 0 solves every point's water level w~ and is freed
+    before stage 1 averages the rates, so one stage's draws are alive at
+    a time.
     """
     _check_samples(trials, "trials")
-    scales = [[_snr_linear(snr_db) for snr_db in p.snr_db] for p in patterns]
+    if len(snr_db) == 0:
+        raise InvalidConfigError("need at least one SNR point")
+    scales = [_snr_linear(point_db) for point_db in snr_db]
     last = len(patterns) - 1
 
     units = _unit_draws(patterns[last].gains.size, trials, seed)
     waters = []
-    for i, (p, ss) in enumerate(zip(patterns, scales)):
+    for i, p in enumerate(patterns):
         pooled = trials * p.budget
         draws = _gained(units, p, i == last)
-        waters.append(_water_levels(draws, [s * pooled for s in ss]))
+        waters.append(_water_levels(draws, [s * pooled for s in scales]))
         del draws  # freed before the next pattern allocates its own
     del units
 
@@ -198,12 +191,12 @@ def _ergodic_curves(patterns: Sequence[_Pattern], trials: int, seed: int) -> lis
             np.log2(logs, out=logs)
         work = np.empty_like(logs)
         points = []
-        for snr_db, w in zip(p.snr_db, ws):
+        for point_db, w in zip(snr_db, ws):
             np.add(logs, math.log2(w) if w > 0.0 else -math.inf, out=work)
             np.maximum(work, 0.0, out=work)
             per_trial = work.sum(axis=0)
             points.append(SePoint(
-                mean_snr_db=snr_db,
+                mean_snr_db=point_db,
                 se=float(per_trial.mean()),
                 stderr=float(per_trial.std(ddof=1) / math.sqrt(trials)),
             ))
@@ -212,52 +205,46 @@ def _ergodic_curves(patterns: Sequence[_Pattern], trials: int, seed: int) -> lis
     return curves
 
 
-def _oem_pattern(cfg: OemConfig, fading: FadingModel, total_power: float,
-                 snr_db: Sequence[float]) -> _Pattern:
+def _oem_pattern(cfg: OemConfig, fading: FadingModel, total_power: float) -> _Pattern:
     if fading.mode_profile.size != cfg.u_elems:
         raise InvalidConfigError(
             f"mode profile has {fading.mode_profile.size} entries, config has U={cfg.u_elems} modes"
         )
     gains = np.repeat(fading.mode_profile, min(cfg.n_tx, cfg.m_rx))
-    return _Pattern(gains, _budget(total_power, gains.size, fading.normalization), tuple(snr_db))
+    return _Pattern(gains, _budget(total_power, gains.size, fading.normalization))
 
 
-def _mimo_pattern(n: int, m: int, total_power: float, normalization: str,
-                  snr_db: Sequence[float]) -> _Pattern:
+def _mimo_pattern(n: int, m: int, total_power: float, normalization: str) -> _Pattern:
     if n < 1 or m < 1:
         raise InvalidConfigError("need at least one transmit and one receive antenna")
     gains = np.ones(min(n, m))
-    return _Pattern(gains, _budget(total_power, gains.size, normalization), tuple(snr_db))
+    return _Pattern(gains, _budget(total_power, gains.size, normalization))
 
 
-def ergodic_se_oem(cfg: OemConfig, fading: FadingModel, total_power: float,
+def ergodic_se_oem(cfg: OemConfig, fading: FadingModel, mean_snr_db: float, total_power: float,
                    trials: int, seed: int) -> SePoint:
     """Ergodic SE of the OEM link: min(N, M) streams on each of U modes."""
-    pattern = _oem_pattern(cfg, fading, total_power, [fading.mean_snr_db])
-    return _ergodic_curves([pattern], trials, seed)[0].points[0]
+    pattern = _oem_pattern(cfg, fading, total_power)
+    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0].points[0]
 
 
 def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
                     trials: int, seed: int, normalization: str = "per-channel") -> SePoint:
     """Ergodic SE of the plain multiplexing-MIMO baseline (single mode)."""
-    pattern = _mimo_pattern(n, m, total_power, normalization, [mean_snr_db])
-    return _ergodic_curves([pattern], trials, seed)[0].points[0]
+    pattern = _mimo_pattern(n, m, total_power, normalization)
+    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0].points[0]
 
 
 def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float],
           total_power: float, trials: int, seed: int) -> tuple[SeCurve, SeCurve]:
     """SE-versus-SNR curves for the OEM link and its N x M MIMO baseline.
 
-    The points are ``snr_db_list``; ``fading.mean_snr_db`` is not used
-    (only its profile and normalization are), so any valid value may
-    stand in for it.  Every point equals the matching
-    ``ergodic_se_oem`` or ``ergodic_se_mimo`` call bit for bit.  Each
-    stage's unit draws are made once for all min(N, M)*U channels; the
-    MIMO channels are the first min(N, M), the OEM mode-0 ones.
+    Every point equals the matching ``ergodic_se_oem`` or
+    ``ergodic_se_mimo`` call bit for bit.  Each stage's unit draws are
+    made once for all min(N, M)*U channels; the MIMO channels are the
+    first min(N, M), the OEM mode-0 ones.
     """
-    if len(snr_db_list) == 0:
-        raise InvalidConfigError("need at least one SNR point")
-    oem = _oem_pattern(cfg, fading, total_power, snr_db_list)
-    mimo = _mimo_pattern(cfg.n_tx, cfg.m_rx, total_power, fading.normalization, snr_db_list)
-    mimo_curve, oem_curve = _ergodic_curves([mimo, oem], trials, seed)
+    oem = _oem_pattern(cfg, fading, total_power)
+    mimo = _mimo_pattern(cfg.n_tx, cfg.m_rx, total_power, fading.normalization)
+    mimo_curve, oem_curve = _ergodic_curves([mimo, oem], snr_db_list, trials, seed)
     return oem_curve, mimo_curve

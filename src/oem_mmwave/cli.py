@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .antenna import PatchSpec, design_dish, design_patch, feed_impedance
-from .capacity import MAX_SNR_DB, FadingModel, sweep
+from .capacity import MAX_SNR_DB, NORMALIZATIONS, FadingModel, sweep
 from .channel import build_mode_channels, mode_power_profile, VARIANTS
 from .config import OemConfig
 from .errors import InvalidConfigError, OemError
@@ -137,10 +137,10 @@ def _cmd_design_dish(args) -> int:
 
 def _cmd_channel(args) -> int:
     cfg = _load_config(args.config)
-    channels = build_mode_channels(cfg, kind=args.model)
     if args.mode is not None and not (0 <= args.mode < cfg.u_elems):
         print(f"mode must lie in 0..{cfg.u_elems - 1}", file=sys.stderr)
         return EXIT_USAGE
+    channels = build_mode_channels(cfg, kind=args.model)
     with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["mode", "m", "n", "re", "im"])
@@ -246,9 +246,7 @@ def _cmd_simulate(args) -> int:
         print(f"bad --snr-db: {exc}", file=sys.stderr)
         return EXIT_USAGE
     profile = mode_power_profile(cfg, args.model)
-    fading = FadingModel(
-        mean_snr_db=0.0, mode_profile=profile, normalization=args.normalization,
-    )
+    fading = FadingModel(mode_profile=profile, normalization=args.normalization)
     oem_curve, mimo_curve = sweep(
         cfg, fading, snr_list, args.total_power, args.trials, args.seed
     )
@@ -357,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--out", required=True)
     simulate.add_argument("--model", choices=VARIANTS, default="convergent")
-    simulate.add_argument("--normalization", choices=("per-channel", "total"),
-                          default="per-channel")
+    simulate.add_argument("--normalization", choices=NORMALIZATIONS, default="per-channel")
     simulate.add_argument("--total-power", type=_power_budget, default=1.0)
     simulate.set_defaults(func=_cmd_simulate)
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import InvalidConfigError
 
-_COUNTS = ("n_tx", "m_rx", "u_elems", "v_elems")
-_REALS = ("r1", "r2", "wavelength", "phi", "phi_c", "theta", "link_distance", "noise_var")
+_ANGLES = ("phi", "phi_c", "theta")
 
 
 def _json_number(name: str, value, integer: bool = False):
@@ -31,6 +30,21 @@ def _json_number(name: str, value, integer: bool = False):
         return value if integer else float(value)
     except OverflowError:
         raise InvalidConfigError(f"{name} is out of range, got {value}") from None
+
+
+def _from_json(name: str, kind: str, value):
+    """Field ``name``, declared as type ``kind``, from its value in a config file."""
+    if name == "beta":
+        parts = value if isinstance(value, list) else [value, 0.0]
+        if len(parts) != 2:
+            raise InvalidConfigError(f"beta must be a number or [re, im], got {value!r}")
+        return complex(*(_json_number(name, x) for x in parts))
+    if name == "conv_gains":
+        if not isinstance(value, (list, type(None))):
+            raise InvalidConfigError(f"conv_gains must be a list or null, got {value!r}")
+        return None if value is None else [_json_number(name, g) for g in value]
+    number = _json_number(name, value, integer=kind == "int")
+    return math.radians(number) if name in _ANGLES else number
 
 
 @dataclass(frozen=True)
@@ -117,50 +131,28 @@ class OemConfig:
     # -- JSON round trip ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        d = {
-            "n_tx": self.n_tx,
-            "m_rx": self.m_rx,
-            "u_elems": self.u_elems,
-            "v_elems": self.v_elems,
-            "r1": self.r1,
-            "r2": self.r2,
-            "wavelength": self.wavelength,
-            "phi": math.degrees(self.phi),
-            "phi_c": math.degrees(self.phi_c),
-            "theta": math.degrees(self.theta),
-            "beta": [self.beta.real, self.beta.imag],
-            "link_distance": self.link_distance,
-            "conv_gains": list(self.conv_gains) if self.conv_gains is not None else None,
-            "noise_var": self.noise_var,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for angle in _ANGLES:
+            d[angle] = math.degrees(d[angle])
+        d["beta"] = [self.beta.real, self.beta.imag]
+        d["conv_gains"] = None if self.conv_gains is None else list(self.conv_gains)
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OemConfig":
-        required = {"n_tx", "m_rx", "u_elems", "v_elems", "r1", "r2", "wavelength", "phi", "phi_c"}
-        missing = required - d.keys()
+        """Config from a file's JSON object; absent optional fields take their defaults.
+
+        Fields are converted in declaration order, so the first bad one
+        names the error.
+        """
+        schema = fields(cls)
+        missing = {f.name for f in schema if f.default is MISSING} - d.keys()
         if missing:
             raise InvalidConfigError(f"config missing fields: {sorted(missing)}")
-        unknown = d.keys() - {*_COUNTS, *_REALS, "beta", "conv_gains"}
+        unknown = d.keys() - {f.name for f in schema}
         if unknown:
             raise InvalidConfigError(f"config has unknown fields: {sorted(unknown)}")
-        d = {"theta": 0.0, "beta": [1.0, 0.0], "link_distance": 100.0,
-             "conv_gains": None, "noise_var": 1.0, **d}
-        beta = d["beta"] if isinstance(d["beta"], list) else [d["beta"], 0.0]
-        if len(beta) != 2:
-            raise InvalidConfigError(f"beta must be a number or [re, im], got {d['beta']!r}")
-        gains = d["conv_gains"]
-        if not isinstance(gains, (list, type(None))):
-            raise InvalidConfigError(f"conv_gains must be a list or null, got {gains!r}")
-        reals = {name: _json_number(name, d[name]) for name in _REALS}
-        for angle in ("phi", "phi_c", "theta"):
-            reals[angle] = math.radians(reals[angle])
-        return cls(
-            **{name: _json_number(name, d[name], integer=True) for name in _COUNTS},
-            **reals,
-            beta=complex(*(_json_number("beta", x) for x in beta)),
-            conv_gains=None if gains is None else [_json_number("conv_gains", g) for g in gains],
-        )
+        return cls(**{f.name: _from_json(f.name, f.type, d[f.name]) for f in schema if f.name in d})
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")

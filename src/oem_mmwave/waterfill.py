@@ -183,9 +183,9 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
     """Draw (count, K) i.i.d. exponential SNRs, one substream per channel.
 
     Column k is ``mean_flat[k]`` times row k of ``_unit_draws``; a
-    zero-mean channel draws zeros.
+    zero-mean channel draws zeros.  The means are checked by ``SnrGrid``.
     """
-    mean_flat = np.asarray(mean_flat, dtype=float)
+    mean_flat = flatten_mode_major(_grid_values(mean_flat))
     return (_unit_draws(mean_flat.size, count, seed, stage) * mean_flat[:, None]).T
 
 
@@ -218,9 +218,12 @@ def classify_region(gamma_0: float, gamma_1: float, mu_star: float) -> str:
     """Region of the two-channel SNR plane under a fixed multiplier.
 
     R1: both channels above the activation threshold mu* ln 2.
-    R2: only gamma_0 above.  R3: only gamma_1 above.  R4: outage.
+    R2: only gamma_0 above.  R3: only gamma_1 above.  R4: outage,
+    which is every pair when mu* = +inf.
     """
-    if mu_star <= 0.0:
+    if not (gamma_0 >= 0.0 and gamma_1 >= 0.0):
+        raise DomainError(f"SNRs must be nonnegative, got {gamma_0} and {gamma_1}")
+    if not mu_star > 0.0:
         raise DomainError(f"mu_star must be positive, got {mu_star}")
     threshold = mu_star * LN2
     first, second = gamma_0 > threshold, gamma_1 > threshold

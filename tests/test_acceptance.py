@@ -81,8 +81,8 @@ def test_1_multiplicative_se(base_cfg):
         ratios = {}
         for n, u, expected in ((16, 4, 2.0), (32, 4, 4.0), (32, 8, 8.0)):
             cfg = base_cfg.with_(n_tx=n, m_rx=n, u_elems=u, v_elems=u)
-            fading = FadingModel(mean_snr_db=20.0, mode_profile=np.ones(u))
-            point = ergodic_se_oem(cfg, fading, 0.2, TRIALS, seed=SEED)
+            fading = FadingModel(mode_profile=np.ones(u))
+            point = ergodic_se_oem(cfg, fading, 20.0, 0.2, TRIALS, seed=SEED)
             ratios[(n, u)] = point.se / baseline.se
             assert point.se / baseline.se == pytest.approx(expected, rel=0.03), ratios
         assert time.monotonic() - start < 120.0
@@ -99,11 +99,9 @@ def test_2_non_convergent_collapse(base_cfg):
         cfg = base_cfg.with_(n_tx=4, m_rx=4, u_elems=2, v_elems=2, r2=1e-5)
         profile = mode_power_profile(cfg, "bessel")
         assert profile[1] / profile[0] < 1e-3
+        fading = FadingModel(mode_profile=profile, normalization="total")
         for snr_db in range(0, 31, 5):
-            fading = FadingModel(
-                mean_snr_db=snr_db, mode_profile=profile, normalization="total"
-            )
-            oem = ergodic_se_oem(cfg, fading, 0.2, TRIALS, seed=SEED)
+            oem = ergodic_se_oem(cfg, fading, snr_db, 0.2, TRIALS, seed=SEED)
             mimo = ergodic_se_mimo(
                 4, 4, snr_db, 0.2, TRIALS, seed=SEED, normalization="total"
             )

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +28,11 @@ def link(n, m, u):
     return OemConfig(n_tx=n, m_rx=m, u_elems=u, v_elems=u, r1=0.1, r2=0.004,
                      wavelength=WAVELENGTH_35GHZ, phi=math.radians(30.0),
                      phi_c=math.radians(3.0))
+
+
+def mean_grid(snr_db, profile, n_streams):
+    """Mean SNR matrix (streams, modes): the linear SNR times each mode's gain."""
+    return 10.0 ** (snr_db / 10.0) * np.tile(profile, (n_streams, 1))
 
 
 def literal_se(means, total_power, trials, seed):
@@ -74,8 +78,8 @@ class TestInstantaneousSe:
 class TestErgodicEstimators:
     def test_oem_with_one_mode_equals_mimo(self, base_cfg):
         cfg = base_cfg.with_(u_elems=1, v_elems=1, n_tx=4, m_rx=4, phi_c=0.0)
-        fading = FadingModel(mean_snr_db=10.0, mode_profile=np.ones(1))
-        oem = ergodic_se_oem(cfg, fading, 1.0, 2_000, seed=11)
+        fading = FadingModel(mode_profile=np.ones(1))
+        oem = ergodic_se_oem(cfg, fading, 10.0, 1.0, 2_000, seed=11)
         mimo = ergodic_se_mimo(4, 4, 10.0, 1.0, 2_000, seed=11)
         assert oem.se == pytest.approx(mimo.se, rel=1e-12)
 
@@ -85,8 +89,8 @@ class TestErgodicEstimators:
         # the shared channel substreams
         cfg = base_cfg.with_(n_tx=4, m_rx=4, u_elems=2, v_elems=2)
         profile = np.array([1.0, 0.0])
-        fading = FadingModel(mean_snr_db=15.0, mode_profile=profile, normalization="total")
-        oem = ergodic_se_oem(cfg, fading, 4.0, 3_000, seed=21)
+        fading = FadingModel(mode_profile=profile, normalization="total")
+        oem = ergodic_se_oem(cfg, fading, 15.0, 4.0, 3_000, seed=21)
         mimo = ergodic_se_mimo(4, 4, 15.0, 4.0, 3_000, seed=21, normalization="total")
         assert oem.se == pytest.approx(mimo.se, abs=2 * (oem.stderr + mimo.stderr))
 
@@ -109,14 +113,14 @@ class TestErgodicEstimators:
         assert abs(a.se - b.se) / a.se < 0.01
 
     def test_trial_floor_enforced(self, base_cfg):
-        fading = FadingModel(mean_snr_db=10.0, mode_profile=np.ones(base_cfg.u_elems))
+        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError):
-            ergodic_se_oem(base_cfg, fading, 1.0, 100, seed=0)
+            ergodic_se_oem(base_cfg, fading, 10.0, 1.0, 100, seed=0)
 
     def test_profile_length_must_match_modes(self, base_cfg):
-        fading = FadingModel(mean_snr_db=10.0, mode_profile=np.ones(2))
+        fading = FadingModel(mode_profile=np.ones(2))
         with pytest.raises(InvalidConfigError):
-            ergodic_se_oem(base_cfg, fading, 1.0, 2_000, seed=0)
+            ergodic_se_oem(base_cfg, fading, 10.0, 1.0, 2_000, seed=0)
 
 
 class TestRateAverage:
@@ -133,10 +137,10 @@ class TestRateAverage:
         # zero-gain modes draw zero SNR; the literal rate skips them by
         # 1/gamma = inf, the estimator by log2(0) = -inf
         profile = np.array([1.0] + profile_tail)
-        fading = FadingModel(mean_snr_db=snr_db, mode_profile=profile,
-                             normalization=normalization)
-        point = ergodic_se_oem(link(streams, streams, profile.size), fading, 0.7, 1_000, seed)
-        means = fading.mean_grid(streams)
+        fading = FadingModel(mode_profile=profile, normalization=normalization)
+        point = ergodic_se_oem(link(streams, streams, profile.size), fading, snr_db, 0.7, 1_000,
+                               seed)
+        means = mean_grid(snr_db, profile, streams)
         budget = 0.7 * means.size if normalization == "per-channel" else 0.7
         se, stderr = literal_se(means, budget, 1_000, seed)
         assert point.se == pytest.approx(se, rel=1e-12)
@@ -157,10 +161,9 @@ class TestRateAverage:
 class TestWaterfillingOptimality:
     def test_beats_uniform_power(self):
         cfg = link(2, 2, 2)
-        fading = FadingModel(mean_snr_db=20.0, mode_profile=np.array([1.0, 0.1]),
-                             normalization="total")
-        point = ergodic_se_oem(cfg, fading, 1.0, 5_000, seed=13)
-        means = fading.mean_grid(2)
+        fading = FadingModel(mode_profile=np.array([1.0, 0.1]), normalization="total")
+        point = ergodic_se_oem(cfg, fading, 20.0, 1.0, 5_000, seed=13)
+        means = mean_grid(20.0, fading.mode_profile, 2)
         gammas = sample_snr_realizations(means.flatten(order="F"), 5_000, seed=13, stage=1)
         uniform = np.log2(1.0 + (1.0 / means.size) * gammas).sum(axis=1).mean()
         assert point.se >= uniform
@@ -169,7 +172,7 @@ class TestWaterfillingOptimality:
 class TestSweep:
     def test_monotone_curves_and_oem_dominance(self, base_cfg):
         cfg = base_cfg.with_(n_tx=2, m_rx=2, u_elems=2, v_elems=2, noise_var=1.0)
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(2))
+        fading = FadingModel(mode_profile=np.ones(2))
         oem, mimo = sweep(cfg, fading, [0.0, 10.0, 20.0], 1.0, 2_000, seed=17)
         for curve in (oem, mimo):
             ses = [p.se for p in curve.points]
@@ -178,17 +181,17 @@ class TestSweep:
             assert op.se >= mp.se - 2 * (op.stderr + mp.stderr)
 
     def test_empty_snr_list_rejected(self, base_cfg):
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems))
+        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError):
             sweep(base_cfg, fading, [], 1.0, 2_000, seed=0)
 
     def test_profile_length_must_match_modes(self, base_cfg):
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems - 1))
+        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems - 1))
         with pytest.raises(InvalidConfigError):
             sweep(base_cfg, fading, [0.0], 1.0, 2_000, seed=0)
 
     def test_trial_floor_enforced(self, base_cfg):
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems))
+        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError):
             sweep(base_cfg, fading, [0.0], 1.0, 999, seed=0)
 
@@ -199,14 +202,11 @@ class TestSweep:
         # N != M; 5000 trials of 16 channels pool 80,000 draws, more than
         # one chunk of the water-level scan
         cfg = base_cfg.with_(n_tx=8, m_rx=4, u_elems=4, v_elems=4)
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array(profile),
-                             normalization=normalization)
+        fading = FadingModel(mode_profile=np.array(profile), normalization=normalization)
         snr_db_list = [-20.0, 0.0, 12.5, 30.0]
         oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 5_000, seed=3)
         for snr_db, op, mp in zip(snr_db_list, oem.points, mimo.points):
-            fad = FadingModel(mean_snr_db=snr_db, mode_profile=fading.mode_profile,
-                              normalization=normalization)
-            single_oem = ergodic_se_oem(cfg, fad, 0.2, 5_000, seed=3)
+            single_oem = ergodic_se_oem(cfg, fading, snr_db, 0.2, 5_000, seed=3)
             single_mimo = ergodic_se_mimo(8, 4, snr_db, 0.2, 5_000, seed=3,
                                           normalization=normalization)
             assert op.mean_snr_db == mp.mean_snr_db == snr_db
@@ -215,7 +215,7 @@ class TestSweep:
 
     def test_working_memory_stays_below_four_draw_arrays(self, base_cfg):
         cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4)
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array([1.0, 0.8, 0.6, 0.8]))
+        fading = FadingModel(mode_profile=np.array([1.0, 0.8, 0.6, 0.8]))
         trials, n_channels = 10_000, 16 * 4
         tracemalloc.start()
         try:
@@ -233,7 +233,7 @@ class TestSweep:
     @settings(max_examples=20, deadline=None)
     def test_point_ignores_the_other_points_and_their_order(self, snr_db_list, order):
         cfg = link(3, 2, 3)
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array([1.0, 0.0, 0.4]))
+        fading = FadingModel(mode_profile=np.array([1.0, 0.0, 0.4]))
         shuffled = list(snr_db_list)
         order.shuffle(shuffled)
         curves = [sweep(cfg, fading, snrs, 0.5, 1_000, seed=9)
@@ -245,8 +245,8 @@ class TestSweep:
                 assert mp == alone_mimo.points[0]
 
     def test_out_of_range_snr_rejected(self, base_cfg):
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.ones(base_cfg.u_elems))
-        for bad in (math.nan, math.inf, MAX_SNR_DB + 1.0):
+        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
+        for bad in (math.nan, math.inf, MAX_SNR_DB + 1.0, -MAX_SNR_DB - 1.0):
             with pytest.raises(InvalidConfigError):
                 sweep(base_cfg, fading, [0.0, bad], 1.0, 1_000, seed=0)
 
@@ -282,12 +282,11 @@ class TestClosedForm:
     @pytest.mark.parametrize("profile", [[1.0, 1.0, 1.0, 1.0], [1.0, 0.5, 0.25, 0.0]])
     def test_sweep_matches_the_e1_closed_form(self, normalization, profile):
         cfg = link(16, 16, 4)
-        fading = FadingModel(mean_snr_db=0.0, mode_profile=np.array(profile),
-                             normalization=normalization)
+        fading = FadingModel(mode_profile=np.array(profile), normalization=normalization)
         snr_db_list = [0.0, 10.0, 20.0, 30.0]
         oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 10_000, seed=1)
         for snr_db, op, mp in zip(snr_db_list, oem.points, mimo.points):
-            for point, means in ((op, replace(fading, mean_snr_db=snr_db).mean_grid(16)),
+            for point, means in ((op, mean_grid(snr_db, fading.mode_profile, 16)),
                                  (mp, 10.0 ** (snr_db / 10.0) * np.ones(16))):
                 budget = 0.2 * means.size if normalization == "per-channel" else 0.2
                 exact = closed_form_se(means, budget)
@@ -297,28 +296,23 @@ class TestClosedForm:
 class TestFadingModel:
     def test_profile_must_be_normalized(self):
         with pytest.raises(InvalidConfigError):
-            FadingModel(mean_snr_db=0.0, mode_profile=np.array([2.0, 1.0]))
+            FadingModel(mode_profile=np.array([2.0, 1.0]))
 
     def test_unknown_normalization_rejected(self):
         with pytest.raises(InvalidConfigError):
-            FadingModel(mean_snr_db=0.0, normalization="per-antenna")
-
-    def test_mean_grid_scales_profile(self):
-        fading = FadingModel(mean_snr_db=20.0, mode_profile=np.array([1.0, 0.25]))
-        grid = fading.mean_grid(3)
-        assert grid.shape == (3, 2)
-        assert np.allclose(grid[:, 0], 100.0)
-        assert np.allclose(grid[:, 1], 25.0)
+            FadingModel(normalization="per-antenna")
 
     @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, MAX_SNR_DB + 0.5,
                                         -MAX_SNR_DB - 0.5, 3100.0])
     def test_out_of_range_snr_rejected(self, snr_db):
+        cfg = link(2, 2, 1)
         with pytest.raises(InvalidConfigError):
-            FadingModel(mean_snr_db=snr_db)
+            ergodic_se_oem(cfg, FadingModel(), snr_db, 1.0, 1_000, seed=0)
         with pytest.raises(InvalidConfigError):
             ergodic_se_mimo(2, 2, snr_db, 1.0, 1_000, seed=0)
 
     def test_snr_bound_is_inclusive(self):
+        cfg = link(2, 2, 1)
         for snr_db in (-MAX_SNR_DB, MAX_SNR_DB):
-            assert FadingModel(mean_snr_db=snr_db).mean_snr_linear == 10.0 ** (snr_db / 10.0)
+            assert math.isfinite(ergodic_se_oem(cfg, FadingModel(), snr_db, 1.0, 1_000, seed=0).se)
             assert math.isfinite(ergodic_se_mimo(2, 2, snr_db, 1.0, 1_000, seed=0).se)

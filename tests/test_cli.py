@@ -115,6 +115,20 @@ class TestChannel:
         rows = list(csv.DictReader(out_csv.open()))
         assert len(rows) == base_cfg.u_elems * base_cfg.m_rx * base_cfg.n_tx
 
+    def test_mode_out_of_range_exits_2_before_any_channel_is_built(self, config_path,
+                                                                   monkeypatch, tmp_path,
+                                                                   capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("channels built for an out-of-range --mode")
+
+        monkeypatch.setattr(cli, "build_mode_channels", unexpected)
+        out_csv = tmp_path / "h.csv"
+        code, _, err = run(capsys, "channel", "--config", config_path, "--mode", "99",
+                           "--out", str(out_csv))
+        assert code == 2
+        assert "mode must lie in" in err
+        assert not out_csv.exists()
+
 
 class TestWaterfill:
     def test_worked_example(self, tmp_path, capsys):

@@ -86,6 +86,15 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidConfigError):
             OemConfig.load(path)
 
+    def test_required_fields_alone_take_the_defaults(self, tmp_path):
+        required = {k: VALID[k] for k in ("n_tx", "m_rx", "u_elems", "v_elems", "r1", "r2",
+                                          "wavelength", "phi", "phi_c")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(required))
+        expected = OemConfig(**{**required, "phi": math.radians(required["phi"]),
+                                "phi_c": math.radians(required["phi_c"])})
+        assert OemConfig.load(path) == expected
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -260,6 +260,18 @@ class TestClassifyRegion:
         with pytest.raises(DomainError):
             classify_region(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+        (-5.0, 1.0, 1.0), (1.0, -5.0, 1.0),
+    ], ids=["nan-gamma0", "nan-gamma1", "nan-mu", "negative-gamma0", "negative-gamma1"])
+    def test_nan_or_negative_input_rejected(self, args):
+        with pytest.raises(DomainError):
+            classify_region(*args)
+
+    def test_infinite_multiplier_is_outage(self):
+        # the outage policy's mu_star
+        assert classify_region(1e300, 1e300, math.inf) == "R4"
+
 
 class TestSampling:
     def test_substreams_keyed_by_flat_index(self):
@@ -271,3 +283,8 @@ class TestSampling:
     def test_zero_mean_channel_stays_silent(self):
         draws = sample_snr_realizations(np.array([1.0, 0.0]), 50, seed=3)
         assert np.all(draws[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_means_rejected(self, bad):
+        with pytest.raises(InvalidConfigError):
+            sample_snr_realizations(np.array([1.0, bad]), 3, seed=0)
