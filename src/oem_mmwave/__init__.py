@@ -12,7 +12,6 @@ from .antenna import (
 )
 from .capacity import (
     FadingModel,
-    SeCurve,
     SePoint,
     ergodic_se_mimo,
     ergodic_se_oem,

@@ -24,14 +24,14 @@ class PatchSpec:
     z0: float = 50.0
 
     def __post_init__(self):
-        if self.wavelength <= 0.0:
-            raise InvalidConfigError("wavelength must be positive")
-        if self.eps_r <= 1.0:
-            raise InvalidConfigError(f"relative permittivity must exceed 1, got {self.eps_r}")
-        if self.thickness <= 0.0:
-            raise InvalidConfigError("substrate thickness must be positive")
-        if self.z0 <= 0.0:
-            raise InvalidConfigError("characteristic impedance must be positive")
+        if not (0.0 < self.wavelength < math.inf):
+            raise InvalidConfigError(f"wavelength must be finite and > 0, got {self.wavelength}")
+        if not (1.0 < self.eps_r < math.inf):
+            raise InvalidConfigError(f"eps_r must be finite and > 1, got {self.eps_r}")
+        if not (0.0 < self.thickness < math.inf):
+            raise InvalidConfigError(f"thickness must be finite and > 0, got {self.thickness}")
+        if not (0.0 < self.z0 < math.inf):
+            raise InvalidConfigError(f"z0 must be finite and > 0, got {self.z0}")
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,21 @@ def design_dish(gain_db: float, efficiency: float, kappa: float, wavelength: flo
     D = wavelength * sqrt(G * eta) / pi with G linear, F = kappa * D,
     surface Z = (X^2 + Y^2) / (4 F).
     """
-    if gain_db < 0.0:
-        raise InvalidConfigError(f"gain must be nonnegative (dB), got {gain_db}")
+    if not (0.0 <= gain_db < math.inf):
+        raise InvalidConfigError(f"gain_db must be finite and >= 0, got {gain_db}")
     if not (0.0 < efficiency <= 1.0):
         raise InvalidConfigError(f"aperture efficiency must lie in (0, 1], got {efficiency}")
     if not (0.25 <= kappa <= 0.5):
         raise InvalidConfigError(f"focal ratio must lie in [0.25, 0.5], got {kappa}")
-    if wavelength <= 0.0:
-        raise InvalidConfigError("wavelength must be positive")
-    gain_linear = 10.0 ** (gain_db / 10.0)
+    if not (0.0 < wavelength < math.inf):
+        raise InvalidConfigError(f"wavelength must be finite and > 0, got {wavelength}")
+    try:
+        gain_linear = 10.0 ** (gain_db / 10.0)
+    except OverflowError:
+        raise InvalidConfigError(f"gain_db={gain_db} overflows as a linear gain") from None
     diameter = wavelength * math.sqrt(gain_linear * efficiency) / math.pi
     focal = kappa * diameter
-    return DishDesign(diameter=diameter, focal_length=focal, kappa=kappa, surface=1.0 / (4.0 * focal))
+    surface = 1.0 / (4.0 * focal) if focal > 0.0 else math.inf
+    if not (diameter < math.inf and surface < math.inf):
+        raise InvalidConfigError(f"dish diameter {diameter:.3e} m leaves the float range")
+    return DishDesign(diameter=diameter, focal_length=focal, kappa=kappa, surface=surface)

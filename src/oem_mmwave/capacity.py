@@ -115,11 +115,6 @@ class SePoint:
     stderr: float
 
 
-@dataclass(frozen=True)
-class SeCurve:
-    points: tuple[SePoint, ...]
-
-
 def instantaneous_se(snr: GridLike, policy: PowerPolicy) -> float:
     """Sum rate sum_{i,l} log2(1 + P_{i,l} gamma_{i,l}) in bits/s/Hz."""
     gamma = _grid_values(snr)
@@ -157,7 +152,7 @@ def _gained(units: np.ndarray, pattern: _Pattern, in_place: bool) -> np.ndarray:
 
 
 def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trials: int,
-                    seed: int) -> list[SeCurve]:
+                    seed: int) -> list[tuple[SePoint, ...]]:
     """Ergodic SE curves of ``patterns`` at the points ``snr_db``, one set of draws per stage.
 
     The SNR points are checked and converted to linear once, for every
@@ -200,7 +195,7 @@ def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trial
                 se=float(per_trial.mean()),
                 stderr=float(per_trial.std(ddof=1) / math.sqrt(trials)),
             ))
-        curves.append(SeCurve(points=tuple(points)))
+        curves.append(tuple(points))
         del logs, work
     return curves
 
@@ -225,22 +220,23 @@ def ergodic_se_oem(cfg: OemConfig, fading: FadingModel, mean_snr_db: float, tota
                    trials: int, seed: int) -> SePoint:
     """Ergodic SE of the OEM link: min(N, M) streams on each of U modes."""
     pattern = _oem_pattern(cfg, fading, total_power)
-    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0].points[0]
+    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0][0]
 
 
 def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
                     trials: int, seed: int, normalization: str = "per-channel") -> SePoint:
     """Ergodic SE of the plain multiplexing-MIMO baseline (single mode)."""
     pattern = _mimo_pattern(n, m, total_power, normalization)
-    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0].points[0]
+    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0][0]
 
 
-def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float],
-          total_power: float, trials: int, seed: int) -> tuple[SeCurve, SeCurve]:
+def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float], total_power: float,
+          trials: int, seed: int) -> tuple[tuple[SePoint, ...], tuple[SePoint, ...]]:
     """SE-versus-SNR curves for the OEM link and its N x M MIMO baseline.
 
-    Every point equals the matching ``ergodic_se_oem`` or
-    ``ergodic_se_mimo`` call bit for bit.  Each stage's unit draws are
+    Returns two tuples of ``SePoint``, OEM then MIMO, one point per entry
+    of ``snr_db_list``; every point equals the matching ``ergodic_se_oem``
+    or ``ergodic_se_mimo`` call bit for bit.  Each stage's unit draws are
     made once for all min(N, M)*U channels; the MIMO channels are the
     first min(N, M), the OEM mode-0 ones.
     """

@@ -106,22 +106,15 @@ def _bessel_factors(cfg: OemConfig, angle: float) -> np.ndarray:
 
 
 def _equalizing_gains(bessel: np.ndarray) -> np.ndarray:
-    """Gains |J_0| / |J_l|, zero where J_l vanishes."""
-    mags = np.abs(bessel)
-    return np.divide(mags[0], mags, out=np.zeros(mags.size), where=mags > 1e-12)
-
-
-def conv_gains(cfg: OemConfig) -> np.ndarray:
-    """Configured per-mode convergence gains, or the equal-gain default.
+    """Default per-mode convergence gains |J_0| / |J_l|, zero where J_l vanishes.
 
     The default idealizes the converging reflector: amplitude gains that
     bring every mode up to the mode-0 magnitude at the convergent angle.
     Modes whose Bessel factor vanishes there cannot be equalized and get
     zero gain.
     """
-    if cfg.conv_gains is not None:
-        return np.asarray(cfg.conv_gains, dtype=float)
-    return _equalizing_gains(_bessel_factors(cfg, cfg.phi_c))
+    mags = np.abs(bessel)
+    return np.divide(mags[0], mags, out=np.zeros(mags.size), where=mags > 1e-12)
 
 
 def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
@@ -140,9 +133,9 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
     if kind == "bessel":
         bessel, amps = _bessel_factors(cfg, cfg.phi), np.ones(u_count)
     else:
-        # the default gains come from the same J_l values as the coefficients
+        # configured gains, or the default ones of the same J_l values
         bessel = _bessel_factors(cfg, cfg.phi_c)
-        amps = conv_gains(cfg) if cfg.conv_gains is not None else _equalizing_gains(bessel)
+        amps = cfg.conv_gains if cfg.conv_gains is not None else _equalizing_gains(bessel)
     return np.array([float(amps[l]) * math.sqrt(u_count) * (np.exp(1j * cfg.theta * l) * (1j) ** l)
                      * float(bessel[l]) for l in range(u_count)])
 

@@ -158,7 +158,7 @@ def _cmd_channel(args) -> int:
 
 
 def _read_snr_csv(path: str) -> list[tuple[int, int, float]]:
-    """Rows (i, l, gamma) of a gamma CSV, at most one per channel."""
+    """Rows (i, l, gamma) of a gamma CSV; (i, l) is a label, used by at most one row."""
     rows, seen = [], set()
     try:
         with open(path, newline="") as fh:
@@ -184,15 +184,12 @@ def _read_snr_csv(path: str) -> list[tuple[int, int, float]]:
 
 def _cmd_waterfill(args) -> int:
     rows = _read_snr_csv(args.snr_csv)
-    grid = np.zeros((max(r[0] for r in rows) + 1, max(r[1] for r in rows) + 1))
-    for i, l, gamma in rows:
-        grid[i, l] = gamma
-    policy = waterfill_instantaneous(grid, args.total_power)
+    policy = waterfill_instantaneous(np.array([gamma for _, _, gamma in rows]), args.total_power)
     with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "l", "gamma", "power"])
-        for i, l, gamma in rows:
-            writer.writerow([i, l, _fmt(gamma), _fmt(policy.allocations[i, l])])
+        for (i, l, gamma), power in zip(rows, policy.allocations[:, 0]):
+            writer.writerow([i, l, _fmt(gamma), _fmt(power)])
     summary_path = str(Path(args.out).with_suffix(".summary.json"))
     summary = {
         "mu_star": policy.mu_star if math.isfinite(policy.mu_star) else None,
@@ -253,7 +250,7 @@ def _cmd_simulate(args) -> int:
     with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["snr_db", "se_oem", "se_oem_stderr", "se_mimo", "se_mimo_stderr"])
-        for op, mp in zip(oem_curve.points, mimo_curve.points):
+        for op, mp in zip(oem_curve, mimo_curve):
             writer.writerow([
                 _fmt(op.mean_snr_db), _fmt(op.se), _fmt(op.stderr),
                 _fmt(mp.se), _fmt(mp.stderr),
@@ -302,11 +299,18 @@ def _trial_count(text: str) -> int:
     return trials
 
 
-def _power_budget(text: str) -> float:
-    power = float(text)
-    if not (math.isfinite(power) and power > 0.0):
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return power
+    return value
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     design = sub.add_parser("design", help="closed-form antenna design calculators")
     design_sub = design.add_subparsers(dest="design_kind", required=True)
     patch = design_sub.add_parser("patch", help="rectangular microstrip patch element")
-    patch.add_argument("--freq-ghz", type=float, required=True)
+    patch.add_argument("--freq-ghz", type=_positive_finite, required=True)
     patch.add_argument("--eps-r", type=float, required=True)
     patch.add_argument("--thickness-mm", type=float, required=True)
     patch.add_argument("--z0", type=float, default=50.0)
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     dish.add_argument("--gain-db", type=float, required=True)
     dish.add_argument("--efficiency", type=float, required=True)
     dish.add_argument("--kappa", type=float, required=True)
-    dish.add_argument("--freq-ghz", type=float, required=True)
+    dish.add_argument("--freq-ghz", type=_positive_finite, required=True)
     dish.set_defaults(func=_cmd_design_dish)
 
     channel = sub.add_parser("channel", help="dump per-mode channel matrices as CSV")
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     waterfill = sub.add_parser("waterfill", help="instantaneous water-filling on a gamma CSV")
     waterfill.add_argument("--snr-csv", required=True)
-    waterfill.add_argument("--total-power", type=_power_budget, required=True)
+    waterfill.add_argument("--total-power", type=_positive_finite, required=True)
     waterfill.add_argument("--out", required=True)
     waterfill.set_defaults(func=_cmd_waterfill)
 
@@ -352,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"start:stop:step in dB, within +-{MAX_SNR_DB:g} dB, at most {MAX_SNR_POINTS} points",
     )
     simulate.add_argument("--trials", type=_trial_count, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
+    simulate.add_argument("--seed", type=_seed, required=True)
     simulate.add_argument("--out", required=True)
     simulate.add_argument("--model", choices=VARIANTS, default="convergent")
     simulate.add_argument("--normalization", choices=NORMALIZATIONS, default="per-channel")
-    simulate.add_argument("--total-power", type=_power_budget, default=1.0)
+    simulate.add_argument("--total-power", type=_positive_finite, default=1.0)
     simulate.set_defaults(func=_cmd_simulate)
 
     scenario = sub.add_parser("scenario", help="wavelength-regime check")

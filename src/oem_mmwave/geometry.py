@@ -135,20 +135,14 @@ def scenario_check(cfg: OemConfig) -> ScenarioReport:
     """Classify the deployment regime and report the admissible wavelengths.
 
     Scenario I requires d_a > lambda/2 and d_e <= lambda/2 (boundary
-    inclusive).  The admissible interval is
-    [r2*sqrt(8(1-cos(2 pi/U))), r1*sqrt(8(1-cos(2 pi/N)))), i.e.
-    [2*d_e, 2*d_a), derived from the chord-length formulas; the interval
-    can be empty when the two constraints cannot hold together.
+    inclusive), i.e. lambda in the admissible interval
+    [r2*sqrt(8(1-cos(2 pi/U))), r1*sqrt(8(1-cos(2 pi/N)))) = [2*d_e, 2*d_a),
+    so the regime is read off the interval; the interval can be empty
+    when the two constraints cannot hold together.
     """
     d_a, d_e = adjacent_distances(cfg)
-    lam_min, lam_max = wavelength_interval(cfg.r1, cfg.n_tx, cfg.r2, cfg.u_elems)
-    half = cfg.wavelength / 2.0
-    if d_a > half and d_e <= half:
-        scenario = "I"
-    elif d_a > half:
-        scenario = "II"
-    else:
-        scenario = "none"
+    lam_min, lam_max = 2.0 * d_e, 2.0 * d_a
+    scenario = "none" if cfg.wavelength >= lam_max else "I" if cfg.wavelength >= lam_min else "II"
     return ScenarioReport(
         scenario=scenario,
         d_adjacent_uca=d_a,

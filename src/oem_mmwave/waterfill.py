@@ -172,6 +172,8 @@ def _unit_draws(n_channels: int, count: int, seed: int, stage: int = 0) -> np.nd
     channels they have in common.  A draw of mean m is m times the unit
     draw, bit for bit.
     """
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be nonnegative, got {seed}")
     out = np.empty((n_channels, count))
     for k, row in enumerate(out):
         np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)

@@ -122,6 +122,17 @@ class TestErgodicEstimators:
         with pytest.raises(InvalidConfigError):
             ergodic_se_oem(base_cfg, fading, 10.0, 1.0, 2_000, seed=0)
 
+    def test_unknown_normalization_rejected(self):
+        with pytest.raises(InvalidConfigError, match="normalization"):
+            ergodic_se_mimo(2, 2, 10.0, 1.0, 2_000, seed=0, normalization="bad")
+
+    def test_negative_seed_rejected(self, base_cfg):
+        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
+        with pytest.raises(InvalidConfigError, match="seed"):
+            ergodic_se_oem(base_cfg, fading, 10.0, 1.0, 2_000, seed=-1)
+        with pytest.raises(InvalidConfigError, match="seed"):
+            ergodic_se_mimo(2, 2, 10.0, 1.0, 2_000, seed=-1)
+
 
 class TestRateAverage:
     @given(
@@ -175,9 +186,9 @@ class TestSweep:
         fading = FadingModel(mode_profile=np.ones(2))
         oem, mimo = sweep(cfg, fading, [0.0, 10.0, 20.0], 1.0, 2_000, seed=17)
         for curve in (oem, mimo):
-            ses = [p.se for p in curve.points]
+            ses = [p.se for p in curve]
             assert all(a <= b for a, b in zip(ses, ses[1:]))
-        for op, mp in zip(oem.points, mimo.points):
+        for op, mp in zip(oem, mimo):
             assert op.se >= mp.se - 2 * (op.stderr + mp.stderr)
 
     def test_empty_snr_list_rejected(self, base_cfg):
@@ -205,7 +216,7 @@ class TestSweep:
         fading = FadingModel(mode_profile=np.array(profile), normalization=normalization)
         snr_db_list = [-20.0, 0.0, 12.5, 30.0]
         oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 5_000, seed=3)
-        for snr_db, op, mp in zip(snr_db_list, oem.points, mimo.points):
+        for snr_db, op, mp in zip(snr_db_list, oem, mimo):
             single_oem = ergodic_se_oem(cfg, fading, snr_db, 0.2, 5_000, seed=3)
             single_mimo = ergodic_se_mimo(8, 4, snr_db, 0.2, 5_000, seed=3,
                                           normalization=normalization)
@@ -239,10 +250,10 @@ class TestSweep:
         curves = [sweep(cfg, fading, snrs, 0.5, 1_000, seed=9)
                   for snrs in (snr_db_list, shuffled)]
         for snrs, (oem, mimo) in zip((snr_db_list, shuffled), curves):
-            for snr_db, op, mp in zip(snrs, oem.points, mimo.points):
+            for snr_db, op, mp in zip(snrs, oem, mimo):
                 alone_oem, alone_mimo = sweep(cfg, fading, [snr_db], 0.5, 1_000, seed=9)
-                assert op == alone_oem.points[0]
-                assert mp == alone_mimo.points[0]
+                assert op == alone_oem[0]
+                assert mp == alone_mimo[0]
 
     def test_out_of_range_snr_rejected(self, base_cfg):
         fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
@@ -285,7 +296,7 @@ class TestClosedForm:
         fading = FadingModel(mode_profile=np.array(profile), normalization=normalization)
         snr_db_list = [0.0, 10.0, 20.0, 30.0]
         oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 10_000, seed=1)
-        for snr_db, op, mp in zip(snr_db_list, oem.points, mimo.points):
+        for snr_db, op, mp in zip(snr_db_list, oem, mimo):
             for point, means in ((op, mean_grid(snr_db, fading.mode_profile, 16)),
                                  (mp, 10.0 ** (snr_db / 10.0) * np.ones(16))):
                 budget = 0.2 * means.size if normalization == "per-channel" else 0.2

@@ -13,8 +13,8 @@ from oem_mmwave import (
     mode_power_profile,
 )
 from oem_mmwave import channel
-from oem_mmwave.channel import VARIANTS, conv_gains
-from oem_mmwave.errors import DomainError
+from oem_mmwave.channel import VARIANTS
+from oem_mmwave.errors import DomainError, InvalidConfigError
 from oracles import element_gain, mode_gain
 
 
@@ -167,6 +167,11 @@ class TestBuildModeChannels:
             assert np.allclose(off, off[0, 0], rtol=1e-12)
 
 
+    def test_unknown_variant_rejected(self, base_cfg):
+        with pytest.raises(InvalidConfigError, match="unknown channel variant"):
+            build_mode_channels(base_cfg, "bad")
+
+
 class TestModeChannelImmutable:
     def test_matrix_is_read_only(self, base_cfg):
         for ch in build_mode_channels(base_cfg):
@@ -252,8 +257,11 @@ class TestConvergenceGains:
         assert np.allclose(profile, 1.0, rtol=1e-9)
 
     def test_explicit_gains_override_default(self, base_cfg):
+        # profile |A_l J_l(x) / (A_0 J_0(x))|^2 of the configured gains A,
+        # with the series oracle for J at the convergent angle
         cfg = base_cfg.with_(conv_gains=(1.0, 2.0, 3.0, 4.0))
-        assert np.allclose(conv_gains(cfg), [1.0, 2.0, 3.0, 4.0])
+        expected = [abs(mode_ratio_oracle(cfg, "convergent", l)) ** 2 for l in range(cfg.u_elems)]
+        assert np.allclose(mode_power_profile(cfg, "convergent"), expected, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("build", [build_mode_channels, mode_power_profile])
     def test_each_bessel_value_is_computed_once(self, base_cfg, build, monkeypatch):

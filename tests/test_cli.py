@@ -20,6 +20,13 @@ def config_path(base_cfg, tmp_path):
     return str(path)
 
 
+# Valid design flags; a later repeat of a flag overrides its value here.
+DESIGN_FLAGS = {
+    "patch": ["--freq-ghz", "35", "--eps-r", "2.2", "--thickness-mm", "0.245"],
+    "dish": ["--gain-db", "36", "--efficiency", "0.5", "--kappa", "0.4", "--freq-ghz", "35"],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -60,6 +67,32 @@ class TestDesign:
         assert code == 3
         assert "config error" in err
 
+    @pytest.mark.parametrize("kind", ["patch", "dish"])
+    @pytest.mark.parametrize("freq", ["0", "-35", "nan", "inf"])
+    def test_bad_frequency_exits_2(self, kind, freq, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["design", kind, *DESIGN_FLAGS[kind], f"--freq-ghz={freq}"])
+        assert exc.value.code == 2
+        assert f"--freq-ghz: must be positive and finite, got {freq}" in capsys.readouterr().err
+
+    # NaN or infinite values printed NaN or Infinity, which is not JSON;
+    # 10**(4000/10) overflowed; a diameter outside the float range gave a
+    # zero surface coefficient or a division by zero
+    @pytest.mark.parametrize("kind, flags, field", [
+        ("dish", ["--gain-db", "4000"], "gain_db"),
+        ("dish", ["--gain-db", "nan"], "gain_db"),
+        ("dish", ["--gain-db", "inf"], "gain_db"),
+        ("patch", ["--z0", "nan"], "z0"),
+        ("patch", ["--eps-r", "inf"], "eps_r"),
+        ("dish", ["--efficiency", "1e-320", "--freq-ghz", "1e290"], "diameter"),
+        ("dish", ["--gain-db", "3000", "--freq-ghz", "1e-300"], "diameter"),
+    ])
+    def test_bad_number_exits_3_naming_the_field(self, kind, flags, field, capsys):
+        code, out, err = run(capsys, "design", kind, *DESIGN_FLAGS[kind], *flags)
+        assert code == 3
+        assert out == ""
+        assert field in err
+
 
 class TestScenario:
     def test_scenario_one_report(self, base_cfg, tmp_path, capsys):
@@ -71,6 +104,12 @@ class TestScenario:
         assert record["scenario"] == "I"
         lo, hi = record["wavelength_interval_mm"]
         assert lo <= record["wavelength_mm"] < hi
+
+    def test_missing_config_exits_3(self, tmp_path, capsys):
+        code, out, err = run(capsys, "scenario", "--config", str(tmp_path / "missing.json"))
+        assert code == 3
+        assert out == ""
+        assert "config error" in err and "missing.json" in err
 
     def test_bad_config_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -114,6 +153,17 @@ class TestChannel:
         assert code == 0
         rows = list(csv.DictReader(out_csv.open()))
         assert len(rows) == base_cfg.u_elems * base_cfg.m_rx * base_cfg.n_tx
+
+    def test_one_mode_writes_that_mode_of_the_full_dump(self, config_path, base_cfg, tmp_path,
+                                                         capsys):
+        full, one = tmp_path / "full.csv", tmp_path / "one.csv"
+        assert run(capsys, "channel", "--config", config_path, "--out", str(full))[0] == 0
+        assert run(capsys, "channel", "--config", config_path, "--mode", "2",
+                   "--out", str(one))[0] == 0
+        full_lines = full.read_text().splitlines()
+        mode_2 = [line for line in full_lines[1:] if line.startswith("2,")]
+        assert len(mode_2) == base_cfg.m_rx * base_cfg.n_tx
+        assert one.read_text().splitlines() == full_lines[:1] + mode_2
 
     def test_mode_out_of_range_exits_2_before_any_channel_is_built(self, config_path,
                                                                    monkeypatch, tmp_path,
@@ -169,9 +219,25 @@ class TestWaterfill:
         assert "line 3" in err and gamma in err
         assert not out_csv.exists()
 
+    def test_indices_are_labels(self, tmp_path, capsys):
+        # no array is sized by an index, so a huge one is a plain label
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_text("i,l,gamma\n10000000000000000000,0,2.0\n")
+        out_csv = tmp_path / "powers.csv"
+        code, _, _ = run(
+            capsys, "waterfill", "--snr-csv", str(snr_csv),
+            "--total-power", "0.5", "--out", str(out_csv),
+        )
+        assert code == 0
+        [row] = csv.DictReader(out_csv.open())
+        assert row["i"] == "10000000000000000000" and row["l"] == "0"
+        assert float(row["power"]) == 0.5
+        summary = json.loads((tmp_path / "powers.summary.json").read_text())
+        assert summary["active_count"] == 1
+
     def test_duplicate_channel_exits_3(self, tmp_path, capsys):
-        # the second (0, 0) row would replace the first in the grid, and
-        # both rows would be written out with the whole budget of 1
+        # two rows with one (i, l) label would be two channels that the
+        # output could not tell apart
         snr_csv = tmp_path / "gamma.csv"
         snr_csv.write_text("i,l,gamma\n0,0,5\n0,0,0.1\n")
         out_csv = tmp_path / "x.csv"
@@ -239,6 +305,30 @@ class TestSimulate:
         norms = np.array([np.linalg.norm(ch.matrix) ** 2 for ch in channels])
         assert echo["model"] == "exact-sum"
         assert echo["mode_profile"] == pytest.approx(list(norms / norms[0]), rel=1e-12)
+
+    def test_negative_seed_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--config", config_path,
+                "--snr-db", "0:10:5", "--trials", "1000", "--seed=-1",
+                "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "--seed: must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulation_error_exits_4(self, base_cfg, tmp_path, capsys):
+        path = tmp_path / "dead.json"
+        base_cfg.with_(conv_gains=(0.0, 1.0, 1.0, 1.0)).save(path)
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", str(path),
+            "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7", "--out", str(out),
+        )
+        assert code == 4
+        assert "simulation error" in err and "mode 0 gain vanished" in err
+        assert not out.exists()
 
     def test_too_few_trials_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "x.csv"

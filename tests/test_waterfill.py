@@ -177,6 +177,11 @@ class TestErgodic:
         b, _ = waterfill_ergodic(np.array([[10.0, 5.0]]), 1.0, samples=5_000, seed=9)
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        # numpy's own error would be a plain ValueError naming no seed
+        with pytest.raises(InvalidConfigError, match="seed must be nonnegative"):
+            waterfill_ergodic(np.array([[10.0, 5.0]]), 1.0, samples=5_000, seed=-1)
+
     def test_budget_met_on_independent_resample(self):
         means = np.array([[20.0, 8.0], [15.0, 3.0]])
         mu, rule = waterfill_ergodic(means, 2.0, samples=50_000, seed=4)
