@@ -11,7 +11,6 @@ from .antenna import (
     feed_impedance,
 )
 from .capacity import (
-    FadingModel,
     SePoint,
     ergodic_se_mimo,
     ergodic_se_oem,
@@ -31,7 +30,6 @@ from .geometry import (
     adjacent_distances,
     build_layout,
     scenario_check,
-    wavelength_interval,
 )
 from .transceiver import (
     DecomposedSignal,

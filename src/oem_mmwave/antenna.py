@@ -78,9 +78,10 @@ def design_patch(spec: PatchSpec) -> PatchDesign:
     w_over_t = width / t
     gap = 0.412 * t * (eps_eff + 0.3) * (w_over_t + 0.264) / ((eps_eff - 0.258) * (w_over_t + 0.8))
     length = guide_wavelength / 2.0 - 2.0 * gap
-    if length <= 0.0:
+    if not (length > 0.0):  # NaN when W/T overflows for a vanishing thickness
         raise InvalidConfigError(
-            f"substrate too thick for this wavelength: resonant length {length:.3e} m"
+            f"thickness {t:.3e} m leaves no positive resonant length at this wavelength,"
+            f" got {length:.3e} m"
         )
     xi_re = _eff_permittivity(eps_r, t / length)
     feed_offset = length / 2.0 * (1.0 - 1.0 / math.sqrt(xi_re))

@@ -1,9 +1,10 @@
 """Ergodic spectrum-efficiency estimation for OEM and plain massive MIMO.
 
 Fading draws each channel SNR i.i.d. exponential (Rayleigh amplitude)
-around its mean; the mean of channel (i, l) is the mean SNR, an argument
-of each estimator, times the per-mode power profile g_l of the
-``FadingModel``.  Two budget conventions:
+around its mean; the mean of channel (i, l) is the mean SNR times the
+per-mode power profile g_l (g_0 = 1; ``channel.mode_power_profile``).
+The mean SNR, the profile and the budget convention are arguments of
+each estimator.  Two budget conventions, the ``normalization`` argument:
 
 * ``per-channel`` — the total power budget is total_power times the
   channel count, i.e. the per-channel average budget is held fixed as
@@ -43,7 +44,7 @@ one-point sweeps, so a sweep point equals them bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,32 +81,6 @@ def _snr_linear(snr_db: float) -> float:
             f"mean SNR must be finite and within +-{MAX_SNR_DB:g} dB, got {snr_db}"
         )
     return 10.0 ** (snr_db / 10.0)
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Per-mode power profile and budget convention of the fading simulation.
-
-    mode_profile : relative per-mode power gains, g_0 normalized to 1.
-    normalization : budget convention, "per-channel" or "total".
-    """
-
-    mode_profile: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-    normalization: str = "per-channel"
-
-    def __post_init__(self):
-        profile = np.asarray(self.mode_profile, dtype=float)
-        if profile.ndim != 1 or profile.size < 1:
-            raise InvalidConfigError("mode profile must be a nonempty vector")
-        if np.any(profile < 0.0) or not np.all(np.isfinite(profile)):
-            raise InvalidConfigError("mode profile entries must be finite and nonnegative")
-        if not math.isclose(profile[0], 1.0, rel_tol=1e-9):
-            raise InvalidConfigError(f"mode profile must be normalized to g_0 = 1, got {profile[0]}")
-        if self.normalization not in NORMALIZATIONS:
-            raise InvalidConfigError(
-                f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
-            )
-        object.__setattr__(self, "mode_profile", profile)
 
 
 @dataclass(frozen=True)
@@ -200,13 +175,20 @@ def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trial
     return curves
 
 
-def _oem_pattern(cfg: OemConfig, fading: FadingModel, total_power: float) -> _Pattern:
-    if fading.mode_profile.size != cfg.u_elems:
+def _oem_pattern(cfg: OemConfig, mode_profile: np.ndarray, total_power: float,
+                 normalization: str) -> _Pattern:
+    """min(N, M) streams of gain g_l on each mode l; the profile must hold U entries."""
+    profile = np.asarray(mode_profile, dtype=float)
+    if profile.shape != (cfg.u_elems,):
         raise InvalidConfigError(
-            f"mode profile has {fading.mode_profile.size} entries, config has U={cfg.u_elems} modes"
+            f"mode profile must be a vector of U={cfg.u_elems} entries, got shape {profile.shape}"
         )
-    gains = np.repeat(fading.mode_profile, min(cfg.n_tx, cfg.m_rx))
-    return _Pattern(gains, _budget(total_power, gains.size, fading.normalization))
+    if np.any(profile < 0.0) or not np.all(np.isfinite(profile)):
+        raise InvalidConfigError("mode profile entries must be finite and nonnegative")
+    if not math.isclose(profile[0], 1.0, rel_tol=1e-9):
+        raise InvalidConfigError(f"mode profile must be normalized to g_0 = 1, got {profile[0]}")
+    gains = np.repeat(profile, min(cfg.n_tx, cfg.m_rx))
+    return _Pattern(gains, _budget(total_power, gains.size, normalization))
 
 
 def _mimo_pattern(n: int, m: int, total_power: float, normalization: str) -> _Pattern:
@@ -216,10 +198,15 @@ def _mimo_pattern(n: int, m: int, total_power: float, normalization: str) -> _Pa
     return _Pattern(gains, _budget(total_power, gains.size, normalization))
 
 
-def ergodic_se_oem(cfg: OemConfig, fading: FadingModel, mean_snr_db: float, total_power: float,
-                   trials: int, seed: int) -> SePoint:
-    """Ergodic SE of the OEM link: min(N, M) streams on each of U modes."""
-    pattern = _oem_pattern(cfg, fading, total_power)
+def ergodic_se_oem(cfg: OemConfig, mode_profile: np.ndarray, mean_snr_db: float,
+                   total_power: float, trials: int, seed: int,
+                   normalization: str = "per-channel") -> SePoint:
+    """Ergodic SE of the OEM link: min(N, M) streams on each of U modes.
+
+    ``mode_profile`` holds the U per-mode power gains g_l, g_0 = 1, e.g.
+    from ``channel.mode_power_profile``.
+    """
+    pattern = _oem_pattern(cfg, mode_profile, total_power, normalization)
     return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0][0]
 
 
@@ -230,8 +217,9 @@ def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
     return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0][0]
 
 
-def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float], total_power: float,
-          trials: int, seed: int) -> tuple[tuple[SePoint, ...], tuple[SePoint, ...]]:
+def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float],
+          total_power: float, trials: int, seed: int, normalization: str = "per-channel"
+          ) -> tuple[tuple[SePoint, ...], tuple[SePoint, ...]]:
     """SE-versus-SNR curves for the OEM link and its N x M MIMO baseline.
 
     Returns two tuples of ``SePoint``, OEM then MIMO, one point per entry
@@ -240,7 +228,7 @@ def sweep(cfg: OemConfig, fading: FadingModel, snr_db_list: Sequence[float], tot
     made once for all min(N, M)*U channels; the MIMO channels are the
     first min(N, M), the OEM mode-0 ones.
     """
-    oem = _oem_pattern(cfg, fading, total_power)
-    mimo = _mimo_pattern(cfg.n_tx, cfg.m_rx, total_power, fading.normalization)
+    oem = _oem_pattern(cfg, mode_profile, total_power, normalization)
+    mimo = _mimo_pattern(cfg.n_tx, cfg.m_rx, total_power, normalization)
     mimo_curve, oem_curve = _ergodic_curves([mimo, oem], snr_db_list, trials, seed)
     return oem_curve, mimo_curve

@@ -39,13 +39,13 @@ VARIANTS = ("exact-sum", "bessel", "convergent")
 class ModeChannel:
     """Complex M x N channel matrix of one OAM mode, including the V factor.
 
-    The matrix is a read-only complex copy of the one passed in, so the
-    zero-forcing solution computed from it on first use stays valid.
-    Channels compare and hash by identity, as an ndarray field has no
-    single truth value.
+    A channel does not store its mode: mode l is position l of the list
+    that ``build_mode_channels`` returns.  The matrix is a read-only
+    complex copy of the one passed in, so the zero-forcing solution
+    computed from it on first use stays valid.  Channels compare and
+    hash by identity, as an ndarray field has no single truth value.
     """
 
-    mode: int
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -69,7 +69,7 @@ class ModeChannel:
         svals = np.linalg.svd(h, compute_uv=False)
         if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
             raise RankDeficientError(
-                f"mode {self.mode} channel matrix is rank deficient "
+                f"channel matrix is rank deficient "
                 f"(singular value ratio {svals[-1] / svals[0]:.2e})"
             )
         gram_inv = np.linalg.inv(h.conj().T @ h)
@@ -149,8 +149,9 @@ def _base_gain(cfg: OemConfig, d):
 def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> list[ModeChannel]:
     """Deterministic line-of-sight channel matrices for all modes 0..U-1.
 
-    Mode l's matrix is V * c_l * B: V times the per-UCA mode gains, so
-    the matrices apply directly to mode-decomposed receive signals.
+    Entry l of the list is mode l's channel.  Its matrix is V * c_l * B:
+    V times the per-UCA mode gains, so the matrices apply directly to
+    mode-decomposed receive signals.
     """
     base = _base_gain(cfg, build_layout(cfg).center_distances)
     channels = []
@@ -158,7 +159,7 @@ def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> list[ModeCh
         matrix = cfg.v_elems * (coeff * base)
         if not np.all(np.isfinite(matrix)):
             raise InvalidConfigError(f"mode {l} channel matrix has non-finite entries")
-        channels.append(ModeChannel(mode=l, matrix=matrix))
+        channels.append(ModeChannel(matrix))
     return channels
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .antenna import PatchSpec, design_dish, design_patch, feed_impedance
-from .capacity import MAX_SNR_DB, NORMALIZATIONS, FadingModel, sweep
+from .capacity import MAX_SNR_DB, NORMALIZATIONS, sweep
 from .channel import build_mode_channels, mode_power_profile, VARIANTS
 from .config import OemConfig
 from .errors import InvalidConfigError, OemError
@@ -144,12 +144,12 @@ def _cmd_channel(args) -> int:
     with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["mode", "m", "n", "re", "im"])
-        for ch in channels:
-            if args.mode is not None and ch.mode != args.mode:
+        for l, ch in enumerate(channels):
+            if args.mode is not None and l != args.mode:
                 continue
             for m, row in enumerate(ch.matrix.tolist(), start=1):
                 for n, entry in enumerate(row, start=1):
-                    writer.writerow([ch.mode, m, n, _fmt(entry.real), _fmt(entry.imag)])
+                    writer.writerow([l, m, n, _fmt(entry.real), _fmt(entry.imag)])
     _write_manifest("channel", cfg.to_json_dict(), None, [args.out])
     return EXIT_OK
 
@@ -243,9 +243,8 @@ def _cmd_simulate(args) -> int:
         print(f"bad --snr-db: {exc}", file=sys.stderr)
         return EXIT_USAGE
     profile = mode_power_profile(cfg, args.model)
-    fading = FadingModel(mode_profile=profile, normalization=args.normalization)
     oem_curve, mimo_curve = sweep(
-        cfg, fading, snr_list, args.total_power, args.trials, args.seed
+        cfg, profile, snr_list, args.total_power, args.trials, args.seed, args.normalization
     )
     with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -259,7 +258,7 @@ def _cmd_simulate(args) -> int:
         "config": cfg.to_json_dict(),
         "model": args.model,
         "normalization": args.normalization,
-        "mode_profile": [float(g) for g in fading.mode_profile],
+        "mode_profile": [float(g) for g in profile],
         "snr_db": snr_list,
         "trials": args.trials,
         "total_power": args.total_power,

@@ -119,18 +119,6 @@ def adjacent_distances(cfg: OemConfig) -> tuple[float, float]:
     return chord_length(cfg.r1, cfg.n_tx), chord_length(cfg.r2, cfg.u_elems)
 
 
-def wavelength_interval(r1: float, n: int, r2: float, u: int) -> tuple[float, float]:
-    """Admissible [lo, hi) wavelength interval for the OEM regime.
-
-    lo = 2 * element chord, hi = 2 * UCA-center chord.  The interval is
-    empty (lo >= hi) when the two spacing constraints cannot hold at the
-    same time, e.g. r2 == r1 with U == N.
-    """
-    if n < 2 or u < 2:
-        raise InvalidConfigError(f"wavelength interval needs N >= 2 and U >= 2, got N={n} U={u}")
-    return 2.0 * chord_length(r2, u), 2.0 * chord_length(r1, n)
-
-
 def scenario_check(cfg: OemConfig) -> ScenarioReport:
     """Classify the deployment regime and report the admissible wavelengths.
 

@@ -2,6 +2,7 @@
 
 Symbols live on a complex N x U grid: entry (n, l) is the symbol of OAM
 mode l on transmit UCA n.  Element observations live on an M x V grid.
+Channels come as the list of ``build_mode_channels``: entry l is mode l.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ def propagate(symbols: np.ndarray, channels: Sequence[ModeChannel], cfg: OemConf
         )
     if len(channels) != cfg.u_elems:
         raise InvalidConfigError(f"need one channel per mode 0..{cfg.u_elems - 1}")
-    m_rx, v = cfg.m_rx, cfg.v_elems
+    m_rx, u, v = cfg.m_rx, cfg.u_elems, cfg.v_elems
     # (M, U) per-UCA sums, without the decomposition factor V
-    per_uca = np.column_stack([ch.matrix @ symbols[:, ch.mode] for ch in channels]) / v
+    per_uca = np.column_stack([ch.matrix @ symbols[:, l] for l, ch in enumerate(channels)]) / v
     if per_uca.shape[0] != m_rx:
         raise InvalidConfigError(f"channel matrices must have M = {m_rx} rows")
-    modes = [ch.mode for ch in channels]
-    ramps = np.exp(2j * np.pi * np.outer(modes, np.arange(v)) / v)  # (l, v_idx)
+    ramps = np.exp(2j * np.pi * np.outer(np.arange(u), np.arange(v)) / v)  # (l, v_idx)
     out = per_uca @ ramps
     if cfg.noise_var > 0.0:
         noise = np.random.default_rng(noise_seed).standard_normal((2, m_rx, v))
@@ -112,15 +112,22 @@ def zf_detect(decomposed: DecomposedSignal, channels: Sequence[ModeChannel]
     computed once per channel, so a block costs one product per mode.
     """
     values = decomposed.values
-    m_rx = values.shape[0]
+    m_rx, u = values.shape
+    if len(channels) != u:
+        raise InvalidConfigError(
+            f"need one channel per mode 0..{u - 1}, got {len(channels)} channels"
+        )
     n_tx = channels[0].matrix.shape[1]
     if m_rx < n_tx:
         raise RankDeficientError(f"zero forcing needs M >= N, got M={m_rx} N={n_tx}")
-    estimates = np.empty((n_tx, len(channels)), dtype=complex)
-    weights = np.empty((n_tx, len(channels)))
+    estimates = np.empty((n_tx, u), dtype=complex)
+    weights = np.empty((n_tx, u))
     sigma2 = decomposed.noise_var_per_mode if decomposed.noise_var_per_mode > 0.0 else 1.0
-    for ch in channels:
-        zf_filter, noise_gains = ch.zf_solution
-        estimates[:, ch.mode] = zf_filter @ values[:, ch.mode]
-        weights[:, ch.mode] = 1.0 / (sigma2 * noise_gains)
+    for l, ch in enumerate(channels):
+        try:
+            zf_filter, noise_gains = ch.zf_solution
+        except RankDeficientError as exc:
+            raise RankDeficientError(f"mode {l}: {exc}") from exc
+        estimates[:, l] = zf_filter @ values[:, l]
+        weights[:, l] = 1.0 / (sigma2 * noise_gains)
     return estimates, SnrGrid(values=weights)

@@ -25,6 +25,13 @@ LN2 = math.log(2.0)
 # Fewest fading draws per channel an ergodic solve accepts.
 MIN_SAMPLES = 1_000
 
+# Most draws (channels x trials) one stage may hold: 2**27 float64 values
+# are 1 GiB.  A sweep keeps at most four buffers of this size alive, so a
+# run stays within a few GiB and fails with a message, not a MemoryError,
+# beyond that.  The 64x64 U=16 link at 10k trials uses 1e7 draws, 1/13 of
+# the cap.
+MAX_DRAWS = 2**27
+
 GridLike = Union["SnrGrid", np.ndarray]
 
 
@@ -174,6 +181,11 @@ def _unit_draws(n_channels: int, count: int, seed: int, stage: int = 0) -> np.nd
     """
     if seed < 0:
         raise InvalidConfigError(f"seed must be nonnegative, got {seed}")
+    if n_channels * count > MAX_DRAWS:
+        raise InvalidConfigError(
+            f"{count} trials of {n_channels} channels exceed the {MAX_DRAWS} draws"
+            f" one run may hold; use at most {MAX_DRAWS // n_channels} trials"
+        )
     out = np.empty((n_channels, count))
     for k, row in enumerate(out):
         np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)

@@ -17,7 +17,6 @@ import pytest
 
 from oem_mmwave import (
     DishDesign,
-    FadingModel,
     PatchSpec,
     build_mode_channels,
     classify_region,
@@ -81,8 +80,7 @@ def test_1_multiplicative_se(base_cfg):
         ratios = {}
         for n, u, expected in ((16, 4, 2.0), (32, 4, 4.0), (32, 8, 8.0)):
             cfg = base_cfg.with_(n_tx=n, m_rx=n, u_elems=u, v_elems=u)
-            fading = FadingModel(mode_profile=np.ones(u))
-            point = ergodic_se_oem(cfg, fading, 20.0, 0.2, TRIALS, seed=SEED)
+            point = ergodic_se_oem(cfg, np.ones(u), 20.0, 0.2, TRIALS, seed=SEED)
             ratios[(n, u)] = point.se / baseline.se
             assert point.se / baseline.se == pytest.approx(expected, rel=0.03), ratios
         assert time.monotonic() - start < 120.0
@@ -99,9 +97,9 @@ def test_2_non_convergent_collapse(base_cfg):
         cfg = base_cfg.with_(n_tx=4, m_rx=4, u_elems=2, v_elems=2, r2=1e-5)
         profile = mode_power_profile(cfg, "bessel")
         assert profile[1] / profile[0] < 1e-3
-        fading = FadingModel(mode_profile=profile, normalization="total")
         for snr_db in range(0, 31, 5):
-            oem = ergodic_se_oem(cfg, fading, snr_db, 0.2, TRIALS, seed=SEED)
+            oem = ergodic_se_oem(cfg, profile, snr_db, 0.2, TRIALS, seed=SEED,
+                                 normalization="total")
             mimo = ergodic_se_mimo(
                 4, 4, snr_db, 0.2, TRIALS, seed=SEED, normalization="total"
             )

@@ -41,6 +41,11 @@ class TestDesignPatch:
         with pytest.raises(InvalidConfigError):
             design_patch(PatchSpec(wavelength=1e-3, eps_r=2.2, thickness=5e-3))
 
+    def test_vanishing_thickness_rejected_naming_it(self):
+        # W/T overflows to inf, so the gap and the resonant length are NaN
+        with pytest.raises(InvalidConfigError, match="thickness"):
+            design_patch(PatchSpec(wavelength=WAVELENGTH_35GHZ, eps_r=2.2, thickness=1e-323))
+
     @given(st.floats(0.1, 10.0))
     def test_scale_covariance(self, c):
         a = design_patch(PatchSpec(**REFERENCE_SPEC))

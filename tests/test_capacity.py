@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oem_mmwave import (
-    FadingModel,
     OemConfig,
     PowerPolicy,
     ergodic_se_mimo,
@@ -78,8 +77,7 @@ class TestInstantaneousSe:
 class TestErgodicEstimators:
     def test_oem_with_one_mode_equals_mimo(self, base_cfg):
         cfg = base_cfg.with_(u_elems=1, v_elems=1, n_tx=4, m_rx=4, phi_c=0.0)
-        fading = FadingModel(mode_profile=np.ones(1))
-        oem = ergodic_se_oem(cfg, fading, 10.0, 1.0, 2_000, seed=11)
+        oem = ergodic_se_oem(cfg, np.ones(1), 10.0, 1.0, 2_000, seed=11)
         mimo = ergodic_se_mimo(4, 4, 10.0, 1.0, 2_000, seed=11)
         assert oem.se == pytest.approx(mimo.se, rel=1e-12)
 
@@ -89,8 +87,7 @@ class TestErgodicEstimators:
         # the shared channel substreams
         cfg = base_cfg.with_(n_tx=4, m_rx=4, u_elems=2, v_elems=2)
         profile = np.array([1.0, 0.0])
-        fading = FadingModel(mode_profile=profile, normalization="total")
-        oem = ergodic_se_oem(cfg, fading, 15.0, 4.0, 3_000, seed=21)
+        oem = ergodic_se_oem(cfg, profile, 15.0, 4.0, 3_000, seed=21, normalization="total")
         mimo = ergodic_se_mimo(4, 4, 15.0, 4.0, 3_000, seed=21, normalization="total")
         assert oem.se == pytest.approx(mimo.se, abs=2 * (oem.stderr + mimo.stderr))
 
@@ -113,25 +110,28 @@ class TestErgodicEstimators:
         assert abs(a.se - b.se) / a.se < 0.01
 
     def test_trial_floor_enforced(self, base_cfg):
-        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError):
-            ergodic_se_oem(base_cfg, fading, 10.0, 1.0, 100, seed=0)
+            ergodic_se_oem(base_cfg, np.ones(base_cfg.u_elems), 10.0, 1.0, 100, seed=0)
 
     def test_profile_length_must_match_modes(self, base_cfg):
-        fading = FadingModel(mode_profile=np.ones(2))
         with pytest.raises(InvalidConfigError):
-            ergodic_se_oem(base_cfg, fading, 10.0, 1.0, 2_000, seed=0)
+            ergodic_se_oem(base_cfg, np.ones(2), 10.0, 1.0, 2_000, seed=0)
 
     def test_unknown_normalization_rejected(self):
         with pytest.raises(InvalidConfigError, match="normalization"):
             ergodic_se_mimo(2, 2, 10.0, 1.0, 2_000, seed=0, normalization="bad")
 
     def test_negative_seed_rejected(self, base_cfg):
-        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError, match="seed"):
-            ergodic_se_oem(base_cfg, fading, 10.0, 1.0, 2_000, seed=-1)
+            ergodic_se_oem(base_cfg, np.ones(base_cfg.u_elems), 10.0, 1.0, 2_000, seed=-1)
         with pytest.raises(InvalidConfigError, match="seed"):
             ergodic_se_mimo(2, 2, 10.0, 1.0, 2_000, seed=-1)
+
+    def test_draw_cap_rejected_before_drawing(self, base_cfg):
+        with pytest.raises(InvalidConfigError, match="trials"):
+            ergodic_se_mimo(2, 2, 10.0, 1.0, 10**15, seed=0)
+        with pytest.raises(InvalidConfigError, match="trials"):
+            sweep(base_cfg, np.ones(base_cfg.u_elems), [10.0], 1.0, 10**15, seed=0)
 
 
 class TestRateAverage:
@@ -148,9 +148,8 @@ class TestRateAverage:
         # zero-gain modes draw zero SNR; the literal rate skips them by
         # 1/gamma = inf, the estimator by log2(0) = -inf
         profile = np.array([1.0] + profile_tail)
-        fading = FadingModel(mode_profile=profile, normalization=normalization)
-        point = ergodic_se_oem(link(streams, streams, profile.size), fading, snr_db, 0.7, 1_000,
-                               seed)
+        point = ergodic_se_oem(link(streams, streams, profile.size), profile, snr_db, 0.7, 1_000,
+                               seed, normalization)
         means = mean_grid(snr_db, profile, streams)
         budget = 0.7 * means.size if normalization == "per-channel" else 0.7
         se, stderr = literal_se(means, budget, 1_000, seed)
@@ -172,9 +171,9 @@ class TestRateAverage:
 class TestWaterfillingOptimality:
     def test_beats_uniform_power(self):
         cfg = link(2, 2, 2)
-        fading = FadingModel(mode_profile=np.array([1.0, 0.1]), normalization="total")
-        point = ergodic_se_oem(cfg, fading, 20.0, 1.0, 5_000, seed=13)
-        means = mean_grid(20.0, fading.mode_profile, 2)
+        profile = np.array([1.0, 0.1])
+        point = ergodic_se_oem(cfg, profile, 20.0, 1.0, 5_000, seed=13, normalization="total")
+        means = mean_grid(20.0, profile, 2)
         gammas = sample_snr_realizations(means.flatten(order="F"), 5_000, seed=13, stage=1)
         uniform = np.log2(1.0 + (1.0 / means.size) * gammas).sum(axis=1).mean()
         assert point.se >= uniform
@@ -183,8 +182,7 @@ class TestWaterfillingOptimality:
 class TestSweep:
     def test_monotone_curves_and_oem_dominance(self, base_cfg):
         cfg = base_cfg.with_(n_tx=2, m_rx=2, u_elems=2, v_elems=2, noise_var=1.0)
-        fading = FadingModel(mode_profile=np.ones(2))
-        oem, mimo = sweep(cfg, fading, [0.0, 10.0, 20.0], 1.0, 2_000, seed=17)
+        oem, mimo = sweep(cfg, np.ones(2), [0.0, 10.0, 20.0], 1.0, 2_000, seed=17)
         for curve in (oem, mimo):
             ses = [p.se for p in curve]
             assert all(a <= b for a, b in zip(ses, ses[1:]))
@@ -192,19 +190,16 @@ class TestSweep:
             assert op.se >= mp.se - 2 * (op.stderr + mp.stderr)
 
     def test_empty_snr_list_rejected(self, base_cfg):
-        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError):
-            sweep(base_cfg, fading, [], 1.0, 2_000, seed=0)
+            sweep(base_cfg, np.ones(base_cfg.u_elems), [], 1.0, 2_000, seed=0)
 
     def test_profile_length_must_match_modes(self, base_cfg):
-        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems - 1))
         with pytest.raises(InvalidConfigError):
-            sweep(base_cfg, fading, [0.0], 1.0, 2_000, seed=0)
+            sweep(base_cfg, np.ones(base_cfg.u_elems - 1), [0.0], 1.0, 2_000, seed=0)
 
     def test_trial_floor_enforced(self, base_cfg):
-        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         with pytest.raises(InvalidConfigError):
-            sweep(base_cfg, fading, [0.0], 1.0, 999, seed=0)
+            sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0], 1.0, 999, seed=0)
 
     @pytest.mark.parametrize("normalization", ["per-channel", "total"])
     @pytest.mark.parametrize("profile", [[1.0, 0.7, 0.3, 0.1], [1.0, 0.0, 0.5, 0.0]])
@@ -213,11 +208,12 @@ class TestSweep:
         # N != M; 5000 trials of 16 channels pool 80,000 draws, more than
         # one chunk of the water-level scan
         cfg = base_cfg.with_(n_tx=8, m_rx=4, u_elems=4, v_elems=4)
-        fading = FadingModel(mode_profile=np.array(profile), normalization=normalization)
         snr_db_list = [-20.0, 0.0, 12.5, 30.0]
-        oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 5_000, seed=3)
+        oem, mimo = sweep(cfg, profile, snr_db_list, 0.2, 5_000, seed=3,
+                          normalization=normalization)
         for snr_db, op, mp in zip(snr_db_list, oem, mimo):
-            single_oem = ergodic_se_oem(cfg, fading, snr_db, 0.2, 5_000, seed=3)
+            single_oem = ergodic_se_oem(cfg, profile, snr_db, 0.2, 5_000, seed=3,
+                                        normalization=normalization)
             single_mimo = ergodic_se_mimo(8, 4, snr_db, 0.2, 5_000, seed=3,
                                           normalization=normalization)
             assert op.mean_snr_db == mp.mean_snr_db == snr_db
@@ -226,11 +222,11 @@ class TestSweep:
 
     def test_working_memory_stays_below_four_draw_arrays(self, base_cfg):
         cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4)
-        fading = FadingModel(mode_profile=np.array([1.0, 0.8, 0.6, 0.8]))
+        profile = np.array([1.0, 0.8, 0.6, 0.8])
         trials, n_channels = 10_000, 16 * 4
         tracemalloc.start()
         try:
-            sweep(cfg, fading, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], 0.2, trials, seed=7)
+            sweep(cfg, profile, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], 0.2, trials, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -244,22 +240,21 @@ class TestSweep:
     @settings(max_examples=20, deadline=None)
     def test_point_ignores_the_other_points_and_their_order(self, snr_db_list, order):
         cfg = link(3, 2, 3)
-        fading = FadingModel(mode_profile=np.array([1.0, 0.0, 0.4]))
+        profile = np.array([1.0, 0.0, 0.4])
         shuffled = list(snr_db_list)
         order.shuffle(shuffled)
-        curves = [sweep(cfg, fading, snrs, 0.5, 1_000, seed=9)
+        curves = [sweep(cfg, profile, snrs, 0.5, 1_000, seed=9)
                   for snrs in (snr_db_list, shuffled)]
         for snrs, (oem, mimo) in zip((snr_db_list, shuffled), curves):
             for snr_db, op, mp in zip(snrs, oem, mimo):
-                alone_oem, alone_mimo = sweep(cfg, fading, [snr_db], 0.5, 1_000, seed=9)
+                alone_oem, alone_mimo = sweep(cfg, profile, [snr_db], 0.5, 1_000, seed=9)
                 assert op == alone_oem[0]
                 assert mp == alone_mimo[0]
 
     def test_out_of_range_snr_rejected(self, base_cfg):
-        fading = FadingModel(mode_profile=np.ones(base_cfg.u_elems))
         for bad in (math.nan, math.inf, MAX_SNR_DB + 1.0, -MAX_SNR_DB - 1.0):
             with pytest.raises(InvalidConfigError):
-                sweep(base_cfg, fading, [0.0, bad], 1.0, 1_000, seed=0)
+                sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0, bad], 1.0, 1_000, seed=0)
 
 
 def closed_form_se(means, total_power):
@@ -293,11 +288,11 @@ class TestClosedForm:
     @pytest.mark.parametrize("profile", [[1.0, 1.0, 1.0, 1.0], [1.0, 0.5, 0.25, 0.0]])
     def test_sweep_matches_the_e1_closed_form(self, normalization, profile):
         cfg = link(16, 16, 4)
-        fading = FadingModel(mode_profile=np.array(profile), normalization=normalization)
         snr_db_list = [0.0, 10.0, 20.0, 30.0]
-        oem, mimo = sweep(cfg, fading, snr_db_list, 0.2, 10_000, seed=1)
+        oem, mimo = sweep(cfg, profile, snr_db_list, 0.2, 10_000, seed=1,
+                          normalization=normalization)
         for snr_db, op, mp in zip(snr_db_list, oem, mimo):
-            for point, means in ((op, mean_grid(snr_db, fading.mode_profile, 16)),
+            for point, means in ((op, mean_grid(snr_db, np.array(profile), 16)),
                                  (mp, 10.0 ** (snr_db / 10.0) * np.ones(16))):
                 budget = 0.2 * means.size if normalization == "per-channel" else 0.2
                 exact = closed_form_se(means, budget)
@@ -305,25 +300,53 @@ class TestClosedForm:
 
 
 class TestFadingModel:
+    """The fading model's inputs, checked by every estimator that takes them."""
+
+    @staticmethod
+    def estimators(profile, normalization="per-channel"):
+        """ergodic_se_oem and sweep on a 2x2 U=3 link, as zero-argument calls."""
+        cfg = link(2, 2, 3)
+        return (
+            lambda: ergodic_se_oem(cfg, profile, 10.0, 1.0, 1_000, seed=0,
+                                   normalization=normalization),
+            lambda: sweep(cfg, profile, [10.0], 1.0, 1_000, seed=0, normalization=normalization),
+        )
+
     def test_profile_must_be_normalized(self):
-        with pytest.raises(InvalidConfigError):
-            FadingModel(mode_profile=np.array([2.0, 1.0]))
+        for call in self.estimators(np.array([2.0, 1.0, 1.0])):
+            with pytest.raises(InvalidConfigError, match="g_0 = 1"):
+                call()
+
+    @pytest.mark.parametrize("profile, message", [
+        ([1.0, -0.5, 0.2], "finite and nonnegative"),
+        ([1.0, math.nan, 0.2], "finite and nonnegative"),
+        ([1.0, 0.5, math.inf], "finite and nonnegative"),
+        ([[1.0, 0.5, 0.2]], "vector of U=3"),
+        ([1.0, 0.5], "vector of U=3"),
+        ([1.0, 0.5, 0.2, 0.1], "vector of U=3"),
+        ([], "vector of U=3"),
+    ])
+    def test_bad_profile_rejected(self, profile, message):
+        for call in self.estimators(np.array(profile)):
+            with pytest.raises(InvalidConfigError, match=message):
+                call()
 
     def test_unknown_normalization_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            FadingModel(normalization="per-antenna")
+        for call in self.estimators(np.ones(3), normalization="per-antenna"):
+            with pytest.raises(InvalidConfigError, match="normalization"):
+                call()
 
     @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, MAX_SNR_DB + 0.5,
                                         -MAX_SNR_DB - 0.5, 3100.0])
     def test_out_of_range_snr_rejected(self, snr_db):
         cfg = link(2, 2, 1)
         with pytest.raises(InvalidConfigError):
-            ergodic_se_oem(cfg, FadingModel(), snr_db, 1.0, 1_000, seed=0)
+            ergodic_se_oem(cfg, np.ones(1), snr_db, 1.0, 1_000, seed=0)
         with pytest.raises(InvalidConfigError):
             ergodic_se_mimo(2, 2, snr_db, 1.0, 1_000, seed=0)
 
     def test_snr_bound_is_inclusive(self):
         cfg = link(2, 2, 1)
         for snr_db in (-MAX_SNR_DB, MAX_SNR_DB):
-            assert math.isfinite(ergodic_se_oem(cfg, FadingModel(), snr_db, 1.0, 1_000, seed=0).se)
+            assert math.isfinite(ergodic_se_oem(cfg, np.ones(1), snr_db, 1.0, 1_000, seed=0).se)
             assert math.isfinite(ergodic_se_mimo(2, 2, snr_db, 1.0, 1_000, seed=0).se)

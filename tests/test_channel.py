@@ -150,9 +150,9 @@ class TestBuildModeChannels:
         cfg = base_cfg.with_(n_tx=1, m_rx=1)
         channels = build_mode_channels(cfg, "bessel")
         assert len(channels) == cfg.u_elems
-        for ch in channels:
+        for l, ch in enumerate(channels):
             assert ch.matrix.shape == (1, 1)
-            expected = cfg.v_elems * mode_gain(cfg, 0, 0, ch.mode, "bessel")
+            expected = cfg.v_elems * mode_gain(cfg, 0, 0, l, "bessel")
             assert ch.matrix[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_equal_distances_give_equal_magnitudes(self, base_cfg):
@@ -180,7 +180,7 @@ class TestModeChannelImmutable:
 
     def test_caller_array_is_copied_and_left_writeable(self):
         source = np.array([[2.0, 0.0], [0.0, 3.0]])
-        ch = ModeChannel(mode=0, matrix=source)
+        ch = ModeChannel(matrix=source)
         source[0, 0] = 99.0
         assert source.flags.writeable
         assert ch.matrix.dtype == complex
@@ -192,8 +192,8 @@ class TestModeChannelImmutable:
         assert not noise_gains.flags.writeable
 
     def test_compares_and_hashes_by_identity(self):
-        a = ModeChannel(mode=0, matrix=np.eye(2))
-        b = ModeChannel(mode=0, matrix=np.eye(2))
+        a = ModeChannel(matrix=np.eye(2))
+        b = ModeChannel(matrix=np.eye(2))
         assert a == a
         assert a != b
         assert hash(a) == hash(a)
@@ -233,8 +233,8 @@ class TestRankOneModes:
         cfg = base_cfg.with_(n_tx=3, m_rx=4, conv_gains=(1.0, 0.5, 2.0, 3.0))
         channels = build_mode_channels(cfg, kind)
         h0 = channels[0].matrix
-        for ch in channels:
-            expected = mode_ratio_oracle(cfg, kind, ch.mode) * h0
+        for l, ch in enumerate(channels):
+            expected = mode_ratio_oracle(cfg, kind, l) * h0
             assert np.max(np.abs(ch.matrix - expected)) <= 1e-12 * np.max(np.abs(ch.matrix))
 
     @pytest.mark.parametrize("kind", VARIANTS)

@@ -86,6 +86,8 @@ class TestDesign:
         ("patch", ["--eps-r", "inf"], "eps_r"),
         ("dish", ["--efficiency", "1e-320", "--freq-ghz", "1e290"], "diameter"),
         ("dish", ["--gain-db", "3000", "--freq-ghz", "1e-300"], "diameter"),
+        ("patch", ["--thickness-mm", "1e-320"], "thickness"),
+        ("patch", ["--thickness-mm", "50"], "thickness"),
     ])
     def test_bad_number_exits_3_naming_the_field(self, kind, flags, field, capsys):
         code, out, err = run(capsys, "design", kind, *DESIGN_FLAGS[kind], *flags)
@@ -142,7 +144,7 @@ class TestChannel:
             "--model", "bessel", "--out", str(out_csv),
         )
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         assert len(rows) == 1
         assert rows[0]["mode"] == "0"
         assert (tmp_path / "h.csv.manifest.json").exists()
@@ -151,7 +153,7 @@ class TestChannel:
         out_csv = tmp_path / "h.csv"
         code, _, _ = run(capsys, "channel", "--config", config_path, "--out", str(out_csv))
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         assert len(rows) == base_cfg.u_elems * base_cfg.m_rx * base_cfg.n_tx
 
     def test_one_mode_writes_that_mode_of_the_full_dump(self, config_path, base_cfg, tmp_path,
@@ -190,7 +192,8 @@ class TestWaterfill:
             "--total-power", "1.0", "--out", str(out_csv),
         )
         assert code == 0
-        rows = {row["l"]: float(row["power"]) for row in csv.DictReader(out_csv.open())}
+        rows = {row["l"]: float(row["power"])
+                for row in csv.DictReader(out_csv.read_text().splitlines())}
         assert rows["0"] == pytest.approx(0.875)
         assert rows["1"] == pytest.approx(0.125)
         summary = json.loads((tmp_path / "powers.summary.json").read_text())
@@ -229,7 +232,7 @@ class TestWaterfill:
             "--total-power", "0.5", "--out", str(out_csv),
         )
         assert code == 0
-        [row] = csv.DictReader(out_csv.open())
+        [row] = csv.DictReader(out_csv.read_text().splitlines())
         assert row["i"] == "10000000000000000000" and row["l"] == "0"
         assert float(row["power"]) == 0.5
         summary = json.loads((tmp_path / "powers.summary.json").read_text())
@@ -328,6 +331,19 @@ class TestSimulate:
         )
         assert code == 4
         assert "simulation error" in err and "mode 0 gain vanished" in err
+        assert not out.exists()
+
+    def test_too_many_trials_exits_3(self, base_cfg, tmp_path, capsys):
+        # 2 x 10**15 draws are rejected before any array is made
+        path = tmp_path / "small.json"
+        base_cfg.with_(n_tx=2, m_rx=2, u_elems=2, v_elems=2).save(path)
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", str(path), "--snr-db", "0:0:1",
+            "--trials", "1000000000000000", "--seed", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert "config error" in err and "trials" in err
         assert not out.exists()
 
     def test_too_few_trials_exits_2(self, config_path, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oem_mmwave import OemConfig, adjacent_distances, build_layout, scenario_check, wavelength_interval
+from oem_mmwave import OemConfig, adjacent_distances, build_layout, scenario_check
 from oem_mmwave.errors import InvalidConfigError
 from oem_mmwave.geometry import chord_length
 
@@ -93,9 +93,15 @@ class TestScenarioCheck:
         report = scenario_check(cfg)
         assert report.scenario == "II"
 
-    def test_identical_constraints_give_empty_interval(self):
-        lo, hi = wavelength_interval(0.05, 8, 0.05, 8)
-        assert lo == hi  # no wavelength can satisfy both strict constraints
+    def test_conflicting_constraints_give_empty_interval(self):
+        # elements 71 mm apart, UCA centers 9.8 mm apart: no wavelength has
+        # d_e <= lambda/2 < d_a
+        cfg = OemConfig(n_tx=64, m_rx=64, u_elems=4, v_elems=4, r1=0.1, r2=0.05,
+                        wavelength=0.01, phi=0.5, phi_c=0.05)
+        report = scenario_check(cfg)
+        assert report.wavelength_min > report.wavelength_max
+        assert report.interval_empty
+        assert not report.use_oem
 
     @given(
         st.floats(1e-3, 1.0),

@@ -159,9 +159,7 @@ class TestDecompose:
 class TestZfDetect:
     def test_identity_channel_passthrough(self, base_cfg):
         cfg = base_cfg.with_(n_tx=2, m_rx=2)
-        channels = [
-            ModeChannel(mode=l, matrix=np.eye(2, dtype=complex)) for l in range(cfg.u_elems)
-        ]
+        channels = [ModeChannel(np.eye(2, dtype=complex)) for _ in range(cfg.u_elems)]
         values = np.arange(2 * cfg.u_elems, dtype=complex).reshape(2, cfg.u_elems)
         dec = DecomposedSignal(values=values, noise_var_per_mode=0.0)
         est, _ = zf_detect(dec, channels)
@@ -169,14 +167,14 @@ class TestZfDetect:
 
     def test_diagonal_channel_snr_weights(self):
         a, b = 3.0, 0.5
-        channels = [ModeChannel(mode=0, matrix=np.diag([a, b]).astype(complex))]
+        channels = [ModeChannel(np.diag([a, b]).astype(complex))]
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=2.0)
         _, grid = zf_detect(dec, channels)
         assert grid.values[0, 0] == pytest.approx(a * a / 2.0, rel=1e-12)
         assert grid.values[1, 0] == pytest.approx(b * b / 2.0, rel=1e-12)
 
     def test_rank_deficient_rejected(self):
-        channels = [ModeChannel(mode=0, matrix=np.ones((2, 2), dtype=complex))]
+        channels = [ModeChannel(np.ones((2, 2), dtype=complex))]
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0)
         with pytest.raises(RankDeficientError):
             zf_detect(dec, channels)
@@ -194,8 +192,31 @@ class TestZfDetect:
             assert np.allclose(grid.values[:, l] / grid.values[:, 0], profile[l],
                                rtol=1e-9, atol=0.0)
 
+    def test_channel_count_must_match_modes(self, base_cfg):
+        channels, dec = TestZfCache.near_field_link(base_cfg)
+        for wrong in (channels[:2], channels + channels[:1]):
+            with pytest.raises(InvalidConfigError, match="one channel per mode"):
+                zf_detect(dec, wrong)
+
+    def test_mode_is_the_list_position(self, base_cfg):
+        # a repeated channel is that channel's matrix at another position:
+        # every column is filled, none is left uninitialised
+        channels, dec = TestZfCache.near_field_link(base_cfg)
+        repeated = [channels[0], channels[0], channels[2], channels[3]]
+        est, grid = zf_detect(dec, repeated)
+        zf_filter, _ = channels[0].zf_solution
+        assert np.array_equal(est[:, 1], zf_filter @ dec.values[:, 1])
+        assert np.array_equal(grid.values[:, 1], grid.values[:, 0])
+
+    def test_rank_deficient_error_names_the_mode(self):
+        channels = [ModeChannel(np.eye(2, dtype=complex)),
+                    ModeChannel(np.ones((2, 2), dtype=complex))]
+        dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0)
+        with pytest.raises(RankDeficientError, match="mode 1"):
+            zf_detect(dec, channels)
+
     def test_more_streams_than_antennas_rejected(self):
-        channels = [ModeChannel(mode=0, matrix=np.ones((1, 2), dtype=complex))]
+        channels = [ModeChannel(np.ones((1, 2), dtype=complex))]
         dec = DecomposedSignal(values=np.zeros((1, 1), dtype=complex), noise_var_per_mode=1.0)
         with pytest.raises(RankDeficientError):
             zf_detect(dec, channels)
@@ -234,7 +255,7 @@ class TestZfCache:
         assert np.array_equal(first_grid.values, second_grid.values)
 
     def test_rank_deficient_raises_on_every_call(self):
-        channels = [ModeChannel(mode=0, matrix=np.ones((2, 2), dtype=complex))]
+        channels = [ModeChannel(np.ones((2, 2), dtype=complex))]
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0)
         for _ in range(3):
             with pytest.raises(RankDeficientError):
@@ -246,14 +267,14 @@ class TestZfCache:
         channels, dec = self.near_field_link(base_cfg)
         zf_detect(dec, channels)
         est, grid = zf_detect(dec, channels)
-        for ch in channels:
-            y = dec.values[:, ch.mode]
+        for l, ch in enumerate(channels):
+            y = dec.values[:, l]
             oracle_est = np.linalg.lstsq(ch.matrix, y, rcond=None)[0]
-            assert np.allclose(est[:, ch.mode], oracle_est,
+            assert np.allclose(est[:, l], oracle_est,
                                rtol=0.0, atol=1e-12 * np.abs(oracle_est).max())
             pinv = np.linalg.pinv(ch.matrix)
             oracle_weights = 1.0 / (dec.noise_var_per_mode * np.sum(np.abs(pinv) ** 2, axis=1))
-            assert np.allclose(grid.values[:, ch.mode], oracle_weights, rtol=1e-12, atol=0.0)
+            assert np.allclose(grid.values[:, l], oracle_weights, rtol=1e-12, atol=0.0)
 
 
 class TestEndToEnd:

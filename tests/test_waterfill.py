@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oem_mmwave import (
     SnrGrid,
     classify_region,
+    waterfill,
     waterfill_ergodic,
     waterfill_instantaneous,
 )
@@ -228,6 +229,18 @@ class TestErgodic:
         mu, rule = waterfill_ergodic(np.array([[1e-30]]), 1e-20, samples=1_000, seed=0)
         assert mu == math.inf
         assert np.all(rule(np.logspace(-3, 6, 10)) == 0.0)
+
+    def test_draw_cap_rejected_before_drawing(self):
+        # 4 x 10**15 draws: the check runs before any array is made
+        with pytest.raises(InvalidConfigError, match="trials"):
+            waterfill_ergodic(np.ones((2, 2)), 1.0, samples=10**15, seed=0)
+
+    def test_draw_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 4 * 1_000)
+        mu, _ = waterfill_ergodic(np.ones((2, 2)), 1.0, samples=1_000, seed=0)
+        assert math.isfinite(mu)
+        with pytest.raises(InvalidConfigError, match="at most 1000 trials"):
+            waterfill_ergodic(np.ones((2, 2)), 1.0, samples=1_001, seed=0)
 
     def test_small_sample_count_rejected(self):
         with pytest.raises(InvalidConfigError):
