@@ -18,7 +18,7 @@ from .capacity import (
     sweep,
 )
 from .channel import (
-    ModeChannel,
+    ModeChannels,
     bessel_j,
     build_mode_channels,
     mode_power_profile,

@@ -3,8 +3,10 @@
 The mode-l gain between transmit UCA n and receive UCA m is c_l * B[m, n]:
 a per-mode coefficient c_l times the distance term B[m, n] = beta *
 lambda * exp(-j 2 pi d_mn / lambda) / (4 pi d_mn).  So every mode matrix
-is V * c_l * B, and the mode power profile is |c_l / c_0|^2.  The
-variants differ only in c_l:
+is V * c_l * B, and the mode power profile is |c_l / c_0|^2.
+``build_mode_channels`` returns the link in that factored form, as one
+``ModeChannels`` of B, c and V: one zero-forcing solution of B serves
+every mode.  The variants differ only in c_l:
 
 * ``exact-sum`` — the finite sum over transmit elements of the far-field
   element phases with the progressive per-element phase ramp.
@@ -36,44 +38,76 @@ VARIANTS = ("exact-sum", "bessel", "convergent")
 
 
 @dataclass(frozen=True, eq=False)
-class ModeChannel:
-    """Complex M x N channel matrix of one OAM mode, including the V factor.
-
-    A channel does not store its mode: mode l is position l of the list
-    that ``build_mode_channels`` returns.  The matrix is a read-only
-    complex copy of the one passed in, so the zero-forcing solution
-    computed from it on first use stays valid.  Channels compare and
-    hash by identity, as an ndarray field has no single truth value.
-    """
+class ModeMatrix:
+    """One mode's complex M x N matrix V * c_l * B, read-only."""
 
     matrix: np.ndarray
 
+
+@dataclass(frozen=True, eq=False)
+class ModeChannels:
+    """The channel matrices V * c_l * B of modes l = 0..U-1 as one factored link.
+
+    base : complex (M, N) distance matrix B, without V.
+    coefficients : complex (U,) per-mode factors c; mode l is position l.
+    v_elems : the decomposition factor V.
+
+    Both arrays are read-only complex copies of the ones passed in, so
+    the zero-forcing solution of B computed on first use stays valid.
+    ``channels[l].matrix`` is mode l's full matrix, computed on access.
+    Channel sets compare and hash by identity, as an ndarray field has
+    no single truth value.
+    """
+
+    base: np.ndarray
+    coefficients: np.ndarray
+    v_elems: int
+
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
+        base = np.array(self.base, dtype=complex)
+        coefficients = np.array(self.coefficients, dtype=complex)
+        if base.ndim != 2 or coefficients.ndim != 1:
+            raise InvalidConfigError(
+                f"need an (M, N) base matrix and (U,) mode coefficients, "
+                f"got shapes {base.shape} and {coefficients.shape}"
+            )
+        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(coefficients))):
+            raise InvalidConfigError("channel matrices have non-finite entries")
+        base.setflags(write=False)
+        coefficients.setflags(write=False)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __len__(self) -> int:
+        return self.coefficients.size
+
+    def __getitem__(self, l: int) -> ModeMatrix:
+        matrix = self.v_elems * (self.coefficients[l] * self.base)
         matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        return ModeMatrix(matrix)
 
     @cached_property
     def zf_solution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-forcing filter (H^H H)^{-1} H^H, (N, M), and the noise gains
-        diag((H^H H)^{-1}), (N,), both read-only.
+        """Zero-forcing filter (B^H B)^{-1} B^H, (N, M), and the noise gains
+        diag((B^H B)^{-1}), (N,), both read-only.
 
-        Raises RankDeficientError, on every access, when M < N or the
-        singular values of H span more than ten decades.
+        Every mode's filter and noise gains follow from these by its
+        factor V * c_l.  Raises RankDeficientError, on every access, when
+        M < N or the singular values of B span more than ten decades.
         """
-        h = self.matrix
-        if h.shape[0] < h.shape[1]:
+        b = self.base
+        if b.shape[0] < b.shape[1]:
             raise RankDeficientError(
-                f"zero forcing needs M >= N, got M={h.shape[0]} N={h.shape[1]}"
+                f"zero forcing needs M >= N, got M={b.shape[0]} N={b.shape[1]}"
             )
-        svals = np.linalg.svd(h, compute_uv=False)
+        svals = np.linalg.svd(b, compute_uv=False)
         if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
+            ratio = svals[-1] / svals[0] if svals[0] > 0.0 else 0.0
             raise RankDeficientError(
-                f"channel matrix is rank deficient "
-                f"(singular value ratio {svals[-1] / svals[0]:.2e})"
+                f"channel matrix is rank deficient (singular value ratio {ratio:.2e})"
             )
-        gram_inv = np.linalg.inv(h.conj().T @ h)
-        zf_filter = gram_inv @ h.conj().T
+        gram_inv = np.linalg.inv(b.conj().T @ b)
+        zf_filter = gram_inv @ b.conj().T
         noise_gains = np.real(np.diag(gram_inv)).copy()
         zf_filter.setflags(write=False)
         noise_gains.setflags(write=False)
@@ -146,28 +180,21 @@ def _base_gain(cfg: OemConfig, d):
     return cfg.beta * lam * np.exp(1j * (-2.0 * math.pi * d / lam)) / (4.0 * math.pi * d)
 
 
-def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> list[ModeChannel]:
-    """Deterministic line-of-sight channel matrices for all modes 0..U-1.
+def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> ModeChannels:
+    """Deterministic line-of-sight channels of all modes 0..U-1.
 
-    Entry l of the list is mode l's channel.  Its matrix is V * c_l * B:
-    V times the per-UCA mode gains, so the matrices apply directly to
-    mode-decomposed receive signals.
+    Mode l's matrix is V * c_l * B: V times the per-UCA mode gains, so
+    the matrices apply directly to mode-decomposed receive signals.
     """
     base = _base_gain(cfg, build_layout(cfg).center_distances)
-    channels = []
-    for l, coeff in enumerate(_mode_coefficients(cfg, kind)):
-        matrix = cfg.v_elems * (coeff * base)
-        if not np.all(np.isfinite(matrix)):
-            raise InvalidConfigError(f"mode {l} channel matrix has non-finite entries")
-        channels.append(ModeChannel(matrix))
-    return channels
+    return ModeChannels(base, _mode_coefficients(cfg, kind), cfg.v_elems)
 
 
 def mode_power_profile(cfg: OemConfig, kind: str = "convergent") -> np.ndarray:
     """Relative per-mode power gains g_l = |c_l / c_0|^2 of one channel variant.
 
-    These are also the squared Frobenius-norm ratios of the matrices that
-    ``build_mode_channels`` returns for the same variant.
+    These are also the squared Frobenius-norm ratios of the mode matrices
+    that ``build_mode_channels`` returns for the same variant.
     """
     amps = np.abs(_mode_coefficients(cfg, kind))
     if amps[0] == 0.0:

@@ -141,15 +141,16 @@ def _cmd_channel(args) -> int:
         print(f"mode must lie in 0..{cfg.u_elems - 1}", file=sys.stderr)
         return EXIT_USAGE
     channels = build_mode_channels(cfg, kind=args.model)
+    modes = range(len(channels)) if args.mode is None else [args.mode]
     with _replace_on_success(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mode", "m", "n", "re", "im"])
-        for l, ch in enumerate(channels):
-            if args.mode is not None and l != args.mode:
-                continue
-            for m, row in enumerate(ch.matrix.tolist(), start=1):
-                for n, entry in enumerate(row, start=1):
-                    writer.writerow([l, m, n, _fmt(entry.real), _fmt(entry.imag)])
+        fh.write("mode,m,n,re,im\n")
+        # one write per mode; one string for the whole dump would hold all M*N*U rows
+        for l in modes:
+            fh.write("".join(
+                f"{l},{m},{n},{entry.real:.12g},{entry.imag:.12g}\n"
+                for m, row in enumerate(channels[l].matrix.tolist(), start=1)
+                for n, entry in enumerate(row, start=1)
+            ))
     _write_manifest("channel", cfg.to_json_dict(), None, [args.out])
     return EXIT_OK
 

@@ -2,17 +2,20 @@
 
 Symbols live on a complex N x U grid: entry (n, l) is the symbol of OAM
 mode l on transmit UCA n.  Element observations live on an M x V grid.
-Channels come as the list of ``build_mode_channels``: entry l is mode l.
+Channels come as the ``ModeChannels`` of ``build_mode_channels``: mode l's
+matrix is V * c_l * B, so reception and detection of all modes are one
+product with B or its zero-forcing filter, scaled per mode.  The DFT
+matrices over the element and mode indices are built once per size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
-from .channel import ModeChannel
+from .channel import ModeChannels
 from .config import OemConfig
 from .errors import AliasRiskError, InvalidConfigError, RankDeficientError
 from .waterfill import SnrGrid
@@ -32,6 +35,15 @@ class DecomposedSignal:
     noise_var_per_mode: float
 
 
+@lru_cache(maxsize=16)
+def _dft(rows: int, cols: int, period: int, inverse: bool = False) -> np.ndarray:
+    """Read-only (rows, cols) matrix exp(+-j 2 pi r c / period), minus sign if inverse."""
+    phase = (-2j if inverse else 2j) * np.pi * np.outer(np.arange(rows), np.arange(cols))
+    dft = np.exp(phase / period)
+    dft.setflags(write=False)
+    return dft
+
+
 def synthesize_elements(symbols: np.ndarray, cfg: OemConfig) -> np.ndarray:
     """Per-element transmit signals from the per-mode symbols.
 
@@ -44,19 +56,18 @@ def synthesize_elements(symbols: np.ndarray, cfg: OemConfig) -> np.ndarray:
             f"symbols must be (N, U) = ({cfg.n_tx}, {cfg.u_elems}), got {symbols.shape}"
         )
     u = cfg.u_elems
-    dft = np.exp(2j * np.pi * np.outer(np.arange(u), np.arange(u)) / u)  # (u_idx, l)
-    return symbols @ dft.T / np.sqrt(u)
+    return symbols @ _dft(u, u, u).T / np.sqrt(u)  # dft is (u_idx, l)
 
 
-def propagate(symbols: np.ndarray, channels: Sequence[ModeChannel], cfg: OemConfig,
+def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
               noise_seed: int = 0) -> np.ndarray:
     """Simulate reception at every element of every receive UCA.
 
     y_{m,v} = sum_l sum_n h_{mn,l} s_{n,l} exp(j 2 pi (v-1) l / V) + w_{m,v}
     with circularly-symmetric complex Gaussian element noise of variance
-    cfg.noise_var, drawn deterministically from noise_seed.  The channel
-    matrices carry the V factor, which belongs to the decomposition
-    stage, so it is divided back out here.
+    cfg.noise_var, drawn deterministically from noise_seed.  The mode
+    matrices V * c_l * B carry the V factor, which belongs to the
+    decomposition stage, so the per-UCA sums are c_l * (B s_l).
     """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape != (cfg.n_tx, cfg.u_elems):
@@ -66,12 +77,13 @@ def propagate(symbols: np.ndarray, channels: Sequence[ModeChannel], cfg: OemConf
     if len(channels) != cfg.u_elems:
         raise InvalidConfigError(f"need one channel per mode 0..{cfg.u_elems - 1}")
     m_rx, u, v = cfg.m_rx, cfg.u_elems, cfg.v_elems
+    if channels.base.shape != (m_rx, cfg.n_tx):
+        raise InvalidConfigError(
+            f"channel matrices must be (M, N) = ({m_rx}, {cfg.n_tx}), got {channels.base.shape}"
+        )
     # (M, U) per-UCA sums, without the decomposition factor V
-    per_uca = np.column_stack([ch.matrix @ symbols[:, l] for l, ch in enumerate(channels)]) / v
-    if per_uca.shape[0] != m_rx:
-        raise InvalidConfigError(f"channel matrices must have M = {m_rx} rows")
-    ramps = np.exp(2j * np.pi * np.outer(np.arange(u), np.arange(v)) / v)  # (l, v_idx)
-    out = per_uca @ ramps
+    per_uca = (channels.base @ symbols) * channels.coefficients
+    out = per_uca @ _dft(u, v, v)  # dft is (l, v_idx)
     if cfg.noise_var > 0.0:
         noise = np.random.default_rng(noise_seed).standard_normal((2, m_rx, v))
         out += np.sqrt(cfg.noise_var / 2.0) * (noise[0] + 1j * noise[1])
@@ -95,21 +107,23 @@ def decompose_modes(observation: np.ndarray, cfg: OemConfig) -> DecomposedSignal
             f"V={cfg.v_elems} < U={cfg.u_elems}: modes would alias in the decomposition"
         )
     v, u = cfg.v_elems, cfg.u_elems
-    proj = np.exp(-2j * np.pi * np.outer(np.arange(v), np.arange(u)) / v)  # (v_idx, l0)
+    proj = _dft(v, u, v, inverse=True)  # (v_idx, l0)
     return DecomposedSignal(values=observation @ proj, noise_var_per_mode=cfg.v_elems * cfg.noise_var)
 
 
-def zf_detect(decomposed: DecomposedSignal, channels: Sequence[ModeChannel]
+def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
               ) -> tuple[np.ndarray, SnrGrid]:
     """Zero-forcing detection of every mode's spatial streams.
 
-    Per mode l: s_hat_l = (H_l^H H_l)^{-1} H_l^H y_l.  The returned SNR
-    grid holds the per-stream weights gamma_{i,l} = 1 / (sigma_l^2 *
-    [(H_l^H H_l)^{-1}]_{ii}), so a stream carrying power P is received
-    at SNR P * gamma_{i,l}.  In the noiseless case (sigma_l^2 = 0) the
-    weights are reported per unit mode-noise variance instead.  Each
-    mode's filter and noise gains come from ``ModeChannel.zf_solution``,
-    computed once per channel, so a block costs one product per mode.
+    Per mode l: s_hat_l = (H_l^H H_l)^{-1} H_l^H y_l with H_l = V c_l B,
+    which is ZF(B) y_l / (V c_l).  The returned SNR grid holds the
+    per-stream weights gamma_{i,l} = 1 / (sigma_l^2 * [(H_l^H
+    H_l)^{-1}]_{ii}) = |V c_l|^2 / (sigma_l^2 * [(B^H B)^{-1}]_{ii}), so a
+    stream carrying power P is received at SNR P * gamma_{i,l}.  In the
+    noiseless case (sigma_l^2 = 0) the weights are reported per unit
+    mode-noise variance instead.  The filter and noise gains of B come
+    from ``ModeChannels.zf_solution``, computed once per link, so a block
+    costs one product for all modes.
     """
     values = decomposed.values
     m_rx, u = values.shape
@@ -117,17 +131,17 @@ def zf_detect(decomposed: DecomposedSignal, channels: Sequence[ModeChannel]
         raise InvalidConfigError(
             f"need one channel per mode 0..{u - 1}, got {len(channels)} channels"
         )
-    n_tx = channels[0].matrix.shape[1]
-    if m_rx < n_tx:
-        raise RankDeficientError(f"zero forcing needs M >= N, got M={m_rx} N={n_tx}")
-    estimates = np.empty((n_tx, u), dtype=complex)
-    weights = np.empty((n_tx, u))
+    if m_rx != channels.base.shape[0]:
+        raise InvalidConfigError(
+            f"decomposed signal has {m_rx} receive UCAs, "
+            f"the channel matrices have M={channels.base.shape[0]}"
+        )
+    dead = np.flatnonzero(channels.coefficients == 0.0)
+    if dead.size:
+        raise RankDeficientError(f"mode {dead[0]} gain vanished")
+    zf_filter, noise_gains = channels.zf_solution
+    mode_gains = channels.v_elems * channels.coefficients
     sigma2 = decomposed.noise_var_per_mode if decomposed.noise_var_per_mode > 0.0 else 1.0
-    for l, ch in enumerate(channels):
-        try:
-            zf_filter, noise_gains = ch.zf_solution
-        except RankDeficientError as exc:
-            raise RankDeficientError(f"mode {l}: {exc}") from exc
-        estimates[:, l] = zf_filter @ values[:, l]
-        weights[:, l] = 1.0 / (sigma2 * noise_gains)
+    estimates = (zf_filter @ values) / mode_gains
+    weights = np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None])
     return estimates, SnrGrid(values=weights)

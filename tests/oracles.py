@@ -6,10 +6,14 @@ what the package computes in closed or vectorized form.
 * ``brute_force_oracle`` — exhaustive active-set search for water filling.
 * ``element_gain`` — the literal far-field gain of one element pair.
 * ``mode_gain`` — one entry c_l * B[m, n] of a mode matrix, without V.
+* ``csv_channel_dump`` — the ``channel`` command's CSV, written row by
+  row with the csv module.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from typing import Optional
@@ -81,3 +85,22 @@ def mode_gain(cfg: OemConfig, m: int, n: int, l: int, kind: str = "bessel",
         raise DomainError(f"mode index {l} outside 0..{cfg.u_elems - 1}")
     d = float((layout or build_layout(cfg)).center_distances[m, n])
     return complex(_mode_coefficients(cfg, kind)[l] * _base_gain(cfg, d))
+
+
+def csv_channel_dump(channels, mode: Optional[int] = None) -> str:
+    """The ``oem-sim channel`` CSV of a channel set, one csv.writer row per entry.
+
+    Rows (l, m, n, re, im) with 1-based m and n and the parts in
+    12-significant-digit ``g`` format; only mode ``mode`` when given.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["mode", "m", "n", "re", "im"])
+    for l, ch in enumerate(channels):
+        if mode is not None and l != mode:
+            continue
+        for m, row in enumerate(ch.matrix.tolist(), start=1):
+            for n, entry in enumerate(row, start=1):
+                writer.writerow([l, m, n, format(float(entry.real), ".12g"),
+                                 format(float(entry.imag), ".12g")])
+    return out.getvalue()

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from oem_mmwave import (
-    ModeChannel,
+    ModeChannels,
     bessel_j,
     build_layout,
     build_mode_channels,
     mode_power_profile,
 )
 from oem_mmwave import channel
-from oem_mmwave.channel import VARIANTS
+from oem_mmwave.channel import VARIANTS, _base_gain, _mode_coefficients
 from oem_mmwave.errors import DomainError, InvalidConfigError
 from oracles import element_gain, mode_gain
 
@@ -174,32 +174,75 @@ class TestBuildModeChannels:
 
 class TestModeChannelImmutable:
     def test_matrix_is_read_only(self, base_cfg):
-        for ch in build_mode_channels(base_cfg):
+        channels = build_mode_channels(base_cfg)
+        for array in (channels.base, channels.coefficients):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        for ch in channels:
             with pytest.raises(ValueError):
                 ch.matrix[0, 0] = 1.0
 
     def test_caller_array_is_copied_and_left_writeable(self):
-        source = np.array([[2.0, 0.0], [0.0, 3.0]])
-        ch = ModeChannel(matrix=source)
-        source[0, 0] = 99.0
-        assert source.flags.writeable
-        assert ch.matrix.dtype == complex
-        assert np.array_equal(ch.matrix, np.diag([2.0, 3.0]))
+        base, coefficients = np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, 0.5])
+        channels = ModeChannels(base, coefficients, 2)
+        base[0, 0] = 99.0
+        coefficients[0] = 99.0
+        assert base.flags.writeable and coefficients.flags.writeable
+        assert channels.base.dtype == complex and channels.coefficients.dtype == complex
+        assert np.array_equal(channels.base, np.diag([2.0, 3.0]))
+        assert np.array_equal(channels.coefficients, [1.0, 0.5])
+        assert np.array_equal(channels[1].matrix, np.diag([2.0, 3.0]))
 
     def test_zf_solution_is_read_only(self, base_cfg):
-        zf_filter, noise_gains = build_mode_channels(base_cfg)[0].zf_solution
+        zf_filter, noise_gains = build_mode_channels(base_cfg).zf_solution
         assert not zf_filter.flags.writeable
         assert not noise_gains.flags.writeable
 
     def test_compares_and_hashes_by_identity(self):
-        a = ModeChannel(matrix=np.eye(2))
-        b = ModeChannel(matrix=np.eye(2))
+        a = ModeChannels(np.eye(2), [1.0], 1)
+        b = ModeChannels(np.eye(2), [1.0], 1)
         assert a == a
         assert a != b
         assert hash(a) == hash(a)
         assert {a: "a", b: "b"}[a] == "a"
         # the cached filter still lands on the frozen instance
         assert a.zf_solution is a.zf_solution
+
+
+class TestModeChannels:
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_mode_matrix_is_v_times_the_scaled_base(self, base_cfg, kind):
+        # the order V * (c_l * B) of the per-mode matrices the channel dump
+        # writes; V = 7 is not a power of two, so the order shows in the bits
+        cfg = base_cfg.with_(n_tx=4, m_rx=5, v_elems=7)
+        channels = build_mode_channels(cfg, kind)
+        base = _base_gain(cfg, build_layout(cfg).center_distances)
+        coefficients = _mode_coefficients(cfg, kind)
+        assert len(channels) == cfg.u_elems
+        for l, ch in enumerate(channels):
+            assert np.array_equal(ch.matrix, cfg.v_elems * (coefficients[l] * base))
+
+    @pytest.mark.parametrize("base,coefficients", [
+        (np.ones(3), [1.0]),
+        (np.ones((2, 2)), [[1.0]]),
+    ])
+    def test_bad_shapes_rejected(self, base, coefficients):
+        with pytest.raises(InvalidConfigError, match="shapes"):
+            ModeChannels(base, coefficients, 1)
+
+    @pytest.mark.parametrize("base,coefficients", [
+        (np.array([[1.0, np.nan]]), [1.0]),
+        (np.ones((1, 1)), [1.0, np.inf]),
+    ])
+    def test_non_finite_factors_rejected(self, base, coefficients):
+        with pytest.raises(InvalidConfigError, match="non-finite"):
+            ModeChannels(base, coefficients, 1)
+
+    def test_iteration_stops_after_the_last_mode(self):
+        channels = ModeChannels(np.eye(2), [1.0, 2.0], 3)
+        assert [ch.matrix[0, 0] for ch in channels] == [3.0, 6.0]
+        with pytest.raises(IndexError):
+            channels[2]
 
 
 def mode_ratio_oracle(cfg, kind, l):

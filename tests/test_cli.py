@@ -7,10 +7,12 @@ import platform
 import numpy as np
 import pytest
 
-from oem_mmwave import OemConfig, build_mode_channels, cli
+from oem_mmwave import ModeChannels, OemConfig, build_mode_channels, cli
+from oem_mmwave.channel import VARIANTS
 from oem_mmwave.cli import main
 
 from conftest import WAVELENGTH_35GHZ
+from oracles import csv_channel_dump
 
 
 @pytest.fixture
@@ -166,6 +168,18 @@ class TestChannel:
         mode_2 = [line for line in full_lines[1:] if line.startswith("2,")]
         assert len(mode_2) == base_cfg.m_rx * base_cfg.n_tx
         assert one.read_text().splitlines() == full_lines[:1] + mode_2
+
+    @pytest.mark.parametrize("model", VARIANTS)
+    @pytest.mark.parametrize("mode", [None, 2])
+    def test_dump_matches_the_csv_module_writer(self, model, mode, base_cfg, tmp_path, capsys):
+        # theta = 135 degrees gives entries of both signs in both parts
+        cfg = base_cfg.with_(n_tx=4, m_rx=5, theta=math.radians(135.0))
+        path, out_csv = tmp_path / "link.json", tmp_path / "h.csv"
+        cfg.save(path)
+        argv = ["channel", "--config", str(path), "--model", model, "--out", str(out_csv)]
+        assert run(capsys, *argv, *([] if mode is None else ["--mode", str(mode)]))[0] == 0
+        expected = csv_channel_dump(build_mode_channels(OemConfig.load(path), model), mode)
+        assert out_csv.read_bytes() == expected.encode()
 
     def test_mode_out_of_range_exits_2_before_any_channel_is_built(self, config_path,
                                                                    monkeypatch, tmp_path,
@@ -422,6 +436,10 @@ class TestOutputs:
             raise RuntimeError("formatting failed mid-write")
 
         monkeypatch.setattr(cli, "_fmt", fail)
+        # the channel dump formats its rows inline: fail it once mode 0 is written
+        mode_matrix = ModeChannels.__getitem__
+        monkeypatch.setattr(ModeChannels, "__getitem__",
+                            lambda self, l: fail(l) if l > 0 else mode_matrix(self, l))
         with pytest.raises(RuntimeError):
             main(argv)
         assert out.read_bytes() == b"previous run\n"

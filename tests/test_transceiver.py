@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oem_mmwave import (
-    ModeChannel,
+    ModeChannels,
     build_mode_channels,
     decompose_modes,
     mode_power_profile,
@@ -96,6 +96,12 @@ class TestPropagate:
         with pytest.raises(InvalidConfigError):
             propagate(random_symbols(base_cfg), channels, base_cfg)
 
+    def test_channel_column_count_must_match_config(self, base_cfg):
+        cfg = base_cfg.with_(n_tx=4, m_rx=4)
+        channels = build_mode_channels(cfg.with_(n_tx=5))
+        with pytest.raises(InvalidConfigError, match=r"\(M, N\) = \(4, 4\), got \(4, 5\)"):
+            propagate(random_symbols(cfg), channels, cfg)
+
     def test_linearity(self, base_cfg):
         channels = build_mode_channels(base_cfg)
         s1, s2 = random_symbols(base_cfg, 1), random_symbols(base_cfg, 2)
@@ -159,7 +165,7 @@ class TestDecompose:
 class TestZfDetect:
     def test_identity_channel_passthrough(self, base_cfg):
         cfg = base_cfg.with_(n_tx=2, m_rx=2)
-        channels = [ModeChannel(np.eye(2, dtype=complex)) for _ in range(cfg.u_elems)]
+        channels = ModeChannels(np.eye(2), np.ones(cfg.u_elems), 1)
         values = np.arange(2 * cfg.u_elems, dtype=complex).reshape(2, cfg.u_elems)
         dec = DecomposedSignal(values=values, noise_var_per_mode=0.0)
         est, _ = zf_detect(dec, channels)
@@ -167,16 +173,17 @@ class TestZfDetect:
 
     def test_diagonal_channel_snr_weights(self):
         a, b = 3.0, 0.5
-        channels = [ModeChannel(np.diag([a, b]).astype(complex))]
+        channels = ModeChannels(np.diag([a, b]), [1.0], 1)
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=2.0)
         _, grid = zf_detect(dec, channels)
         assert grid.values[0, 0] == pytest.approx(a * a / 2.0, rel=1e-12)
         assert grid.values[1, 0] == pytest.approx(b * b / 2.0, rel=1e-12)
 
     def test_rank_deficient_rejected(self):
-        channels = [ModeChannel(np.ones((2, 2), dtype=complex))]
-        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0)
-        with pytest.raises(RankDeficientError):
+        # a rank-one B fails the whole link, not one mode
+        channels = ModeChannels(np.ones((2, 2)), [1.0, 2.0], 1)
+        dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0)
+        with pytest.raises(RankDeficientError, match="^channel matrix is rank deficient"):
             zf_detect(dec, channels)
 
     def test_mode_weights_scale_by_the_mode_power_profile(self, base_cfg):
@@ -194,29 +201,53 @@ class TestZfDetect:
 
     def test_channel_count_must_match_modes(self, base_cfg):
         channels, dec = TestZfCache.near_field_link(base_cfg)
-        for wrong in (channels[:2], channels + channels[:1]):
+        c = channels.coefficients
+        for wrong in (c[:2], np.concatenate([c, c[:1]])):
             with pytest.raises(InvalidConfigError, match="one channel per mode"):
-                zf_detect(dec, wrong)
+                zf_detect(dec, ModeChannels(channels.base, wrong, channels.v_elems))
+
+    def test_signal_row_count_must_match_channels(self, base_cfg):
+        channels, dec = TestZfCache.near_field_link(base_cfg)
+        extra_row = DecomposedSignal(values=np.vstack([dec.values, dec.values[:1]]),
+                                     noise_var_per_mode=dec.noise_var_per_mode)
+        with pytest.raises(InvalidConfigError, match="17 receive UCAs.*M=16"):
+            zf_detect(extra_row, channels)
 
     def test_mode_is_the_list_position(self, base_cfg):
-        # a repeated channel is that channel's matrix at another position:
-        # every column is filled, none is left uninitialised
+        # mode l is position l of the coefficients: a repeated coefficient
+        # detects column 1 exactly as mode 0 would
         channels, dec = TestZfCache.near_field_link(base_cfg)
-        repeated = [channels[0], channels[0], channels[2], channels[3]]
+        c = channels.coefficients
+        repeated = ModeChannels(channels.base, [c[0], c[0], c[2], c[3]], channels.v_elems)
         est, grid = zf_detect(dec, repeated)
-        zf_filter, _ = channels[0].zf_solution
-        assert np.array_equal(est[:, 1], zf_filter @ dec.values[:, 1])
+        zf_filter, _ = channels.zf_solution
+        mode_0 = (zf_filter @ dec.values) / (channels.v_elems * c[0])
+        assert np.array_equal(est[:, 1], mode_0[:, 1])
         assert np.array_equal(grid.values[:, 1], grid.values[:, 0])
 
     def test_rank_deficient_error_names_the_mode(self):
-        channels = [ModeChannel(np.eye(2, dtype=complex)),
-                    ModeChannel(np.ones((2, 2), dtype=complex))]
+        channels = ModeChannels(np.eye(2), [1.0, 0.0], 1)
         dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0)
         with pytest.raises(RankDeficientError, match="mode 1"):
             zf_detect(dec, channels)
 
+    def test_dead_mode_rejected_before_any_division(self, base_cfg, monkeypatch):
+        # the suite turns a 0/0 RuntimeWarning into an error, so reaching
+        # the SVD of a zero mode matrix would fail differently
+        cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4, link_distance=1.0,
+                             noise_var=1e-7, conv_gains=(1.0, 0.0, 1.0, 1.0))
+        channels = build_mode_channels(cfg, "convergent")
+        dec = decompose_modes(propagate(random_symbols(cfg), channels, cfg, noise_seed=2), cfg)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("factorized a link with a dead mode")
+
+        monkeypatch.setattr(np.linalg, "svd", unexpected)
+        with pytest.raises(RankDeficientError, match="^mode 1 gain vanished$"):
+            zf_detect(dec, channels)
+
     def test_more_streams_than_antennas_rejected(self):
-        channels = [ModeChannel(np.ones((1, 2), dtype=complex))]
+        channels = ModeChannels(np.ones((1, 2)), [1.0], 1)
         dec = DecomposedSignal(values=np.zeros((1, 1), dtype=complex), noise_var_per_mode=1.0)
         with pytest.raises(RankDeficientError):
             zf_detect(dec, channels)
@@ -248,14 +279,14 @@ class TestZfCache:
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
         first_est, first_grid = zf_detect(dec, channels)
-        assert calls == {"svd": len(channels), "inv": len(channels)}
+        assert calls == {"svd": 1, "inv": 1}
         second_est, second_grid = zf_detect(dec, channels)
-        assert calls == {"svd": len(channels), "inv": len(channels)}
+        assert calls == {"svd": 1, "inv": 1}
         assert np.array_equal(first_est, second_est)
         assert np.array_equal(first_grid.values, second_grid.values)
 
     def test_rank_deficient_raises_on_every_call(self):
-        channels = [ModeChannel(np.ones((2, 2), dtype=complex))]
+        channels = ModeChannels(np.ones((2, 2)), [1.0], 1)
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0)
         for _ in range(3):
             with pytest.raises(RankDeficientError):
