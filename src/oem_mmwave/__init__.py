@@ -25,7 +25,6 @@ from .channel import (
 )
 from .config import OemConfig
 from .geometry import (
-    ElementLayout,
     ScenarioReport,
     adjacent_distances,
     build_layout,

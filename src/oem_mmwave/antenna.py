@@ -52,9 +52,6 @@ class DishDesign:
     kappa: float
     surface: float  # paraboloid coefficient 1/(4F): Z = surface * (X^2 + Y^2)
 
-    def depth_at(self, x: float, y: float) -> float:
-        return self.surface * (x * x + y * y)
-
 
 def _eff_permittivity(eps_r: float, ratio: float) -> float:
     """Static effective permittivity for a microstrip of height/width ratio."""

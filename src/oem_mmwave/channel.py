@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import waterfill
 from .config import OemConfig
 from .errors import DomainError, InvalidConfigError, RankDeficientError
 from .geometry import build_layout
@@ -152,11 +153,20 @@ def _equalizing_gains(bessel: np.ndarray) -> np.ndarray:
 
 
 def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
-    """(U,) per-mode factors c_l of the gains c_l * B[m, n]; none depends on (m, n)."""
+    """(U,) per-mode factors c_l of the gains c_l * B[m, n]; none depends on (m, n).
+
+    The exact sum builds U x U phase tables; a U whose tables would exceed
+    ``waterfill.MAX_DRAWS`` values raises InvalidConfigError before any is built.
+    """
     u_count = cfg.u_elems
     if kind not in VARIANTS:
         raise InvalidConfigError(f"unknown channel variant {kind!r}; expected one of {VARIANTS}")
     if kind == "exact-sum":
+        if u_count * u_count > waterfill.MAX_DRAWS:
+            raise InvalidConfigError(
+                f"the exact sum over U={u_count} elements needs {u_count * u_count} phase"
+                f" values, more than the {waterfill.MAX_DRAWS} one array may hold"
+            )
         psi_u = 2.0 * math.pi * np.arange(u_count) / u_count
         ramp = np.exp(1j * np.outer(np.arange(u_count), psi_u))
         wavefront = np.exp(
@@ -186,8 +196,8 @@ def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> ModeChannel
     Mode l's matrix is V * c_l * B: V times the per-UCA mode gains, so
     the matrices apply directly to mode-decomposed receive signals.
     """
-    base = _base_gain(cfg, build_layout(cfg).center_distances)
-    return ModeChannels(base, _mode_coefficients(cfg, kind), cfg.v_elems)
+    coefficients = _mode_coefficients(cfg, kind)
+    return ModeChannels(_base_gain(cfg, build_layout(cfg)), coefficients, cfg.v_elems)
 
 
 def mode_power_profile(cfg: OemConfig, kind: str = "convergent") -> np.ndarray:

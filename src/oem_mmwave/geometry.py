@@ -1,10 +1,12 @@
-"""3-D placement of the UCAs and their array-elements.
+"""UCA placement, adjacent spacings and the wavelength regime.
 
 Propagation runs along the z-axis: the transmit OEM circle lies in the
 z=0 plane, the receive circle in the z=link_distance plane.  UCA centers
 sit equidistantly on circles of radius r1; array-elements sit
 equidistantly on circles of radius r2 around each center, in the same
-transverse plane.
+transverse plane.  The link needs only the distances between UCA
+centers: the element offsets enter the channel through the per-mode
+factors of ``channel``, so ``build_layout`` places the centers alone.
 """
 
 from __future__ import annotations
@@ -14,49 +16,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import waterfill
 from .config import OemConfig
 from .errors import InvalidConfigError
-
-
-@dataclass(frozen=True)
-class ElementLayout:
-    """Element coordinates and center-to-center vectors.
-
-    tx_positions : (N, U, 3) transmit element coordinates (m).
-    rx_positions : (M, V, 3) receive element coordinates (m).
-    tx_centers   : (N, 3) transmit UCA centers (m).
-    rx_centers   : (M, 3) receive UCA centers (m).
-    center_vectors : (M, N, 3) vectors from transmit UCA n to receive UCA m (m).
-    """
-
-    tx_positions: np.ndarray
-    rx_positions: np.ndarray
-    tx_centers: np.ndarray
-    rx_centers: np.ndarray
-    center_vectors: np.ndarray
-
-    @property
-    def center_distances(self) -> np.ndarray:
-        """(M, N) matrix of distances d_mn between UCA centers."""
-        return np.linalg.norm(self.center_vectors, axis=-1)
 
 
 @dataclass(frozen=True)
 class ScenarioReport:
     """Which deployment regime the configuration falls into.
 
-    scenario is "I" when OEM pays off (adjacent UCAs farther than half a
-    wavelength apart, adjacent elements within half a wavelength), "II"
-    when the element spacing also exceeds half a wavelength, and "none"
-    when even the UCA spacing is below the half-wavelength threshold.
+    Scenario-I wavelengths lie in [wavelength_min, wavelength_max) =
+    [2 * d_adjacent_element, 2 * d_adjacent_uca).
     """
 
-    scenario: str
     d_adjacent_uca: float
     d_adjacent_element: float
     wavelength: float
-    wavelength_min: float
-    wavelength_max: float
+
+    @property
+    def wavelength_min(self) -> float:
+        return 2.0 * self.d_adjacent_element
+
+    @property
+    def wavelength_max(self) -> float:
+        return 2.0 * self.d_adjacent_uca
+
+    @property
+    def scenario(self) -> str:
+        """The regime: "I" when OEM pays off (adjacent UCAs farther than half
+        a wavelength apart, adjacent elements within half a wavelength), "II"
+        when the element spacing also exceeds half a wavelength, and "none"
+        when even the UCA spacing is below the half-wavelength threshold."""
+        if self.wavelength >= self.wavelength_max:
+            return "none"
+        return "I" if self.wavelength >= self.wavelength_min else "II"
 
     @property
     def interval_empty(self) -> bool:
@@ -75,30 +68,23 @@ def _ring(center: np.ndarray, radius: float, count: int) -> np.ndarray:
     return center[None, :] + ring
 
 
-def build_layout(cfg: OemConfig) -> ElementLayout:
-    """Place every array-element of every UCA in 3-D.
+def build_layout(cfg: OemConfig) -> np.ndarray:
+    """(M, N) matrix of distances d_mn from transmit UCA n to receive UCA m (m).
 
     UCA centers sit at angles 2*pi*k/N (transmit) and 2*pi*k/M (receive)
-    on radius-r1 circles; elements at angles 2*pi*(u-1)/U on radius-r2
-    circles around each center, measured from the x-axis.
+    on radius-r1 circles, measured from the x-axis.  Raises
+    InvalidConfigError, before any array is built, when the (M, N, 3)
+    center differences would exceed ``waterfill.MAX_DRAWS`` values.
     """
-    cfg.validate()
-    n, m, u, v = cfg.n_tx, cfg.m_rx, cfg.u_elems, cfg.v_elems
-
+    n, m = cfg.n_tx, cfg.m_rx
+    if 3 * m * n > waterfill.MAX_DRAWS:
+        raise InvalidConfigError(
+            f"N={n} transmit and M={m} receive UCAs need {3 * m * n} layout values,"
+            f" more than the {waterfill.MAX_DRAWS} one array may hold"
+        )
     tx_centers = _ring(np.zeros(3), cfg.r1, n)
     rx_centers = _ring(np.array([0.0, 0.0, cfg.link_distance]), cfg.r1, m)
-
-    tx_positions = np.stack([_ring(c, cfg.r2, u) for c in tx_centers])
-    rx_positions = np.stack([_ring(c, cfg.r2, v) for c in rx_centers])
-
-    center_vectors = rx_centers[:, None, :] - tx_centers[None, :, :]
-    return ElementLayout(
-        tx_positions=tx_positions,
-        rx_positions=rx_positions,
-        tx_centers=tx_centers,
-        rx_centers=rx_centers,
-        center_vectors=center_vectors,
-    )
+    return np.linalg.norm(rx_centers[:, None, :] - tx_centers[None, :, :], axis=-1)
 
 
 def chord_length(radius: float, count: int) -> float:
@@ -129,13 +115,4 @@ def scenario_check(cfg: OemConfig) -> ScenarioReport:
     when the two constraints cannot hold together.
     """
     d_a, d_e = adjacent_distances(cfg)
-    lam_min, lam_max = 2.0 * d_e, 2.0 * d_a
-    scenario = "none" if cfg.wavelength >= lam_max else "I" if cfg.wavelength >= lam_min else "II"
-    return ScenarioReport(
-        scenario=scenario,
-        d_adjacent_uca=d_a,
-        d_adjacent_element=d_e,
-        wavelength=cfg.wavelength,
-        wavelength_min=lam_min,
-        wavelength_max=lam_max,
-    )
+    return ScenarioReport(d_adjacent_uca=d_a, d_adjacent_element=d_e, wavelength=cfg.wavelength)

@@ -81,6 +81,11 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
         raise InvalidConfigError(
             f"channel matrices must be (M, N) = ({m_rx}, {cfg.n_tx}), got {channels.base.shape}"
         )
+    if channels.v_elems != v:
+        # zf_detect divides by the channels' V, so the two must agree
+        raise InvalidConfigError(
+            f"channels were built for V={channels.v_elems}, the config has V={v}"
+        )
     # (M, U) per-UCA sums, without the decomposition factor V
     per_uca = (channels.base @ symbols) * channels.coefficients
     out = per_uca @ _dft(u, v, v)  # dft is (l, v_idx)

@@ -29,7 +29,8 @@ MIN_SAMPLES = 1_000
 # are 1 GiB.  A sweep keeps at most four buffers of this size alive, so a
 # run stays within a few GiB and fails with a message, not a MemoryError,
 # beyond that.  The 64x64 U=16 link at 10k trials uses 1e7 draws, 1/13 of
-# the cap.
+# the cap.  The channel build caps its layout and exact-sum tables at the
+# same count.
 MAX_DRAWS = 2**27
 
 GridLike = Union["SnrGrid", np.ndarray]
@@ -98,11 +99,6 @@ def _check_power(total_power: float) -> None:
 def _check_samples(count: int, noun: str) -> None:
     if count < MIN_SAMPLES:
         raise InvalidConfigError(f"need at least {MIN_SAMPLES} {noun}, got {count}")
-
-
-def flatten_mode_major(grid: np.ndarray) -> np.ndarray:
-    """Flatten (streams, modes) to a vector ordered mode-major."""
-    return np.asarray(grid).flatten(order="F")
 
 
 def _prefix_level(inv: np.ndarray, cums: np.ndarray, total_power: float) -> float:
@@ -199,7 +195,7 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
     Column k is ``mean_flat[k]`` times row k of ``_unit_draws``; a
     zero-mean channel draws zeros.  The means are checked by ``SnrGrid``.
     """
-    mean_flat = flatten_mode_major(_grid_values(mean_flat))
+    mean_flat = _grid_values(mean_flat).flatten(order="F")
     return (_unit_draws(mean_flat.size, count, seed, stage) * mean_flat[:, None]).T
 
 
@@ -218,7 +214,7 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     """
     _check_power(total_power)
     _check_samples(samples, "samples")
-    means = flatten_mode_major(_grid_values(mean_snr))
+    means = _grid_values(mean_snr).flatten(order="F")
     if not np.any(means > 0.0):
         raise InvalidConfigError("at least one channel must have positive mean SNR")
     draws = _unit_draws(means.size, samples, seed)

@@ -4,7 +4,10 @@ None of these is part of ``oem_mmwave``: they are slow, literal forms of
 what the package computes in closed or vectorized form.
 
 * ``brute_force_oracle`` — exhaustive active-set search for water filling.
-* ``element_gain`` — the literal far-field gain of one element pair.
+* ``uca_placement`` — one UCA's center and array-elements in 3-D, placed
+  point by point from the config; the package places only the centers.
+* ``element_gain`` — the literal far-field gain of one element pair, on
+  the placement of ``uca_placement``.
 * ``mode_gain`` — one entry c_l * B[m, n] of a mode matrix, without V.
 * ``csv_channel_dump`` — the ``channel`` command's CSV, written row by
   row with the csv module.
@@ -23,7 +26,7 @@ import numpy as np
 from oem_mmwave.channel import _base_gain, _mode_coefficients
 from oem_mmwave.config import OemConfig
 from oem_mmwave.errors import DomainError, InvalidConfigError
-from oem_mmwave.geometry import ElementLayout, build_layout
+from oem_mmwave.geometry import build_layout
 from oem_mmwave.waterfill import GridLike, PowerPolicy, _grid_values
 
 
@@ -62,7 +65,30 @@ def brute_force_oracle(snr: GridLike, total_power: float) -> PowerPolicy:
     return PowerPolicy(allocations=allocations, water_level=float(water), total_power=total_power)
 
 
-def element_gain(cfg: OemConfig, layout: ElementLayout, m: int, n: int, u: int, v: int) -> complex:
+def _circle_point(radius: float, count: int, k: int) -> np.ndarray:
+    """Point k of ``count`` equispaced on a circle about the origin in the
+    z=0 plane, at angle 2 pi k / count from the x-axis."""
+    angle = 2.0 * math.pi * k / count
+    return np.array([radius * math.cos(angle), radius * math.sin(angle), 0.0])
+
+
+def uca_placement(cfg: OemConfig, receive: bool, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Center (3,) and element positions (U or V, 3) of transmit or receive UCA k.
+
+    The center sits at angle 2 pi k / N (transmit, plane z=0) or 2 pi k / M
+    (receive, plane z=link_distance) on the radius-r1 circle; element e at
+    angle 2 pi e / U (or / V) on a radius-r2 circle about it, in the same
+    plane.
+    """
+    if receive:
+        count, elems, z = cfg.m_rx, cfg.v_elems, cfg.link_distance
+    else:
+        count, elems, z = cfg.n_tx, cfg.u_elems, 0.0
+    center = _circle_point(cfg.r1, count, k) + np.array([0.0, 0.0, z])
+    return center, np.array([center + _circle_point(cfg.r2, elems, e) for e in range(elems)])
+
+
+def element_gain(cfg: OemConfig, m: int, n: int, u: int, v: int) -> complex:
     """Far-field gain from transmit element (n, u) to receive element (m, v).
 
     Inverse-distance amplitude with the first-order phase expansion
@@ -70,20 +96,21 @@ def element_gain(cfg: OemConfig, layout: ElementLayout, m: int, n: int, u: int, 
     enters the phase through its projection on the link direction, the
     receive-element offset is dropped.
     """
-    d_vec = layout.center_vectors[m, n]
+    tx_center, tx_elements = uca_placement(cfg, False, n)
+    rx_center, _ = uca_placement(cfg, True, m)
+    d_vec = rx_center - tx_center
     d = float(np.linalg.norm(d_vec))
-    r_u = layout.tx_positions[n, u] - layout.tx_centers[n]
+    r_u = tx_elements[u] - tx_center
     phase = -2.0 * math.pi / cfg.wavelength * (d - float(d_vec @ r_u) / d)
     amp = cfg.beta * cfg.wavelength / (4.0 * math.pi * math.sqrt(cfg.u_elems) * d)
     return amp * complex(math.cos(phase), math.sin(phase))
 
 
-def mode_gain(cfg: OemConfig, m: int, n: int, l: int, kind: str = "bessel",
-              layout: Optional[ElementLayout] = None) -> complex:
+def mode_gain(cfg: OemConfig, m: int, n: int, l: int, kind: str = "bessel") -> complex:
     """Channel gain of OAM mode l between transmit UCA n and receive UCA m."""
     if not (0 <= l < cfg.u_elems):
         raise DomainError(f"mode index {l} outside 0..{cfg.u_elems - 1}")
-    d = float((layout or build_layout(cfg)).center_distances[m, n])
+    d = float(build_layout(cfg)[m, n])
     return complex(_mode_coefficients(cfg, kind)[l] * _base_gain(cfg, d))
 
 

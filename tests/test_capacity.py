@@ -17,7 +17,7 @@ from oem_mmwave import (
 )
 from oem_mmwave.capacity import MAX_SNR_DB
 from oem_mmwave.errors import InvalidConfigError
-from oem_mmwave.waterfill import LN2, flatten_mode_major, sample_snr_realizations
+from oem_mmwave.waterfill import LN2, sample_snr_realizations
 
 from conftest import WAVELENGTH_35GHZ
 
@@ -40,7 +40,7 @@ def literal_se(means, total_power, trials, seed):
     averaged over the stage-1 draws."""
     mu, _ = waterfill_ergodic(means, total_power, samples=trials, seed=seed)
     water = 1.0 / (mu * LN2)
-    gammas = sample_snr_realizations(flatten_mode_major(means), trials, seed, stage=1)
+    gammas = sample_snr_realizations(means.flatten(order="F"), trials, seed, stage=1)
     with np.errstate(divide="ignore"):
         per_trial = np.log2(1.0 + np.maximum(water - 1.0 / gammas, 0.0) * gammas).sum(axis=1)
     return float(per_trial.mean()), float(per_trial.std(ddof=1) / math.sqrt(trials))

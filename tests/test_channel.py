@@ -12,7 +12,7 @@ from oem_mmwave import (
     build_mode_channels,
     mode_power_profile,
 )
-from oem_mmwave import channel
+from oem_mmwave import channel, geometry, waterfill
 from oem_mmwave.channel import VARIANTS, _base_gain, _mode_coefficients
 from oem_mmwave.errors import DomainError, InvalidConfigError
 from oracles import element_gain, mode_gain
@@ -66,33 +66,28 @@ class TestBesselJ:
 
 class TestElementGain:
     def test_magnitude_independent_of_element_indices(self, base_cfg):
-        layout = build_layout(base_cfg)
         mags = {
-            abs(element_gain(base_cfg, layout, 0, 0, u, v))
+            abs(element_gain(base_cfg, 0, 0, u, v))
             for u in range(base_cfg.u_elems)
             for v in range(base_cfg.v_elems)
         }
-        d = layout.center_distances[0, 0]
+        d = build_layout(base_cfg)[0, 0]
         expected = abs(base_cfg.beta) * base_cfg.wavelength / (
             4 * math.pi * math.sqrt(base_cfg.u_elems) * d
         )
         assert all(m == pytest.approx(expected, rel=1e-12) for m in mags)
 
     def test_inverse_distance_law(self, base_cfg):
-        near = build_layout(base_cfg)
-        far = build_layout(base_cfg.with_(link_distance=2 * base_cfg.link_distance))
-        ratio = abs(element_gain(base_cfg, near, 0, 0, 0, 0)) / abs(
-            element_gain(base_cfg.with_(link_distance=2 * base_cfg.link_distance), far, 0, 0, 0, 0)
-        )
-        d_near = near.center_distances[0, 0]
-        d_far = far.center_distances[0, 0]
+        far_cfg = base_cfg.with_(link_distance=2 * base_cfg.link_distance)
+        ratio = abs(element_gain(base_cfg, 0, 0, 0, 0)) / abs(element_gain(far_cfg, 0, 0, 0, 0))
+        d_near = build_layout(base_cfg)[0, 0]
+        d_far = build_layout(far_cfg)[0, 0]
         assert ratio == pytest.approx(d_far / d_near, rel=1e-12)
 
     def test_zero_radius_phase(self, base_cfg):
         cfg = base_cfg.with_(r2=1e-15)
-        layout = build_layout(cfg)
-        gain = element_gain(cfg, layout, 0, 0, 0, 0)
-        d = layout.center_distances[0, 0]
+        gain = element_gain(cfg, 0, 0, 0, 0)
+        d = build_layout(cfg)[0, 0]
         expected_phase = -2 * math.pi * d / cfg.wavelength
         assert math.remainder(math.atan2(gain.imag, gain.real) - expected_phase, 2 * math.pi) == (
             pytest.approx(0.0, abs=1e-6)
@@ -102,7 +97,7 @@ class TestElementGain:
 class TestModeGain:
     def test_small_divergence_angle_keeps_only_mode_zero(self, base_cfg):
         cfg = base_cfg.with_(phi=1e-9, phi_c=0.0)
-        d = build_layout(cfg).center_distances[0, 0]
+        d = build_layout(cfg)[0, 0]
         expected = abs(cfg.beta) * cfg.wavelength * math.sqrt(cfg.u_elems) / (4 * math.pi * d)
         assert abs(mode_gain(cfg, 0, 0, 0, "bessel")) == pytest.approx(expected, rel=1e-9)
         for l in range(1, cfg.u_elems):
@@ -132,11 +127,11 @@ class TestModeGain:
 
     def test_magnitude_depends_only_on_center_distance(self, base_cfg):
         cfg = base_cfg.with_(n_tx=3, m_rx=3)
-        layout = build_layout(cfg)
+        distances = build_layout(cfg)
         mags = {}
         for m in range(3):
             for n in range(3):
-                d = round(float(layout.center_distances[m, n]), 12)
+                d = round(float(distances[m, n]), 12)
                 mags.setdefault(d, set()).add(round(abs(mode_gain(cfg, m, n, 1, "bessel")), 15))
         assert all(len(v) == 1 for v in mags.values())
 
@@ -216,7 +211,7 @@ class TestModeChannels:
         # writes; V = 7 is not a power of two, so the order shows in the bits
         cfg = base_cfg.with_(n_tx=4, m_rx=5, v_elems=7)
         channels = build_mode_channels(cfg, kind)
-        base = _base_gain(cfg, build_layout(cfg).center_distances)
+        base = _base_gain(cfg, build_layout(cfg))
         coefficients = _mode_coefficients(cfg, kind)
         assert len(channels) == cfg.u_elems
         for l, ch in enumerate(channels):
@@ -323,3 +318,31 @@ class TestConvergenceGains:
         )
         expected /= expected[0]
         assert np.allclose(profile, expected, rtol=1e-9)
+
+
+class TestSizeCap:
+    # every array a channel build makes holds at most waterfill.MAX_DRAWS
+    # values; the cap is lowered here, the real sizes are never run
+    def test_layout_cap_is_inclusive(self, base_cfg, monkeypatch):
+        cfg = base_cfg.with_(n_tx=4, m_rx=5)  # (5, 4, 3) center differences
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 60)
+        assert build_layout(cfg).shape == (5, 4)
+
+        def unexpected(*args):
+            raise AssertionError("placed the UCAs of an oversized link")
+
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 59)
+        monkeypatch.setattr(geometry, "_ring", unexpected)
+        with pytest.raises(InvalidConfigError, match="N=4 transmit and M=5 receive UCAs need 60"):
+            build_mode_channels(cfg)
+
+    def test_exact_sum_cap_is_inclusive(self, base_cfg, monkeypatch):
+        cfg = base_cfg.with_(n_tx=1, m_rx=1)  # U = 4: 4 x 4 phase tables
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 16)
+        assert len(build_mode_channels(cfg, "exact-sum")) == 4
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 15)
+        for build in (build_mode_channels, mode_power_profile):
+            with pytest.raises(InvalidConfigError, match="U=4 elements needs 16"):
+                build(cfg, "exact-sum")
+        # the Bessel forms build no U x U table
+        assert len(build_mode_channels(cfg, "bessel")) == 4

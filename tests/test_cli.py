@@ -7,7 +7,7 @@ import platform
 import numpy as np
 import pytest
 
-from oem_mmwave import ModeChannels, OemConfig, build_mode_channels, cli
+from oem_mmwave import ModeChannels, OemConfig, build_mode_channels, cli, waterfill
 from oem_mmwave.channel import VARIANTS
 from oem_mmwave.cli import main
 
@@ -195,6 +195,15 @@ class TestChannel:
         assert "mode must lie in" in err
         assert not out_csv.exists()
 
+    def test_oversized_layout_exits_3(self, config_path, monkeypatch, tmp_path, capsys):
+        # 3 x 2 x 3 = 18 center-difference values over a lowered cap of 17
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 17)
+        out_csv = tmp_path / "h.csv"
+        code, _, err = run(capsys, "channel", "--config", config_path, "--out", str(out_csv))
+        assert code == 3
+        assert "config error" in err and "N=2 transmit and M=3 receive UCAs" in err
+        assert not out_csv.exists()
+
 
 class TestWaterfill:
     def test_worked_example(self, tmp_path, capsys):
@@ -358,6 +367,18 @@ class TestSimulate:
         )
         assert code == 3
         assert "config error" in err and "trials" in err
+        assert not out.exists()
+
+    def test_oversized_exact_sum_exits_3(self, config_path, monkeypatch, tmp_path, capsys):
+        # U = 4 needs 16 phase values, over a lowered cap of 15
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 15)
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", config_path, "--model", "exact-sum",
+            "--snr-db", "0:0:1", "--trials", "1000", "--seed", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert "config error" in err and "U=4 elements" in err
         assert not out.exists()
 
     def test_too_few_trials_exits_2(self, config_path, tmp_path, capsys):

@@ -9,6 +9,7 @@ from oem_mmwave.errors import InvalidConfigError
 from oem_mmwave.geometry import chord_length
 
 from conftest import WAVELENGTH_35GHZ
+from oracles import uca_placement
 
 
 def law_of_cosines(r, k):
@@ -17,33 +18,45 @@ def law_of_cosines(r, k):
 
 
 class TestBuildLayout:
+    @pytest.mark.parametrize("n,m,d", [(64, 64, 100.0), (3, 5, 1.0), (7, 4, 50.0)])
+    def test_center_distances_closed_form(self, base_cfg, n, m, d):
+        # centers 2 pi n / N and 2 pi m / M apart on radius-r1 circles a
+        # distance D apart: d_mn^2 = D^2 + 2 r1^2 (1 - cos(2 pi (m/M - n/N)))
+        cfg = base_cfg.with_(n_tx=n, m_rx=m, link_distance=d)
+        r1 = cfg.r1
+        expected = np.array([
+            [math.sqrt(d * d + 2 * r1 * r1 * (1 - math.cos(2 * math.pi * (mm / m - nn / n))))
+             for nn in range(n)]
+            for mm in range(m)
+        ])
+        distances = build_layout(cfg)
+        assert distances.shape == (m, n)
+        assert np.allclose(distances, expected, rtol=1e-12, atol=0.0)
+
     def test_single_element_offset_along_reference_azimuth(self, base_cfg):
         cfg = base_cfg.with_(n_tx=1, m_rx=1, u_elems=1, v_elems=1, r2=0.01)
-        layout = build_layout(cfg)
-        assert np.allclose(layout.tx_positions[0, 0] - layout.tx_centers[0], [0.01, 0.0, 0.0])
+        center, elements = uca_placement(cfg, False, 0)
+        assert np.allclose(elements[0] - center, [0.01, 0.0, 0.0])
 
     def test_adjacent_center_distance_four_ucas(self, base_cfg):
-        cfg = base_cfg.with_(n_tx=4, r1=1.0)
-        layout = build_layout(cfg)
-        d = np.linalg.norm(layout.tx_centers[0] - layout.tx_centers[1])
-        assert d == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        # receive UCA 1 sits a quarter turn from transmit UCA 0: the
+        # transverse chord is sqrt(2) r1
+        cfg = base_cfg.with_(n_tx=4, m_rx=4, r1=1.0, link_distance=1.0)
+        d = build_layout(cfg)[1, 0]
+        assert math.sqrt(d * d - 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_center_distance_bounds(self, base_cfg):
-        layout = build_layout(base_cfg)
-        d = layout.center_distances
+        d = build_layout(base_cfg)
         lo = base_cfg.link_distance - 2 * base_cfg.r1
         hi = base_cfg.link_distance + 2 * base_cfg.r1
         assert np.all(d >= lo) and np.all(d <= hi)
 
     def test_element_radii_exact(self, base_cfg):
-        layout = build_layout(base_cfg)
-        for centers, positions in [
-            (layout.tx_centers, layout.tx_positions),
-            (layout.rx_centers, layout.rx_positions),
-        ]:
-            radii = np.linalg.norm(positions - centers[:, None, :], axis=-1)
-            assert np.allclose(radii, base_cfg.r2, rtol=1e-12)
-        assert np.allclose(np.linalg.norm(layout.tx_centers, axis=1), base_cfg.r1, rtol=1e-12)
+        for receive, count in [(False, base_cfg.n_tx), (True, base_cfg.m_rx)]:
+            for k in range(count):
+                center, elements = uca_placement(base_cfg, receive, k)
+                radii = np.linalg.norm(elements - center, axis=-1)
+                assert np.allclose(radii, base_cfg.r2, rtol=1e-12)
 
     def test_invalid_config_rejected(self, base_cfg):
         with pytest.raises(InvalidConfigError):

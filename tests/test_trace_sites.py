@@ -11,7 +11,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from oem_mmwave import build_mode_channels
+from oem_mmwave import build_mode_channels, channel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +43,15 @@ def test_counter_hooks_read_the_channel_set(base_cfg):
         "channel.entries": cfg.m_rx * cfg.n_tx * cfg.u_elems,
         "transceiver.svds": cfg.u_elems,
     }
+
+
+def test_channel_build_reaches_the_layout_and_bessel_sites(base_cfg):
+    # a site can stay bound yet never be called; the traced channel build
+    # must still pass through the layout and every mode's Bessel factor
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.root("bench.op", 1):
+        channel.build_mode_channels(base_cfg, "convergent")
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["geometry.build_layout"] == 1
+    assert spans["channel.bessel_j"] == base_cfg.u_elems

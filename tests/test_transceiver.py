@@ -102,6 +102,14 @@ class TestPropagate:
         with pytest.raises(InvalidConfigError, match=r"\(M, N\) = \(4, 4\), got \(4, 5\)"):
             propagate(random_symbols(cfg), channels, cfg)
 
+    def test_channel_element_count_must_match_config(self, base_cfg):
+        # zf_detect would divide by the channels' V = 8 while the signal
+        # was decomposed with V = 4: estimates off by a factor 1/2
+        cfg = base_cfg.with_(v_elems=4)
+        channels = build_mode_channels(cfg.with_(v_elems=8))
+        with pytest.raises(InvalidConfigError, match="built for V=8, the config has V=4"):
+            propagate(random_symbols(cfg), channels, cfg)
+
     def test_linearity(self, base_cfg):
         channels = build_mode_channels(base_cfg)
         s1, s2 = random_symbols(base_cfg, 1), random_symbols(base_cfg, 2)
