@@ -142,15 +142,22 @@ def _cmd_channel(args) -> int:
         return EXIT_USAGE
     channels = build_mode_channels(cfg, kind=args.model)
     modes = range(len(channels)) if args.mode is None else [args.mode]
+    m_rx, n_tx = channels.base.shape
+    # One %-template over the (m, n) grid per dump, filled with (l, re, im)
+    # per entry: one write per mode, as one string for the whole dump would
+    # hold all M*N*U rows.  %.12g formats a float as format(x, ".12g") does.
+    template = "".join(
+        f"%d,{m},{n},%.12g,%.12g\n" for m in range(1, m_rx + 1) for n in range(1, n_tx + 1)
+    )
+    values = [0] * (3 * m_rx * n_tx)
     with _replace_on_success(args.out) as fh:
         fh.write("mode,m,n,re,im\n")
-        # one write per mode; one string for the whole dump would hold all M*N*U rows
         for l in modes:
-            fh.write("".join(
-                f"{l},{m},{n},{entry.real:.12g},{entry.imag:.12g}\n"
-                for m, row in enumerate(channels[l].matrix.tolist(), start=1)
-                for n, entry in enumerate(row, start=1)
-            ))
+            matrix = channels[l].matrix
+            values[0::3] = [l] * (m_rx * n_tx)
+            values[1::3] = matrix.real.ravel().tolist()
+            values[2::3] = matrix.imag.ravel().tolist()
+            fh.write(template % tuple(values))
     _write_manifest("channel", cfg.to_json_dict(), None, [args.out])
     return EXIT_OK
 
@@ -162,7 +169,7 @@ def _read_snr_csv(path: str) -> list[tuple[int, int, float]]:
     """Rows (i, l, gamma) of a gamma CSV; (i, l) is a label, used by at most one row."""
     rows, seen = [], set()
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 i, l, gamma = int(row["i"]), int(row["l"]), float(row["gamma"])
@@ -176,6 +183,8 @@ def _read_snr_csv(path: str) -> list[tuple[int, int, float]]:
                 rows.append((i, l, gamma))
     except OSError as exc:
         raise InvalidConfigError(f"bad SNR csv: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"bad SNR csv: {path} is not UTF-8: {exc}") from exc
     except (csv.Error, KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"bad SNR csv, line {reader.line_num}: {exc}") from exc
     if not rows:

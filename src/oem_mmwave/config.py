@@ -160,7 +160,9 @@ class OemConfig:
     @classmethod
     def load(cls, path) -> "OemConfig":
         try:
-            d = json.loads(Path(path).read_text())
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InvalidConfigError(f"config file {path} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(d, dict):

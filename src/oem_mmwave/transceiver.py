@@ -29,10 +29,13 @@ class DecomposedSignal:
         receive UCA m.
     noise_var_per_mode : variance of the projected noise, V times the
         per-element variance.
+    v_elems : the V of the decomposition; detection checks it against
+        the channel set's.
     """
 
     values: np.ndarray
     noise_var_per_mode: float
+    v_elems: int
 
 
 @lru_cache(maxsize=16)
@@ -113,7 +116,8 @@ def decompose_modes(observation: np.ndarray, cfg: OemConfig) -> DecomposedSignal
         )
     v, u = cfg.v_elems, cfg.u_elems
     proj = _dft(v, u, v, inverse=True)  # (v_idx, l0)
-    return DecomposedSignal(values=observation @ proj, noise_var_per_mode=cfg.v_elems * cfg.noise_var)
+    return DecomposedSignal(values=observation @ proj, noise_var_per_mode=v * cfg.noise_var,
+                            v_elems=v)
 
 
 def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
@@ -140,6 +144,12 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
         raise InvalidConfigError(
             f"decomposed signal has {m_rx} receive UCAs, "
             f"the channel matrices have M={channels.base.shape[0]}"
+        )
+    if decomposed.v_elems != channels.v_elems:
+        # the mode gains divide by the channels' V, so the two must agree
+        raise InvalidConfigError(
+            f"signal was decomposed with V={decomposed.v_elems}, "
+            f"the channels were built for V={channels.v_elems}"
         )
     dead = np.flatnonzero(channels.coefficients == 0.0)
     if dead.size:

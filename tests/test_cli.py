@@ -136,6 +136,24 @@ class TestScenario:
         assert field in err
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["channel", "simulate", "scenario"])
+    def test_not_utf8_exits_3_naming_the_file(self, command, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        argv = {
+            "channel": ["channel", "--out", str(tmp_path / "h.csv")],
+            "simulate": ["simulate", "--snr-db", "0:0:1", "--trials", "1000", "--seed", "1",
+                         "--out", str(tmp_path / "se.csv")],
+            "scenario": ["scenario"],
+        }[command] + ["--config", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"config error: config file {path} is not UTF-8" in err
+        assert os.listdir(tmp_path) == ["utf16.json"]
+
+
 class TestChannel:
     def test_single_link_single_mode(self, base_cfg, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -172,14 +190,17 @@ class TestChannel:
     @pytest.mark.parametrize("model", VARIANTS)
     @pytest.mark.parametrize("mode", [None, 2])
     def test_dump_matches_the_csv_module_writer(self, model, mode, base_cfg, tmp_path, capsys):
-        # theta = 135 degrees gives entries of both signs in both parts
-        cfg = base_cfg.with_(n_tx=4, m_rx=5, theta=math.radians(135.0))
+        # theta = 135 degrees gives entries of both signs in both parts.  At
+        # U = V = 16 the full convergent dump also holds dead modes (0 and -0
+        # entries), and exact-sum and bessel write exponent forms (1.2e-05).
+        link = base_cfg.with_(n_tx=4, m_rx=5, theta=math.radians(135.0))
         path, out_csv = tmp_path / "link.json", tmp_path / "h.csv"
-        cfg.save(path)
         argv = ["channel", "--config", str(path), "--model", model, "--out", str(out_csv)]
-        assert run(capsys, *argv, *([] if mode is None else ["--mode", str(mode)]))[0] == 0
-        expected = csv_channel_dump(build_mode_channels(OemConfig.load(path), model), mode)
-        assert out_csv.read_bytes() == expected.encode()
+        for cfg in (link, link.with_(u_elems=16, v_elems=16)):
+            cfg.save(path)
+            assert run(capsys, *argv, *([] if mode is None else ["--mode", str(mode)]))[0] == 0
+            expected = csv_channel_dump(build_mode_channels(OemConfig.load(path), model), mode)
+            assert out_csv.read_bytes() == expected.encode()
 
     def test_mode_out_of_range_exits_2_before_any_channel_is_built(self, config_path,
                                                                    monkeypatch, tmp_path,
@@ -231,6 +252,19 @@ class TestWaterfill:
             "--total-power", "1.0", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 3
+
+    def test_not_utf8_csv_exits_3_naming_the_file(self, tmp_path, capsys):
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_bytes("i,l,gamma\n0,0,4.0\n".encode("utf-16"))
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "waterfill", "--snr-csv", str(snr_csv),
+            "--total-power", "1.0", "--out", str(out_csv),
+        )
+        assert code == 3
+        assert f"bad SNR csv: {snr_csv} is not UTF-8" in err
+        assert "line" not in err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
     def test_non_finite_gamma_exits_3(self, gamma, tmp_path, capsys):

@@ -175,14 +175,15 @@ class TestZfDetect:
         cfg = base_cfg.with_(n_tx=2, m_rx=2)
         channels = ModeChannels(np.eye(2), np.ones(cfg.u_elems), 1)
         values = np.arange(2 * cfg.u_elems, dtype=complex).reshape(2, cfg.u_elems)
-        dec = DecomposedSignal(values=values, noise_var_per_mode=0.0)
+        dec = DecomposedSignal(values=values, noise_var_per_mode=0.0, v_elems=1)
         est, _ = zf_detect(dec, channels)
         assert np.allclose(est, values)
 
     def test_diagonal_channel_snr_weights(self):
         a, b = 3.0, 0.5
         channels = ModeChannels(np.diag([a, b]), [1.0], 1)
-        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=2.0)
+        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=2.0,
+                               v_elems=1)
         _, grid = zf_detect(dec, channels)
         assert grid.values[0, 0] == pytest.approx(a * a / 2.0, rel=1e-12)
         assert grid.values[1, 0] == pytest.approx(b * b / 2.0, rel=1e-12)
@@ -190,7 +191,8 @@ class TestZfDetect:
     def test_rank_deficient_rejected(self):
         # a rank-one B fails the whole link, not one mode
         channels = ModeChannels(np.ones((2, 2)), [1.0, 2.0], 1)
-        dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0)
+        dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0,
+                               v_elems=1)
         with pytest.raises(RankDeficientError, match="^channel matrix is rank deficient"):
             zf_detect(dec, channels)
 
@@ -217,9 +219,23 @@ class TestZfDetect:
     def test_signal_row_count_must_match_channels(self, base_cfg):
         channels, dec = TestZfCache.near_field_link(base_cfg)
         extra_row = DecomposedSignal(values=np.vstack([dec.values, dec.values[:1]]),
-                                     noise_var_per_mode=dec.noise_var_per_mode)
+                                     noise_var_per_mode=dec.noise_var_per_mode,
+                                     v_elems=channels.v_elems)
         with pytest.raises(InvalidConfigError, match="17 receive UCAs.*M=16"):
             zf_detect(extra_row, channels)
+
+    def test_decomposition_v_must_match_channels(self, base_cfg):
+        # a caller that decomposes its own observations skips the V check
+        # in propagate; detecting with V=8 channels would return s * 0.5
+        cfg4 = base_cfg.with_(v_elems=4)
+        ch4, ch8 = build_mode_channels(cfg4), build_mode_channels(base_cfg)
+        s = random_symbols(cfg4)
+        dec = decompose_modes(propagate(s, ch4, cfg4), cfg4)
+        assert dec.v_elems == 4
+        assert np.allclose(zf_detect(dec, ch4)[0], s)
+        with pytest.raises(InvalidConfigError,
+                           match="decomposed with V=4, the channels were built for V=8"):
+            zf_detect(dec, ch8)
 
     def test_mode_is_the_list_position(self, base_cfg):
         # mode l is position l of the coefficients: a repeated coefficient
@@ -235,7 +251,8 @@ class TestZfDetect:
 
     def test_rank_deficient_error_names_the_mode(self):
         channels = ModeChannels(np.eye(2), [1.0, 0.0], 1)
-        dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0)
+        dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0,
+                               v_elems=1)
         with pytest.raises(RankDeficientError, match="mode 1"):
             zf_detect(dec, channels)
 
@@ -256,7 +273,8 @@ class TestZfDetect:
 
     def test_more_streams_than_antennas_rejected(self):
         channels = ModeChannels(np.ones((1, 2)), [1.0], 1)
-        dec = DecomposedSignal(values=np.zeros((1, 1), dtype=complex), noise_var_per_mode=1.0)
+        dec = DecomposedSignal(values=np.zeros((1, 1), dtype=complex), noise_var_per_mode=1.0,
+                               v_elems=1)
         with pytest.raises(RankDeficientError):
             zf_detect(dec, channels)
 
@@ -295,7 +313,8 @@ class TestZfCache:
 
     def test_rank_deficient_raises_on_every_call(self):
         channels = ModeChannels(np.ones((2, 2)), [1.0], 1)
-        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0)
+        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0,
+                               v_elems=1)
         for _ in range(3):
             with pytest.raises(RankDeficientError):
                 zf_detect(dec, channels)
