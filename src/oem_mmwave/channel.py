@@ -2,11 +2,11 @@
 
 The mode-l gain between transmit UCA n and receive UCA m is c_l * B[m, n]:
 a per-mode coefficient c_l times the distance term B[m, n] = beta *
-lambda * exp(-j 2 pi d_mn / lambda) / (4 pi d_mn).  So every mode matrix
-is V * c_l * B, and the mode power profile is |c_l / c_0|^2.
-``build_mode_channels`` returns the link in that factored form, as one
-``ModeChannels`` of B, c and V: one zero-forcing solution of B serves
-every mode.  The variants differ only in c_l:
+lambda * exp(-j 2 pi d_mn / lambda) / (4 pi d_mn); neither factor depends
+on the receive element count V.  So every mode matrix is c_l * B, and the
+mode power profile is |c_l / c_0|^2.  ``build_mode_channels`` returns the
+link in that factored form, as one ``ModeChannels`` of B and c: one
+zero-forcing solution of B serves every mode.  The variants differ only in c_l:
 
 * ``exact-sum`` — the finite sum over transmit elements of the far-field
   element phases with the progressive per-element phase ramp.
@@ -40,18 +40,17 @@ VARIANTS = ("exact-sum", "bessel", "convergent")
 
 @dataclass(frozen=True, eq=False)
 class ModeMatrix:
-    """One mode's complex M x N matrix V * c_l * B, read-only."""
+    """One mode's complex M x N matrix c_l * B, read-only."""
 
     matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class ModeChannels:
-    """The channel matrices V * c_l * B of modes l = 0..U-1 as one factored link.
+    """The channel matrices c_l * B of modes l = 0..U-1 as one factored link.
 
-    base : complex (M, N) distance matrix B, without V.
+    base : complex (M, N) distance matrix B.
     coefficients : complex (U,) per-mode factors c; mode l is position l.
-    v_elems : the decomposition factor V.
 
     Both arrays are read-only complex copies of the ones passed in, so
     the zero-forcing solution of B computed on first use stays valid.
@@ -62,7 +61,6 @@ class ModeChannels:
 
     base: np.ndarray
     coefficients: np.ndarray
-    v_elems: int
 
     def __post_init__(self):
         base = np.array(self.base, dtype=complex)
@@ -83,7 +81,7 @@ class ModeChannels:
         return self.coefficients.size
 
     def __getitem__(self, l: int) -> ModeMatrix:
-        matrix = self.v_elems * (self.coefficients[l] * self.base)
+        matrix = self.coefficients[l] * self.base
         matrix.setflags(write=False)
         return ModeMatrix(matrix)
 
@@ -93,7 +91,7 @@ class ModeChannels:
         diag((B^H B)^{-1}), (N,), both read-only.
 
         Every mode's filter and noise gains follow from these by its
-        factor V * c_l.  Raises RankDeficientError, on every access, when
+        factor c_l.  Raises RankDeficientError, on every access, when
         M < N or the singular values of B span more than ten decades.
         """
         b = self.base
@@ -193,11 +191,11 @@ def _base_gain(cfg: OemConfig, d):
 def build_mode_channels(cfg: OemConfig, kind: str = "convergent") -> ModeChannels:
     """Deterministic line-of-sight channels of all modes 0..U-1.
 
-    Mode l's matrix is V * c_l * B: V times the per-UCA mode gains, so
-    the matrices apply directly to mode-decomposed receive signals.
+    Mode l's matrix is c_l * B, the per-UCA mode gains; the mode
+    decomposition over V receive elements scales them by V.
     """
     coefficients = _mode_coefficients(cfg, kind)
-    return ModeChannels(_base_gain(cfg, build_layout(cfg)), coefficients, cfg.v_elems)
+    return ModeChannels(_base_gain(cfg, build_layout(cfg)), coefficients)
 
 
 def mode_power_profile(cfg: OemConfig, kind: str = "convergent") -> np.ndarray:

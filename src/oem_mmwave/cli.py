@@ -153,7 +153,7 @@ def _cmd_channel(args) -> int:
     with _replace_on_success(args.out) as fh:
         fh.write("mode,m,n,re,im\n")
         for l in modes:
-            matrix = channels[l].matrix
+            matrix = cfg.v_elems * channels[l].matrix  # V * (c_l * B)
             values[0::3] = [l] * (m_rx * n_tx)
             values[1::3] = matrix.real.ravel().tolist()
             values[2::3] = matrix.imag.ravel().tolist()
@@ -169,7 +169,7 @@ def _read_snr_csv(path: str) -> list[tuple[int, int, float]]:
     """Rows (i, l, gamma) of a gamma CSV; (i, l) is a label, used by at most one row."""
     rows, seen = [], set()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 i, l, gamma = int(row["i"]), int(row["l"]), float(row["gamma"])

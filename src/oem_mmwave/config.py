@@ -160,7 +160,7 @@ class OemConfig:
     @classmethod
     def load(cls, path) -> "OemConfig":
         try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
+            d = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise InvalidConfigError(f"config file {path} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:

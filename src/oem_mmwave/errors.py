@@ -13,12 +13,8 @@ class DomainError(OemError, ValueError):
     """A numeric argument is outside the supported domain."""
 
 
-class AliasRiskError(OemError, ValueError):
-    """Mode decomposition requested with fewer receive elements than modes."""
-
-
 class RankDeficientError(OemError, ValueError):
-    """A per-mode channel matrix is too ill-conditioned to invert."""
+    """A link cannot be zero-forced: its base matrix B is rank deficient or a mode gain vanished."""
 
 
 class NumericSingularityError(OemError, ArithmeticError):

@@ -3,21 +3,24 @@
 Symbols live on a complex N x U grid: entry (n, l) is the symbol of OAM
 mode l on transmit UCA n.  Element observations live on an M x V grid.
 Channels come as the ``ModeChannels`` of ``build_mode_channels``: mode l's
-matrix is V * c_l * B, so reception and detection of all modes are one
-product with B or its zero-forcing filter, scaled per mode.  The DFT
-matrices over the element and mode indices are built once per size.
+matrix is c_l * B, which the decomposition over V elements scales by V, so
+reception and detection of all modes are one product with B or its
+zero-forcing filter, scaled per mode.  The DFT matrices over the element
+and mode indices are built once per size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
 from .channel import ModeChannels
 from .config import OemConfig
-from .errors import AliasRiskError, InvalidConfigError, RankDeficientError
+from .errors import InvalidConfigError, RankDeficientError
 from .waterfill import SnrGrid
 
 
@@ -28,14 +31,24 @@ class DecomposedSignal:
     values : complex (M, U) array, entry (m, l) is the mode-l signal at
         receive UCA m.
     noise_var_per_mode : variance of the projected noise, V times the
-        per-element variance.
-    v_elems : the V of the decomposition; detection checks it against
-        the channel set's.
+        per-element variance; finite and nonnegative.
+    v_elems : the V of the decomposition, a positive integer; detection
+        divides by V times each mode's coefficient.
     """
 
     values: np.ndarray
     noise_var_per_mode: float
     v_elems: int
+
+    def __post_init__(self):
+        values, noise, v = np.asarray(self.values), self.noise_var_per_mode, self.v_elems
+        if values.ndim != 2:
+            raise InvalidConfigError(f"decomposed values must be (M, U), got shape {values.shape}")
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+            raise InvalidConfigError(f"v_elems must be a positive integer, got {v!r}")
+        if not 0.0 <= noise < math.inf:
+            raise InvalidConfigError(f"noise_var_per_mode must be finite and >= 0, got {noise}")
+        object.__setattr__(self, "values", values)
 
 
 @lru_cache(maxsize=16)
@@ -47,17 +60,23 @@ def _dft(rows: int, cols: int, period: int, inverse: bool = False) -> np.ndarray
     return dft
 
 
+def _checked_symbols(symbols, cfg: OemConfig) -> np.ndarray:
+    """``symbols`` as a complex (N, U) array; any other shape raises InvalidConfigError."""
+    symbols = np.asarray(symbols, dtype=complex)
+    if symbols.shape != (cfg.n_tx, cfg.u_elems):
+        raise InvalidConfigError(
+            f"symbols must be (N, U) = ({cfg.n_tx}, {cfg.u_elems}), got {symbols.shape}"
+        )
+    return symbols
+
+
 def synthesize_elements(symbols: np.ndarray, cfg: OemConfig) -> np.ndarray:
     """Per-element transmit signals from the per-mode symbols.
 
     x_{n,u} = (1/sqrt(U)) * sum_l s_{n,l} exp(j 2 pi (u-1) l / U) — the
     unitary inverse DFT over the mode index.
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.shape != (cfg.n_tx, cfg.u_elems):
-        raise InvalidConfigError(
-            f"symbols must be (N, U) = ({cfg.n_tx}, {cfg.u_elems}), got {symbols.shape}"
-        )
+    symbols = _checked_symbols(symbols, cfg)
     u = cfg.u_elems
     return symbols @ _dft(u, u, u).T / np.sqrt(u)  # dft is (u_idx, l)
 
@@ -68,15 +87,10 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
 
     y_{m,v} = sum_l sum_n h_{mn,l} s_{n,l} exp(j 2 pi (v-1) l / V) + w_{m,v}
     with circularly-symmetric complex Gaussian element noise of variance
-    cfg.noise_var, drawn deterministically from noise_seed.  The mode
-    matrices V * c_l * B carry the V factor, which belongs to the
-    decomposition stage, so the per-UCA sums are c_l * (B s_l).
+    cfg.noise_var, drawn deterministically from noise_seed.  The per-UCA
+    sums of the mode matrices c_l * B are c_l * (B s_l).
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.shape != (cfg.n_tx, cfg.u_elems):
-        raise InvalidConfigError(
-            f"symbols must be (N, U) = ({cfg.n_tx}, {cfg.u_elems}), got {symbols.shape}"
-        )
+    symbols = _checked_symbols(symbols, cfg)
     if len(channels) != cfg.u_elems:
         raise InvalidConfigError(f"need one channel per mode 0..{cfg.u_elems - 1}")
     m_rx, u, v = cfg.m_rx, cfg.u_elems, cfg.v_elems
@@ -84,12 +98,6 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
         raise InvalidConfigError(
             f"channel matrices must be (M, N) = ({m_rx}, {cfg.n_tx}), got {channels.base.shape}"
         )
-    if channels.v_elems != v:
-        # zf_detect divides by the channels' V, so the two must agree
-        raise InvalidConfigError(
-            f"channels were built for V={channels.v_elems}, the config has V={v}"
-        )
-    # (M, U) per-UCA sums, without the decomposition factor V
     per_uca = (channels.base @ symbols) * channels.coefficients
     out = per_uca @ _dft(u, v, v)  # dft is (l, v_idx)
     if cfg.noise_var > 0.0:
@@ -102,17 +110,13 @@ def decompose_modes(observation: np.ndarray, cfg: OemConfig) -> DecomposedSignal
     """Project element observations onto the OAM modes.
 
     y~_{m,l0} = sum_v y_{m,v} exp(-j 2 pi (v-1) l0 / V).  Exact DFT
-    orthogonality cancels every mode l != l0 when V >= U; the projected
+    orthogonality cancels every mode l != l0 as V >= U; the projected
     noise variance grows to V times the element variance.
     """
     observation = np.asarray(observation, dtype=complex)
     if observation.shape != (cfg.m_rx, cfg.v_elems):
         raise InvalidConfigError(
             f"observation must be (M, V) = ({cfg.m_rx}, {cfg.v_elems}), got {observation.shape}"
-        )
-    if cfg.v_elems < cfg.u_elems:
-        raise AliasRiskError(
-            f"V={cfg.v_elems} < U={cfg.u_elems}: modes would alias in the decomposition"
         )
     v, u = cfg.v_elems, cfg.u_elems
     proj = _dft(v, u, v, inverse=True)  # (v_idx, l0)
@@ -124,11 +128,11 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
               ) -> tuple[np.ndarray, SnrGrid]:
     """Zero-forcing detection of every mode's spatial streams.
 
-    Per mode l: s_hat_l = (H_l^H H_l)^{-1} H_l^H y_l with H_l = V c_l B,
-    which is ZF(B) y_l / (V c_l).  The returned SNR grid holds the
-    per-stream weights gamma_{i,l} = 1 / (sigma_l^2 * [(H_l^H
-    H_l)^{-1}]_{ii}) = |V c_l|^2 / (sigma_l^2 * [(B^H B)^{-1}]_{ii}), so a
-    stream carrying power P is received at SNR P * gamma_{i,l}.  In the
+    Per mode l: s_hat_l = (H_l^H H_l)^{-1} H_l^H y_l with H_l = V c_l B and
+    V from ``decomposed``, which is ZF(B) y_l / (V c_l).  The returned SNR
+    grid holds the per-stream weights gamma_{i,l} = 1 / (sigma_l^2 *
+    [(H_l^H H_l)^{-1}]_{ii}) = |V c_l|^2 / (sigma_l^2 * [(B^H B)^{-1}]_{ii}),
+    so a stream carrying power P is received at SNR P * gamma_{i,l}.  In the
     noiseless case (sigma_l^2 = 0) the weights are reported per unit
     mode-noise variance instead.  The filter and noise gains of B come
     from ``ModeChannels.zf_solution``, computed once per link, so a block
@@ -145,17 +149,11 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
             f"decomposed signal has {m_rx} receive UCAs, "
             f"the channel matrices have M={channels.base.shape[0]}"
         )
-    if decomposed.v_elems != channels.v_elems:
-        # the mode gains divide by the channels' V, so the two must agree
-        raise InvalidConfigError(
-            f"signal was decomposed with V={decomposed.v_elems}, "
-            f"the channels were built for V={channels.v_elems}"
-        )
     dead = np.flatnonzero(channels.coefficients == 0.0)
     if dead.size:
         raise RankDeficientError(f"mode {dead[0]} gain vanished")
     zf_filter, noise_gains = channels.zf_solution
-    mode_gains = channels.v_elems * channels.coefficients
+    mode_gains = decomposed.v_elems * channels.coefficients
     sigma2 = decomposed.noise_var_per_mode if decomposed.noise_var_per_mode > 0.0 else 1.0
     estimates = (zf_filter @ values) / mode_gains
     weights = np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None])

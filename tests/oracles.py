@@ -114,8 +114,8 @@ def mode_gain(cfg: OemConfig, m: int, n: int, l: int, kind: str = "bessel") -> c
     return complex(_mode_coefficients(cfg, kind)[l] * _base_gain(cfg, d))
 
 
-def csv_channel_dump(channels, mode: Optional[int] = None) -> str:
-    """The ``oem-sim channel`` CSV of a channel set, one csv.writer row per entry.
+def csv_channel_dump(matrices, mode: Optional[int] = None) -> str:
+    """The ``oem-sim channel`` CSV of mode matrices V * c_l * B, one csv.writer row per entry.
 
     Rows (l, m, n, re, im) with 1-based m and n and the parts in
     12-significant-digit ``g`` format; only mode ``mode`` when given.
@@ -123,10 +123,10 @@ def csv_channel_dump(channels, mode: Optional[int] = None) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mode", "m", "n", "re", "im"])
-    for l, ch in enumerate(channels):
+    for l, matrix in enumerate(matrices):
         if mode is not None and l != mode:
             continue
-        for m, row in enumerate(ch.matrix.tolist(), start=1):
+        for m, row in enumerate(matrix.tolist(), start=1):
             for n, entry in enumerate(row, start=1):
                 writer.writerow([l, m, n, format(float(entry.real), ".12g"),
                                  format(float(entry.imag), ".12g")])

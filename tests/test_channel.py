@@ -148,7 +148,7 @@ class TestBuildModeChannels:
         for l, ch in enumerate(channels):
             assert ch.matrix.shape == (1, 1)
             expected = cfg.v_elems * mode_gain(cfg, 0, 0, l, "bessel")
-            assert ch.matrix[0, 0] == pytest.approx(expected, rel=1e-12)
+            assert cfg.v_elems * ch.matrix[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_equal_distances_give_equal_magnitudes(self, base_cfg):
         # two antipodal transmit UCAs seen from two antipodal receive UCAs:
@@ -179,14 +179,14 @@ class TestModeChannelImmutable:
 
     def test_caller_array_is_copied_and_left_writeable(self):
         base, coefficients = np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, 0.5])
-        channels = ModeChannels(base, coefficients, 2)
+        channels = ModeChannels(base, coefficients)
         base[0, 0] = 99.0
         coefficients[0] = 99.0
         assert base.flags.writeable and coefficients.flags.writeable
         assert channels.base.dtype == complex and channels.coefficients.dtype == complex
         assert np.array_equal(channels.base, np.diag([2.0, 3.0]))
         assert np.array_equal(channels.coefficients, [1.0, 0.5])
-        assert np.array_equal(channels[1].matrix, np.diag([2.0, 3.0]))
+        assert np.array_equal(channels[1].matrix, np.diag([1.0, 1.5]))
 
     def test_zf_solution_is_read_only(self, base_cfg):
         zf_filter, noise_gains = build_mode_channels(base_cfg).zf_solution
@@ -194,8 +194,8 @@ class TestModeChannelImmutable:
         assert not noise_gains.flags.writeable
 
     def test_compares_and_hashes_by_identity(self):
-        a = ModeChannels(np.eye(2), [1.0], 1)
-        b = ModeChannels(np.eye(2), [1.0], 1)
+        a = ModeChannels(np.eye(2), [1.0])
+        b = ModeChannels(np.eye(2), [1.0])
         assert a == a
         assert a != b
         assert hash(a) == hash(a)
@@ -207,15 +207,17 @@ class TestModeChannelImmutable:
 class TestModeChannels:
     @pytest.mark.parametrize("kind", VARIANTS)
     def test_mode_matrix_is_v_times_the_scaled_base(self, base_cfg, kind):
-        # the order V * (c_l * B) of the per-mode matrices the channel dump
-        # writes; V = 7 is not a power of two, so the order shows in the bits
+        # mode l's matrix is c_l * B, and the channel dump writes it in the
+        # order V * (c_l * B); V = 7 is not a power of two, so the order
+        # shows in the bits
         cfg = base_cfg.with_(n_tx=4, m_rx=5, v_elems=7)
         channels = build_mode_channels(cfg, kind)
         base = _base_gain(cfg, build_layout(cfg))
         coefficients = _mode_coefficients(cfg, kind)
         assert len(channels) == cfg.u_elems
         for l, ch in enumerate(channels):
-            assert np.array_equal(ch.matrix, cfg.v_elems * (coefficients[l] * base))
+            assert np.array_equal(ch.matrix, coefficients[l] * base)
+            assert np.array_equal(cfg.v_elems * ch.matrix, cfg.v_elems * (coefficients[l] * base))
 
     @pytest.mark.parametrize("base,coefficients", [
         (np.ones(3), [1.0]),
@@ -223,7 +225,7 @@ class TestModeChannels:
     ])
     def test_bad_shapes_rejected(self, base, coefficients):
         with pytest.raises(InvalidConfigError, match="shapes"):
-            ModeChannels(base, coefficients, 1)
+            ModeChannels(base, coefficients)
 
     @pytest.mark.parametrize("base,coefficients", [
         (np.array([[1.0, np.nan]]), [1.0]),
@@ -231,11 +233,11 @@ class TestModeChannels:
     ])
     def test_non_finite_factors_rejected(self, base, coefficients):
         with pytest.raises(InvalidConfigError, match="non-finite"):
-            ModeChannels(base, coefficients, 1)
+            ModeChannels(base, coefficients)
 
     def test_iteration_stops_after_the_last_mode(self):
-        channels = ModeChannels(np.eye(2), [1.0, 2.0], 3)
-        assert [ch.matrix[0, 0] for ch in channels] == [3.0, 6.0]
+        channels = ModeChannels(np.eye(2), [1.0, 2.0])
+        assert [ch.matrix[0, 0] for ch in channels] == [1.0, 2.0]
         with pytest.raises(IndexError):
             channels[2]
 

@@ -153,6 +153,15 @@ class TestConfigFile:
         assert f"config error: config file {path} is not UTF-8" in err
         assert os.listdir(tmp_path) == ["utf16.json"]
 
+    def test_byte_order_mark_is_accepted(self, base_cfg, tmp_path, capsys):
+        # spreadsheet and editor exports often start UTF-8 with a BOM
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        base_cfg.save(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = [run(capsys, "scenario", "--config", str(path)) for path in (plain, marked)]
+        assert reports[0][0] == 0
+        assert reports[1] == reports[0]
+
 
 class TestChannel:
     def test_single_link_single_mode(self, base_cfg, tmp_path, capsys):
@@ -199,7 +208,8 @@ class TestChannel:
         for cfg in (link, link.with_(u_elems=16, v_elems=16)):
             cfg.save(path)
             assert run(capsys, *argv, *([] if mode is None else ["--mode", str(mode)]))[0] == 0
-            expected = csv_channel_dump(build_mode_channels(OemConfig.load(path), model), mode)
+            channels = build_mode_channels(OemConfig.load(path), model)
+            expected = csv_channel_dump([cfg.v_elems * ch.matrix for ch in channels], mode)
             assert out_csv.read_bytes() == expected.encode()
 
     def test_mode_out_of_range_exits_2_before_any_channel_is_built(self, config_path,
@@ -265,6 +275,18 @@ class TestWaterfill:
         assert f"bad SNR csv: {snr_csv} is not UTF-8" in err
         assert "line" not in err
         assert not out_csv.exists()
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        # the BOM must not become part of the first header name
+        outputs = []
+        for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            snr_csv, out_csv = tmp_path / f"{name}.csv", tmp_path / f"{name}-powers.csv"
+            snr_csv.write_bytes(prefix + b"i,l,gamma\n0,0,4.0\n0,1,1.0\n")
+            code, _, err = run(capsys, "waterfill", "--snr-csv", str(snr_csv),
+                               "--total-power", "1.0", "--out", str(out_csv))
+            assert (code, err) == (0, "")
+            outputs.append(out_csv.read_bytes())
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
     def test_non_finite_gamma_exits_3(self, gamma, tmp_path, capsys):

@@ -12,8 +12,9 @@ from oem_mmwave import (
     synthesize_elements,
     zf_detect,
 )
+from oem_mmwave.channel import VARIANTS
 from oem_mmwave.transceiver import DecomposedSignal
-from oem_mmwave.errors import AliasRiskError, InvalidConfigError, RankDeficientError
+from oem_mmwave.errors import InvalidConfigError, RankDeficientError
 
 
 def random_symbols(cfg, seed=0):
@@ -50,8 +51,13 @@ class TestSynthesize:
         assert np.allclose(recovered, s, atol=1e-12)
 
     def test_shape_mismatch_rejected(self, base_cfg):
-        with pytest.raises(InvalidConfigError):
-            synthesize_elements(np.zeros((1, 1)), base_cfg)
+        # propagate shares the symbols check and its message
+        channels = build_mode_channels(base_cfg)
+        for call in (lambda s: synthesize_elements(s, base_cfg),
+                     lambda s: propagate(s, channels, base_cfg)):
+            with pytest.raises(InvalidConfigError,
+                               match=r"^symbols must be \(N, U\) = \(2, 4\), got \(1, 1\)$"):
+                call(np.zeros((1, 1)))
 
 
 class TestPropagate:
@@ -67,7 +73,7 @@ class TestPropagate:
         s[n, l] = 0.7 - 0.3j
         y = propagate(s, channels, base_cfg)
         v = base_cfg.v_elems
-        h = channels[l].matrix[:, n] / v
+        h = channels[l].matrix[:, n]
         expected = np.outer(h * s[n, l], np.exp(2j * np.pi * np.arange(v) * l / v))
         assert np.allclose(y, expected, rtol=1e-12)
 
@@ -102,14 +108,6 @@ class TestPropagate:
         with pytest.raises(InvalidConfigError, match=r"\(M, N\) = \(4, 4\), got \(4, 5\)"):
             propagate(random_symbols(cfg), channels, cfg)
 
-    def test_channel_element_count_must_match_config(self, base_cfg):
-        # zf_detect would divide by the channels' V = 8 while the signal
-        # was decomposed with V = 4: estimates off by a factor 1/2
-        cfg = base_cfg.with_(v_elems=4)
-        channels = build_mode_channels(cfg.with_(v_elems=8))
-        with pytest.raises(InvalidConfigError, match="built for V=8, the config has V=4"):
-            propagate(random_symbols(cfg), channels, cfg)
-
     def test_linearity(self, base_cfg):
         channels = build_mode_channels(base_cfg)
         s1, s2 = random_symbols(base_cfg, 1), random_symbols(base_cfg, 2)
@@ -126,7 +124,7 @@ class TestDecompose:
         s[0, 2] = 1.5 + 0.5j
         y = propagate(s, channels, cfg)
         dec = decompose_modes(y, cfg)
-        signal = cfg.v_elems * (channels[2].matrix[0, 0] / cfg.v_elems) * s[0, 2]
+        signal = cfg.v_elems * channels[2].matrix[0, 0] * s[0, 2]
         assert dec.values[0, 2] == pytest.approx(signal, rel=1e-10)
         assert abs(dec.values[0, 3]) < 1e-10 * abs(signal)
 
@@ -160,20 +158,33 @@ class TestDecompose:
         assert dec.noise_var_per_mode == cfg.v_elems * cfg.noise_var
         assert np.allclose(variances, cfg.v_elems * cfg.noise_var, rtol=0.05)
 
-    def test_alias_risk_rejected(self):
-        # V < U cannot pass the validating config constructor, so hand the
-        # decomposition a bare attribute stub to exercise its own guard.
-        class Loose:
-            m_rx, v_elems, u_elems = 2, 2, 4
 
-        with pytest.raises(AliasRiskError):
-            decompose_modes(np.zeros((2, 2)), Loose())
+class TestDecomposedSignal:
+    @pytest.mark.parametrize("noise_var", [-1.0, math.nan, math.inf])
+    def test_bad_noise_variance_rejected(self, noise_var):
+        # a negative or NaN variance would give the noiseless weights
+        with pytest.raises(InvalidConfigError, match="noise_var_per_mode"):
+            DecomposedSignal(values=np.zeros((2, 1), dtype=complex),
+                             noise_var_per_mode=noise_var, v_elems=1)
+
+    @pytest.mark.parametrize("v_elems", [0, -4, 2.0, True])
+    def test_bad_element_count_rejected(self, v_elems):
+        # zf_detect divides by V times the mode coefficients
+        with pytest.raises(InvalidConfigError, match="v_elems must be a positive integer"):
+            DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0,
+                             v_elems=v_elems)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1, 1)])
+    def test_values_must_be_two_dimensional(self, shape):
+        with pytest.raises(InvalidConfigError, match=r"must be \(M, U\)"):
+            DecomposedSignal(values=np.zeros(shape, dtype=complex), noise_var_per_mode=1.0,
+                             v_elems=1)
 
 
 class TestZfDetect:
     def test_identity_channel_passthrough(self, base_cfg):
         cfg = base_cfg.with_(n_tx=2, m_rx=2)
-        channels = ModeChannels(np.eye(2), np.ones(cfg.u_elems), 1)
+        channels = ModeChannels(np.eye(2), np.ones(cfg.u_elems))
         values = np.arange(2 * cfg.u_elems, dtype=complex).reshape(2, cfg.u_elems)
         dec = DecomposedSignal(values=values, noise_var_per_mode=0.0, v_elems=1)
         est, _ = zf_detect(dec, channels)
@@ -181,7 +192,7 @@ class TestZfDetect:
 
     def test_diagonal_channel_snr_weights(self):
         a, b = 3.0, 0.5
-        channels = ModeChannels(np.diag([a, b]), [1.0], 1)
+        channels = ModeChannels(np.diag([a, b]), [1.0])
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=2.0,
                                v_elems=1)
         _, grid = zf_detect(dec, channels)
@@ -190,7 +201,7 @@ class TestZfDetect:
 
     def test_rank_deficient_rejected(self):
         # a rank-one B fails the whole link, not one mode
-        channels = ModeChannels(np.ones((2, 2)), [1.0, 2.0], 1)
+        channels = ModeChannels(np.ones((2, 2)), [1.0, 2.0])
         dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0,
                                v_elems=1)
         with pytest.raises(RankDeficientError, match="^channel matrix is rank deficient"):
@@ -214,43 +225,30 @@ class TestZfDetect:
         c = channels.coefficients
         for wrong in (c[:2], np.concatenate([c, c[:1]])):
             with pytest.raises(InvalidConfigError, match="one channel per mode"):
-                zf_detect(dec, ModeChannels(channels.base, wrong, channels.v_elems))
+                zf_detect(dec, ModeChannels(channels.base, wrong))
 
     def test_signal_row_count_must_match_channels(self, base_cfg):
         channels, dec = TestZfCache.near_field_link(base_cfg)
         extra_row = DecomposedSignal(values=np.vstack([dec.values, dec.values[:1]]),
                                      noise_var_per_mode=dec.noise_var_per_mode,
-                                     v_elems=channels.v_elems)
+                                     v_elems=dec.v_elems)
         with pytest.raises(InvalidConfigError, match="17 receive UCAs.*M=16"):
             zf_detect(extra_row, channels)
-
-    def test_decomposition_v_must_match_channels(self, base_cfg):
-        # a caller that decomposes its own observations skips the V check
-        # in propagate; detecting with V=8 channels would return s * 0.5
-        cfg4 = base_cfg.with_(v_elems=4)
-        ch4, ch8 = build_mode_channels(cfg4), build_mode_channels(base_cfg)
-        s = random_symbols(cfg4)
-        dec = decompose_modes(propagate(s, ch4, cfg4), cfg4)
-        assert dec.v_elems == 4
-        assert np.allclose(zf_detect(dec, ch4)[0], s)
-        with pytest.raises(InvalidConfigError,
-                           match="decomposed with V=4, the channels were built for V=8"):
-            zf_detect(dec, ch8)
 
     def test_mode_is_the_list_position(self, base_cfg):
         # mode l is position l of the coefficients: a repeated coefficient
         # detects column 1 exactly as mode 0 would
         channels, dec = TestZfCache.near_field_link(base_cfg)
         c = channels.coefficients
-        repeated = ModeChannels(channels.base, [c[0], c[0], c[2], c[3]], channels.v_elems)
+        repeated = ModeChannels(channels.base, [c[0], c[0], c[2], c[3]])
         est, grid = zf_detect(dec, repeated)
         zf_filter, _ = channels.zf_solution
-        mode_0 = (zf_filter @ dec.values) / (channels.v_elems * c[0])
+        mode_0 = (zf_filter @ dec.values) / (dec.v_elems * c[0])
         assert np.array_equal(est[:, 1], mode_0[:, 1])
         assert np.array_equal(grid.values[:, 1], grid.values[:, 0])
 
     def test_rank_deficient_error_names_the_mode(self):
-        channels = ModeChannels(np.eye(2), [1.0, 0.0], 1)
+        channels = ModeChannels(np.eye(2), [1.0, 0.0])
         dec = DecomposedSignal(values=np.zeros((2, 2), dtype=complex), noise_var_per_mode=1.0,
                                v_elems=1)
         with pytest.raises(RankDeficientError, match="mode 1"):
@@ -272,7 +270,7 @@ class TestZfDetect:
             zf_detect(dec, channels)
 
     def test_more_streams_than_antennas_rejected(self):
-        channels = ModeChannels(np.ones((1, 2)), [1.0], 1)
+        channels = ModeChannels(np.ones((1, 2)), [1.0])
         dec = DecomposedSignal(values=np.zeros((1, 1), dtype=complex), noise_var_per_mode=1.0,
                                v_elems=1)
         with pytest.raises(RankDeficientError):
@@ -312,7 +310,7 @@ class TestZfCache:
         assert np.array_equal(first_grid.values, second_grid.values)
 
     def test_rank_deficient_raises_on_every_call(self):
-        channels = ModeChannels(np.ones((2, 2)), [1.0], 1)
+        channels = ModeChannels(np.ones((2, 2)), [1.0])
         dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0,
                                v_elems=1)
         for _ in range(3):
@@ -327,10 +325,11 @@ class TestZfCache:
         est, grid = zf_detect(dec, channels)
         for l, ch in enumerate(channels):
             y = dec.values[:, l]
-            oracle_est = np.linalg.lstsq(ch.matrix, y, rcond=None)[0]
+            h = dec.v_elems * ch.matrix  # the decomposed mode-l matrix V * (c_l * B)
+            oracle_est = np.linalg.lstsq(h, y, rcond=None)[0]
             assert np.allclose(est[:, l], oracle_est,
                                rtol=0.0, atol=1e-12 * np.abs(oracle_est).max())
-            pinv = np.linalg.pinv(ch.matrix)
+            pinv = np.linalg.pinv(h)
             oracle_weights = 1.0 / (dec.noise_var_per_mode * np.sum(np.abs(pinv) ** 2, axis=1))
             assert np.allclose(grid.values[:, l], oracle_weights, rtol=1e-12, atol=0.0)
 
@@ -343,6 +342,19 @@ class TestEndToEnd:
         s = random_symbols(cfg, seed=n * 100 + u)
         est, _ = zf_detect(decompose_modes(propagate(s, channels, cfg), cfg), channels)
         assert np.allclose(est, s, rtol=1e-9, atol=1e-12 * np.abs(s).max())
+
+    def test_channels_do_not_depend_on_v(self, base_cfg):
+        # V enters only through the decomposition: channels built for V=8
+        # are the V=4 link's channels, and detect a V=4 chain exactly
+        cfg4 = base_cfg.with_(v_elems=4)
+        for kind in VARIANTS:
+            ch4, ch8 = build_mode_channels(cfg4, kind), build_mode_channels(base_cfg, kind)
+            assert np.array_equal(ch4.base, ch8.base)
+            assert np.array_equal(ch4.coefficients, ch8.coefficients)
+        s = random_symbols(cfg4)
+        dec = decompose_modes(propagate(s, build_mode_channels(cfg4), cfg4), cfg4)
+        est, _ = zf_detect(dec, build_mode_channels(base_cfg))
+        assert np.max(np.abs(est - s)) <= 1e-9 * np.max(np.abs(s))
 
     def test_array_gain_factor(self, base_cfg):
         # decomposition multiplies signal amplitude by V and noise variance
