@@ -87,13 +87,6 @@ def _write_manifest(command: str, config_echo: dict, seed, outputs: list[str]) -
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config(path: str) -> OemConfig:
-    try:
-        return OemConfig.load(path)
-    except OSError as exc:
-        raise InvalidConfigError(str(exc)) from exc
-
-
 # -- design --------------------------------------------------------------
 
 
@@ -136,7 +129,7 @@ def _cmd_design_dish(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = OemConfig.load(args.config)
     if args.mode is not None and not (0 <= args.mode < cfg.u_elems):
         print(f"mode must lie in 0..{cfg.u_elems - 1}", file=sys.stderr)
         return EXIT_USAGE
@@ -246,7 +239,7 @@ def _parse_snr_range(text: str) -> list[float]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = OemConfig.load(args.config)
     try:
         snr_list = _parse_snr_range(args.snr_db)
     except ValueError as exc:
@@ -281,7 +274,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    report = scenario_check(_load_config(args.config))
+    report = scenario_check(OemConfig.load(args.config))
     record = {
         "scenario": report.scenario,
         "use_oem": report.use_oem,

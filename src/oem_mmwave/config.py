@@ -159,8 +159,11 @@ class OemConfig:
 
     @classmethod
     def load(cls, path) -> "OemConfig":
+        """Config from a JSON file; any unreadable or invalid file raises InvalidConfigError."""
         try:
             d = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        except OSError as exc:
+            raise InvalidConfigError(str(exc)) from exc
         except UnicodeDecodeError as exc:
             raise InvalidConfigError(f"config file {path} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -24,16 +24,19 @@ from .errors import InvalidConfigError, RankDeficientError
 from .waterfill import SnrGrid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecomposedSignal:
     """Per-mode received signals after the DFT projection over elements.
 
     values : complex (M, U) array, entry (m, l) is the mode-l signal at
-        receive UCA m.
+        receive UCA m; a read-only complex copy of the one passed in.
     noise_var_per_mode : variance of the projected noise, V times the
         per-element variance; finite and nonnegative.
     v_elems : the V of the decomposition, a positive integer; detection
         divides by V times each mode's coefficient.
+
+    Signals compare and hash by identity, as an ndarray field has no
+    single truth value.
     """
 
     values: np.ndarray
@@ -41,13 +44,14 @@ class DecomposedSignal:
     v_elems: int
 
     def __post_init__(self):
-        values, noise, v = np.asarray(self.values), self.noise_var_per_mode, self.v_elems
+        values, noise, v = np.array(self.values, dtype=complex), self.noise_var_per_mode, self.v_elems
         if values.ndim != 2:
             raise InvalidConfigError(f"decomposed values must be (M, U), got shape {values.shape}")
         if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
             raise InvalidConfigError(f"v_elems must be a positive integer, got {v!r}")
         if not 0.0 <= noise < math.inf:
             raise InvalidConfigError(f"noise_var_per_mode must be finite and >= 0, got {noise}")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
@@ -88,8 +92,11 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
     y_{m,v} = sum_l sum_n h_{mn,l} s_{n,l} exp(j 2 pi (v-1) l / V) + w_{m,v}
     with circularly-symmetric complex Gaussian element noise of variance
     cfg.noise_var, drawn deterministically from noise_seed.  The per-UCA
-    sums of the mode matrices c_l * B are c_l * (B s_l).
+    sums of the mode matrices c_l * B are c_l * (B s_l).  A negative
+    noise_seed raises InvalidConfigError.
     """
+    if noise_seed < 0:
+        raise InvalidConfigError(f"noise_seed must be nonnegative, got {noise_seed}")
     symbols = _checked_symbols(symbols, cfg)
     if len(channels) != cfg.u_elems:
         raise InvalidConfigError(f"need one channel per mode 0..{cfg.u_elems - 1}")
@@ -135,8 +142,8 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
     so a stream carrying power P is received at SNR P * gamma_{i,l}.  In the
     noiseless case (sigma_l^2 = 0) the weights are reported per unit
     mode-noise variance instead.  The filter and noise gains of B come
-    from ``ModeChannels.zf_solution``, computed once per link, so a block
-    costs one product for all modes.
+    from ``ModeChannels.zf_solution``, which evaluates (B^H B)^{-1} from
+    B's SVD once per link, so a block costs one product for all modes.
     """
     values = decomposed.values
     m_rx, u = values.shape

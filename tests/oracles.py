@@ -11,6 +11,8 @@ what the package computes in closed or vectorized form.
 * ``mode_gain`` — one entry c_l * B[m, n] of a mode matrix, without V.
 * ``csv_channel_dump`` — the ``channel`` command's CSV, written row by
   row with the csv module.
+* ``zf_qr_oracle`` — the zero-forcing filter and noise gains of B from
+  its QR factorization, without an SVD.
 """
 
 from __future__ import annotations
@@ -131,3 +133,16 @@ def csv_channel_dump(matrices, mode: Optional[int] = None) -> str:
                 writer.writerow([l, m, n, format(float(entry.real), ".12g"),
                                  format(float(entry.imag), ".12g")])
     return out.getvalue()
+
+
+def zf_qr_oracle(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing filter (B^H B)^{-1} B^H and noise gains diag((B^H B)^{-1}) from B = QR.
+
+    With B = QR (thin, R upper triangular), B^H B = R^H R, so the filter is
+    R^{-1} Q^H and (B^H B)^{-1} = R^{-1} R^{-H}, whose diagonal holds the
+    squared row norms of R^{-1}.  Backward stable, like the SVD, so both
+    stay accurate to about cond(B) * eps.
+    """
+    q, r = np.linalg.qr(np.asarray(base, dtype=complex))
+    r_inv = np.linalg.solve(r, np.eye(r.shape[0], dtype=complex))
+    return np.linalg.solve(r, q.conj().T), np.sum(np.abs(r_inv) ** 2, axis=1)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,14 @@ class TestJsonRoundTrip:
         path.write_text("{not json")
         with pytest.raises(InvalidConfigError):
             OemConfig.load(path)
+
+    @pytest.mark.parametrize("name", ["missing.json", ""], ids=["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, name):
+        # the message is the OSError's own, naming the path, as the CLI prints it
+        path = tmp_path / name
+        with pytest.raises(InvalidConfigError, match=re.escape(f": '{path}'")) as info:
+            OemConfig.load(path)
+        assert isinstance(info.value.__cause__, OSError)
 
 
 @settings(max_examples=200, deadline=None)

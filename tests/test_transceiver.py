@@ -16,6 +16,8 @@ from oem_mmwave.channel import VARIANTS
 from oem_mmwave.transceiver import DecomposedSignal
 from oem_mmwave.errors import InvalidConfigError, RankDeficientError
 
+from oracles import zf_qr_oracle
+
 
 def random_symbols(cfg, seed=0):
     rng = np.random.default_rng(seed)
@@ -108,6 +110,12 @@ class TestPropagate:
         with pytest.raises(InvalidConfigError, match=r"\(M, N\) = \(4, 4\), got \(4, 5\)"):
             propagate(random_symbols(cfg), channels, cfg)
 
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_negative_noise_seed_rejected(self, base_cfg, noiseless):
+        cfg = base_cfg if noiseless else base_cfg.with_(noise_var=0.5)
+        with pytest.raises(InvalidConfigError, match="^noise_seed must be nonnegative, got -1$"):
+            propagate(random_symbols(cfg), build_mode_channels(cfg), cfg, noise_seed=-1)
+
     def test_linearity(self, base_cfg):
         channels = build_mode_channels(base_cfg)
         s1, s2 = random_symbols(base_cfg, 1), random_symbols(base_cfg, 2)
@@ -179,6 +187,28 @@ class TestDecomposedSignal:
         with pytest.raises(InvalidConfigError, match=r"must be \(M, U\)"):
             DecomposedSignal(values=np.zeros(shape, dtype=complex), noise_var_per_mode=1.0,
                              v_elems=1)
+
+    def test_values_are_read_only(self, base_cfg):
+        dec = decompose_modes(propagate(random_symbols(base_cfg), build_mode_channels(base_cfg),
+                                        base_cfg), base_cfg)
+        with pytest.raises(ValueError):
+            dec.values[0, 0] = 1.0
+
+    def test_caller_array_is_copied_and_left_writeable(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        dec = DecomposedSignal(values=values, noise_var_per_mode=1.0, v_elems=1)
+        values[0, 0] = 99.0
+        assert values.flags.writeable
+        assert dec.values.dtype == complex
+        assert np.array_equal(dec.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_compares_and_hashes_by_identity(self):
+        a = DecomposedSignal(np.zeros((2, 2)), 0.0, 1)
+        b = DecomposedSignal(np.zeros((2, 2)), 0.0, 1)
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert {a: "a", b: "b"}[a] == "a"
 
 
 class TestZfDetect:
@@ -287,7 +317,7 @@ class TestZfCache:
         received = propagate(random_symbols(cfg, seed=4), channels, cfg, noise_seed=9)
         return channels, decompose_modes(received, cfg)
 
-    def test_second_call_makes_no_svd_or_inverse(self, base_cfg, monkeypatch):
+    def test_second_call_makes_no_second_factorization(self, base_cfg, monkeypatch):
         channels, dec = self.near_field_link(base_cfg)
         calls = {"svd": 0, "inv": 0}
 
@@ -303,9 +333,9 @@ class TestZfCache:
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
         first_est, first_grid = zf_detect(dec, channels)
-        assert calls == {"svd": 1, "inv": 1}
+        assert calls == {"svd": 1, "inv": 0}
         second_est, second_grid = zf_detect(dec, channels)
-        assert calls == {"svd": 1, "inv": 1}
+        assert calls == {"svd": 1, "inv": 0}
         assert np.array_equal(first_est, second_est)
         assert np.array_equal(first_grid.values, second_grid.values)
 
@@ -332,6 +362,32 @@ class TestZfCache:
             pinv = np.linalg.pinv(h)
             oracle_weights = 1.0 / (dec.noise_var_per_mode * np.sum(np.abs(pinv) ** 2, axis=1))
             assert np.allclose(grid.values[:, l], oracle_weights, rtol=1e-12, atol=0.0)
+
+
+class TestZfConditioning:
+    """The 16x16 U=V=4 link of the README geometry as D grows: cond(B) is
+    about 2.5e3 at 3 m, 1.4e5 at 5 m and 5.4e7 at 10 m, inside the
+    ten-decade rank gate, so detection must hold to about cond(B) * eps."""
+
+    @staticmethod
+    def link(base_cfg, distance):
+        cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4, link_distance=distance)
+        return cfg, build_mode_channels(cfg, "convergent")
+
+    @pytest.mark.parametrize("distance", [3.0, 5.0, 10.0])
+    def test_noise_free_chain_recovers_symbols(self, base_cfg, distance):
+        cfg, channels = self.link(base_cfg, distance)
+        s = random_symbols(cfg, seed=5)
+        est, _ = zf_detect(decompose_modes(propagate(s, channels, cfg), cfg), channels)
+        assert np.max(np.abs(est - s)) <= 1e-6 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("distance", [3.0, 5.0, 10.0])
+    def test_solution_matches_qr_oracle(self, base_cfg, distance):
+        _, channels = self.link(base_cfg, distance)
+        oracle_filter, oracle_gains = zf_qr_oracle(channels.base)
+        zf_filter, noise_gains = channels.zf_solution
+        assert np.max(np.abs(noise_gains - oracle_gains) / oracle_gains) <= 1e-6
+        assert np.max(np.abs(zf_filter - oracle_filter)) <= 1e-6 * np.max(np.abs(oracle_filter))
 
 
 class TestEndToEnd:
