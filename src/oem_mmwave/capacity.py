@@ -32,9 +32,12 @@ point costs scalar probes plus one pass over the rates:
   w~ = (s*T*P + sum a[:k]) / k for the largest k with
   (s*T*P + C_k)/k > a_k.  That test holds up to k and fails beyond, so a
   bisection finds k; the prefix is then re-summed pairwise.
-* stage 1 takes L = log2(u*g) once.  With w = w~/s the rate
+* stage 1 uses L = log2(u*g).  With w = w~/s the rate
   log2(1 + max(0, w - 1/gamma)*gamma) of a draw gamma = s*u*g is
   max(0, L + log2 w~), so a point needs no divide and no log per draw.
+  The draws are walked in blocks of trials that fit L2: per block, L is
+  taken once for a group of points and their rates are summed there
+  into each point's per-trial sums.
 
 ``sweep`` draws each stage's unit substreams once for all its points,
 for the OEM link and its MIMO baseline alike; single-point calls are
@@ -72,6 +75,10 @@ MAX_SNR_DB = 300.0
 # Substream stages: stage 0 draws the samples the multiplier is solved
 # on; the rate average uses an independent stage-1 stream.
 _SE_STAGE = 1
+
+# Bytes of one stage-1 block buffer (the logs or the rates of a block of
+# trials); the two of them fit in L2.
+_BLOCK_BYTES = 512 * 1024
 
 
 def _snr_linear(snr_db: float) -> float:
@@ -126,6 +133,36 @@ def _gained(units: np.ndarray, pattern: _Pattern, in_place: bool) -> np.ndarray:
     return draws
 
 
+def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
+               rates: np.ndarray) -> None:
+    """Per-trial rate sums of the channels of ``gains`` at the levels ``waters``, in ``rates``.
+
+    The trials are walked in contiguous blocks of all K channels by
+    ``width`` trials.  Per block, L = log2(u*g) is taken once and each
+    point's rates max(0, L + log2 w~) are summed over the channels in
+    row order, the order of ``sum(axis=0)`` over the whole array, so
+    every sum is the same bit for bit.  numpy sums a one-trial block
+    pairwise instead, so the last block takes a lone trailing trial.
+    """
+    k, trials = gains.size, units.shape[1]
+    width = max(2, _BLOCK_BYTES // (8 * k))
+    edges = list(range(0, trials - 1, width)) + [trials]
+    logs_buf = np.empty(k * min(width + 1, trials))
+    work_buf = np.empty_like(logs_buf)
+    shifts = [math.log2(w) if w > 0.0 else -math.inf for w in waters]
+    for lo, hi in zip(edges, edges[1:]):
+        size = k * (hi - lo)
+        logs = logs_buf[:size].reshape(k, hi - lo)
+        work = work_buf[:size].reshape(k, hi - lo)
+        np.multiply(units[:k, lo:hi], gains[:, None], out=logs)
+        with np.errstate(divide="ignore"):
+            np.log2(logs, out=logs)
+        for shift, row in zip(shifts, rates):
+            np.add(logs, shift, out=work)
+            np.maximum(work, 0.0, out=work)
+            work.sum(axis=0, out=row[lo:hi])
+
+
 def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trials: int,
                     seed: int) -> list[tuple[SePoint, ...]]:
     """Ergodic SE curves of ``patterns`` at the points ``snr_db``, one set of draws per stage.
@@ -133,10 +170,12 @@ def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trial
     The SNR points are checked and converted to linear once, for every
     pattern.  Each stage's unit substreams are drawn once for the largest
     pattern; every pattern uses the first ``gains.size`` of them.  The
-    last pattern works in the draws' own buffer, so it must be the
-    largest.  Stage 0 solves every point's water level w~ and is freed
-    before stage 1 averages the rates, so one stage's draws are alive at
-    a time.
+    last pattern's stage 0 works in the draws' own buffer, so it must be
+    the largest.  Stage 0 solves every point's water level w~ and is
+    freed before stage 1 averages the rates, so one stage's draws are
+    alive at a time.  Stage 1 takes the points in groups of at most as
+    many as the draws have channels, so their rate sums never outgrow
+    the draws, whatever the point count.
     """
     _check_samples(trials, "trials")
     if len(snr_db) == 0:
@@ -148,30 +187,31 @@ def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trial
     waters = []
     for i, p in enumerate(patterns):
         pooled = trials * p.budget
+        if not math.isfinite(pooled * max(scales)):
+            raise InvalidConfigError(
+                f"a power budget of {p.budget:g} per trial over {trials} trials at"
+                f" {max(snr_db):g} dB overflows the float range"
+            )
         draws = _gained(units, p, i == last)
         waters.append(_water_levels(draws, [s * pooled for s in scales]))
         del draws  # freed before the next pattern allocates its own
     del units
 
     units = _unit_draws(patterns[last].gains.size, trials, seed, stage=_SE_STAGE)
+    rates = np.empty((min(len(scales), units.shape[0]), trials))
     curves = []
-    for i, (p, ws) in enumerate(zip(patterns, waters)):
-        logs = _gained(units, p, i == last)
-        with np.errstate(divide="ignore"):
-            np.log2(logs, out=logs)
-        work = np.empty_like(logs)
+    for p, ws in zip(patterns, waters):
         points = []
-        for point_db, w in zip(snr_db, ws):
-            np.add(logs, math.log2(w) if w > 0.0 else -math.inf, out=work)
-            np.maximum(work, 0.0, out=work)
-            per_trial = work.sum(axis=0)
-            points.append(SePoint(
-                mean_snr_db=point_db,
-                se=float(per_trial.mean()),
-                stderr=float(per_trial.std(ddof=1) / math.sqrt(trials)),
-            ))
+        for first in range(0, len(ws), len(rates)):
+            group = ws[first:first + len(rates)]
+            _rate_sums(units, p.gains, group, rates)
+            for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
+                points.append(SePoint(
+                    mean_snr_db=point_db,
+                    se=float(per_trial.mean()),
+                    stderr=float(per_trial.std(ddof=1) / math.sqrt(trials)),
+                ))
         curves.append(tuple(points))
-        del logs, work
     return curves
 
 

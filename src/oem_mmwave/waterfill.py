@@ -26,8 +26,10 @@ LN2 = math.log(2.0)
 MIN_SAMPLES = 1_000
 
 # Most draws (channels x trials) one stage may hold: 2**27 float64 values
-# are 1 GiB.  A sweep keeps at most four buffers of this size alive, so a
-# run stays within a few GiB and fails with a message, not a MemoryError,
+# are 1 GiB.  A sweep keeps at most two buffers of this size alive (the
+# draws and their cumulative sums, or the draws and the rate sums), three
+# on a one-mode link, whose MIMO baseline copies all the draws, so a run
+# stays within a few GiB and fails with a message, not a MemoryError,
 # beyond that.  The 64x64 U=16 link at 10k trials uses 1e7 draws, 1/13 of
 # the cap.  The channel build caps its layout and exact-sum tables at the
 # same count.
@@ -112,7 +114,8 @@ def _prefix_level(inv: np.ndarray, cums: np.ndarray, total_power: float) -> floa
     finds k with ~log2(n) scalar probes.  The level of that prefix is
     then re-summed pairwise, which keeps the budget exact to rounding
     where the running sum ``cums`` has drifted.  Returns 0 when nothing
-    can be filled.
+    can be filled; a level beyond the float range raises
+    InvalidConfigError.
     """
     lo, hi = 0, inv.size
     while lo < hi:
@@ -123,7 +126,12 @@ def _prefix_level(inv: np.ndarray, cums: np.ndarray, total_power: float) -> floa
             hi = k - 1
     if lo == 0:
         return 0.0
-    return float((total_power + inv[:lo].sum()) / lo)
+    level = float((total_power + inv[:lo].sum()) / lo)
+    if not math.isfinite(level):
+        raise InvalidConfigError(
+            f"the water level of power budget {total_power:g} overflows the float range"
+        )
+    return level
 
 
 def _water_levels(values: np.ndarray, budgets: Sequence[float]) -> list[float]:
@@ -134,14 +142,16 @@ def _water_levels(values: np.ndarray, budgets: Sequence[float]) -> list[float]:
     budget.  A zero (-0.0 included) becomes +inf and sorts last, where
     no level reaches it.  A level is 0 when nothing can be filled: no
     positive value, or a budget below the resolution of the best
-    1/value.
+    1/value.  A level that overflows raises InvalidConfigError; sums
+    that overflow on the way, and a 1/value that overflows to +inf
+    (which no level reaches), stay silent.
     """
     np.abs(values, out=values)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = np.divide(1.0, values, out=values).reshape(-1)
-    inv.sort()
-    cums = np.cumsum(inv)
-    return [_prefix_level(inv, cums, budget) for budget in budgets]
+        inv.sort()
+        cums = np.cumsum(inv)
+        return [_prefix_level(inv, cums, budget) for budget in budgets]
 
 
 def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:

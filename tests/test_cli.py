@@ -317,6 +317,18 @@ class TestWaterfill:
         summary = json.loads((tmp_path / "powers.summary.json").read_text())
         assert summary["active_count"] == 1
 
+    def test_overflowing_water_level_exits_3(self, tmp_path, capsys):
+        # (1.7e308 + 1e308 + 5e307) / 2 passes the float range
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_text("i,l,gamma\n0,0,1e-308\n1,0,2e-308\n")
+        code, _, err = run(
+            capsys, "waterfill", "--snr-csv", str(snr_csv),
+            "--total-power", "1.7e308", "--out", str(tmp_path / "powers.csv"),
+        )
+        assert code == 3
+        assert "power budget 1.7e+308 overflows the float range" in err
+        assert list(tmp_path.iterdir()) == [snr_csv]
+
     def test_duplicate_channel_exits_3(self, tmp_path, capsys):
         # two rows with one (i, l) label would be two channels that the
         # output could not tell apart
@@ -344,20 +356,32 @@ class TestSimulate:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, config_path, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out, threads in ((a, "1"), (b, "8")):
-            os.environ["OEM_THREADS"] = threads
-            try:
-                code, _, _ = run(
-                    capsys, "simulate", "--config", config_path,
-                    "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
-                    "--out", str(out),
-                )
-            finally:
-                os.environ.pop("OEM_THREADS", None)
-            assert code == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_golden_output(self, config_path, tmp_path, capsys):
+        # the bytes of this run as first recorded: a refactor of the
+        # estimator must leave every one where it was
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--config", config_path,
+            "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_text() == (
+            "snr_db,se_oem,se_oem_stderr,se_mimo,se_mimo_stderr\n"
+            "0,8.15119200883,0.0910497928083,2.08301144414,0.0460433564677\n"
+            "5,14.6861106129,0.11672368947,3.71938295594,0.0591776527331\n"
+            "10,23.8042348779,0.13731590032,6.00015028435,0.0693853701825\n"
+        )
+
+    def test_overflowing_budget_exits_3(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", config_path, "--total-power", "1e300",
+            "--snr-db=280:300:10", "--trials", "1000", "--seed", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert "power budget" in err and "overflows the float range" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "link.json"]
 
     def test_manifest_written(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

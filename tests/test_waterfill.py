@@ -69,6 +69,18 @@ class TestInstantaneous:
         assert policy.water_level == 0.0
         assert np.all(policy.allocations == 0)
 
+    @pytest.mark.parametrize("gammas", [[1e-308, 2e-308], [1e-308] * 3])
+    def test_overflowing_water_level_rejected(self, gammas):
+        # (P + sum 1/gamma) / k passes the float range: with two channels
+        # in the level's own sum, with three already in the running sum
+        with pytest.raises(InvalidConfigError, match="power budget 1.7e\\+308 overflows"):
+            waterfill_instantaneous(np.array(gammas), 1.7e308)
+
+    def test_water_level_near_the_float_limit_accepted(self):
+        policy = waterfill_instantaneous(np.array([1e-308]), 7e307)
+        assert policy.water_level == 7e307 + 1e308
+        assert policy.allocations.sum() == pytest.approx(7e307, rel=1e-12)
+
     def test_grid_input_keeps_shape(self):
         grid = SnrGrid(values=np.array([[4.0, 1.0], [2.0, 0.1]]))
         policy = waterfill_instantaneous(grid, 1.0)
@@ -229,6 +241,11 @@ class TestErgodic:
         mu, rule = waterfill_ergodic(np.array([[1e-30]]), 1e-20, samples=1_000, seed=0)
         assert mu == math.inf
         assert np.all(rule(np.logspace(-3, 6, 10)) == 0.0)
+
+    def test_overflowing_water_level_rejected(self):
+        # 1000 draws of budget 1e306 pool a budget beyond the float range
+        with pytest.raises(InvalidConfigError, match="overflows the float range"):
+            waterfill_ergodic(np.ones((2, 2)), 1e306, samples=1_000, seed=0)
 
     def test_draw_cap_rejected_before_drawing(self):
         # 4 x 10**15 draws: the check runs before any array is made
