@@ -18,14 +18,14 @@ sample-average budget P are one water filling over the T*K pooled draws
 with budget T*P.  It then averages the instantaneous sum rate of the
 induced rule over an independent sample set.  Channel substreams
 are keyed by their mode-major flat index, so systems sharing channels
-(e.g. an OEM link's mode-0 streams and the MIMO baseline) see identical
-draws for the channels they share.
+(e.g. an OEM link's mode-0 streams and the MIMO baseline) draw identical
+values for the channels they share.
 
 Every point of a curve has channel means s*g: s is the linear SNR and g
-a per-channel pattern that does not depend on it (the mode profile
-repeated over the streams for OEM, ones for MIMO).  So the estimator
-works on the unit draws u once per pattern and stage, and each SNR
-point costs scalar probes plus one pass over the rates:
+per-channel gains that do not depend on it (the mode profile repeated
+over the streams for OEM, ones for MIMO).  So a curve makes its unit
+draws u once per stage, and each SNR point costs scalar probes plus one
+pass over the rates:
 
 * stage 0 sorts a = 1/(u*g) and takes C = cumsum(a) once.  At SNR s the
   pooled reciprocals are a/s, so the water level is w~/s, where
@@ -39,9 +39,10 @@ point costs scalar probes plus one pass over the rates:
   taken once for a group of points and their rates are summed there
   into each point's per-trial sums.
 
-``sweep`` draws each stage's unit substreams once for all its points,
-for the OEM link and its MIMO baseline alike; single-point calls are
-one-point sweeps, so a sweep point equals them bit for bit.
+A product u*g beyond the float range raises InvalidConfigError.
+``sweep`` is two curves, the MIMO baseline's and the OEM link's, each
+drawing its own substreams once for all its points; single-point calls
+are one-point curves, so a sweep point equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ from .waterfill import (
     GridLike,
     PowerPolicy,
     _check_power,
+    _check_draws,
     _check_samples,
     _grid_values,
+    _scaled_draws,
     _unit_draws,
     _water_levels,
     sample_snr_realizations,  # noqa: F401  bound here for perfbench/tracing.py
@@ -116,23 +119,6 @@ def _budget(total_power: float, n_channels: int, normalization: str) -> float:
     raise InvalidConfigError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class _Pattern:
-    """One curve: per-channel gains g of substreams 0..K-1 and per-trial budget."""
-
-    gains: np.ndarray
-    budget: float
-
-
-def _gained(units: np.ndarray, pattern: _Pattern, in_place: bool) -> np.ndarray:
-    """Draws u*g of the pattern's channels, in the units' own buffer if ``in_place``."""
-    draws = units[:pattern.gains.size]
-    if not in_place:
-        draws = draws.copy()
-    draws *= pattern.gains[:, None]
-    return draws
-
-
 def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
                rates: np.ndarray) -> None:
     """Per-trial rate sums of the channels of ``gains`` at the levels ``waters``, in ``rates``.
@@ -144,7 +130,7 @@ def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
     every sum is the same bit for bit.  numpy sums a one-trial block
     pairwise instead, so the last block takes a lone trailing trial.
     """
-    k, trials = gains.size, units.shape[1]
+    k, trials = units.shape
     width = max(2, _BLOCK_BYTES // (8 * k))
     edges = list(range(0, trials - 1, width)) + [trials]
     logs_buf = np.empty(k * min(width + 1, trials))
@@ -154,7 +140,7 @@ def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
         size = k * (hi - lo)
         logs = logs_buf[:size].reshape(k, hi - lo)
         work = work_buf[:size].reshape(k, hi - lo)
-        np.multiply(units[:k, lo:hi], gains[:, None], out=logs)
+        _scaled_draws(units[:, lo:hi], gains, out=logs)
         with np.errstate(divide="ignore"):
             np.log2(logs, out=logs)
         for shift, row in zip(shifts, rates):
@@ -163,61 +149,53 @@ def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
             work.sum(axis=0, out=row[lo:hi])
 
 
-def _ergodic_curves(patterns: Sequence[_Pattern], snr_db: Sequence[float], trials: int,
-                    seed: int) -> list[tuple[SePoint, ...]]:
-    """Ergodic SE curves of ``patterns`` at the points ``snr_db``, one set of draws per stage.
-
-    The SNR points are checked and converted to linear once, for every
-    pattern.  Each stage's unit substreams are drawn once for the largest
-    pattern; every pattern uses the first ``gains.size`` of them.  The
-    last pattern's stage 0 works in the draws' own buffer, so it must be
-    the largest.  Stage 0 solves every point's water level w~ and is
-    freed before stage 1 averages the rates, so one stage's draws are
-    alive at a time.  Stage 1 takes the points in groups of at most as
-    many as the draws have channels, so their rate sums never outgrow
-    the draws, whatever the point count.
-    """
+def _pooled_budgets(gains: np.ndarray, budget: float, snr_db: Sequence[float], trials: int,
+                    seed: int) -> list[float]:
+    """Pooled budgets s*T*P of the points ``snr_db``, after every check a curve makes."""
     _check_samples(trials, "trials")
     if len(snr_db) == 0:
         raise InvalidConfigError("need at least one SNR point")
     scales = [_snr_linear(point_db) for point_db in snr_db]
-    last = len(patterns) - 1
+    _check_draws(gains.size, trials, seed)
+    pooled = trials * budget
+    if not math.isfinite(pooled * max(scales)):
+        raise InvalidConfigError(
+            f"a power budget of {budget:g} per trial over {trials} trials at"
+            f" {max(snr_db):g} dB overflows the float range"
+        )
+    return [s * pooled for s in scales]
 
-    units = _unit_draws(patterns[last].gains.size, trials, seed)
-    waters = []
-    for i, p in enumerate(patterns):
-        pooled = trials * p.budget
-        if not math.isfinite(pooled * max(scales)):
-            raise InvalidConfigError(
-                f"a power budget of {p.budget:g} per trial over {trials} trials at"
-                f" {max(snr_db):g} dB overflows the float range"
-            )
-        draws = _gained(units, p, i == last)
-        waters.append(_water_levels(draws, [s * pooled for s in scales]))
-        del draws  # freed before the next pattern allocates its own
-    del units
 
-    units = _unit_draws(patterns[last].gains.size, trials, seed, stage=_SE_STAGE)
-    rates = np.empty((min(len(scales), units.shape[0]), trials))
-    curves = []
-    for p, ws in zip(patterns, waters):
-        points = []
-        for first in range(0, len(ws), len(rates)):
-            group = ws[first:first + len(rates)]
-            _rate_sums(units, p.gains, group, rates)
-            for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
-                points.append(SePoint(
-                    mean_snr_db=point_db,
-                    se=float(per_trial.mean()),
-                    stderr=float(per_trial.std(ddof=1) / math.sqrt(trials)),
-                ))
-        curves.append(tuple(points))
-    return curves
+def _ergodic_curve(gains: np.ndarray, budget: float, snr_db: Sequence[float], trials: int,
+                   seed: int) -> tuple[SePoint, ...]:
+    """Ergodic SE of the channels of ``gains`` and per-trial ``budget`` at each of ``snr_db``.
+
+    Stage 0 scales its draws in place and is freed, once it has every
+    point's water level w~, before stage 1 draws.  Stage 1 takes the
+    points in groups of at most as many as there are channels, so their
+    rate sums never outgrow the draws, whatever the point count.
+    """
+    budgets = _pooled_budgets(gains, budget, snr_db, trials, seed)
+    draws = _unit_draws(gains.size, trials, seed)
+    _scaled_draws(draws, gains, out=draws)
+    waters = _water_levels(draws, budgets)
+    del draws
+
+    units = _unit_draws(gains.size, trials, seed, stage=_SE_STAGE)
+    rates = np.empty((min(len(waters), gains.size), trials))
+    points = []
+    for first in range(0, len(waters), len(rates)):
+        group = waters[first:first + len(rates)]
+        _rate_sums(units, gains, group, rates)
+        for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
+            stderr = per_trial.std(ddof=1) / math.sqrt(trials)
+            points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))
+    return tuple(points)
 
 
 def _oem_pattern(cfg: OemConfig, mode_profile: np.ndarray, total_power: float,
-                 normalization: str) -> _Pattern:
-    """min(N, M) streams of gain g_l on each mode l; the profile must hold U entries."""
+                 normalization: str) -> tuple[np.ndarray, float]:
+    """Gains and budget of min(N, M) streams of gain g_l on each of the U modes l."""
     profile = np.asarray(mode_profile, dtype=float)
     if profile.shape != (cfg.u_elems,):
         raise InvalidConfigError(
@@ -228,14 +206,16 @@ def _oem_pattern(cfg: OemConfig, mode_profile: np.ndarray, total_power: float,
     if not math.isclose(profile[0], 1.0, rel_tol=1e-9):
         raise InvalidConfigError(f"mode profile must be normalized to g_0 = 1, got {profile[0]}")
     gains = np.repeat(profile, min(cfg.n_tx, cfg.m_rx))
-    return _Pattern(gains, _budget(total_power, gains.size, normalization))
+    return gains, _budget(total_power, gains.size, normalization)
 
 
-def _mimo_pattern(n: int, m: int, total_power: float, normalization: str) -> _Pattern:
+def _mimo_pattern(n: int, m: int, total_power: float,
+                  normalization: str) -> tuple[np.ndarray, float]:
+    """Gains and budget of min(N, M) unit-gain streams."""
     if n < 1 or m < 1:
         raise InvalidConfigError("need at least one transmit and one receive antenna")
     gains = np.ones(min(n, m))
-    return _Pattern(gains, _budget(total_power, gains.size, normalization))
+    return gains, _budget(total_power, gains.size, normalization)
 
 
 def ergodic_se_oem(cfg: OemConfig, mode_profile: np.ndarray, mean_snr_db: float,
@@ -246,15 +226,15 @@ def ergodic_se_oem(cfg: OemConfig, mode_profile: np.ndarray, mean_snr_db: float,
     ``mode_profile`` holds the U per-mode power gains g_l, g_0 = 1, e.g.
     from ``channel.mode_power_profile``.
     """
-    pattern = _oem_pattern(cfg, mode_profile, total_power, normalization)
-    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0][0]
+    gains, budget = _oem_pattern(cfg, mode_profile, total_power, normalization)
+    return _ergodic_curve(gains, budget, [mean_snr_db], trials, seed)[0]
 
 
 def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
                     trials: int, seed: int, normalization: str = "per-channel") -> SePoint:
     """Ergodic SE of the plain multiplexing-MIMO baseline (single mode)."""
-    pattern = _mimo_pattern(n, m, total_power, normalization)
-    return _ergodic_curves([pattern], [mean_snr_db], trials, seed)[0][0]
+    gains, budget = _mimo_pattern(n, m, total_power, normalization)
+    return _ergodic_curve(gains, budget, [mean_snr_db], trials, seed)[0]
 
 
 def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float],
@@ -264,11 +244,13 @@ def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float]
 
     Returns two tuples of ``SePoint``, OEM then MIMO, one point per entry
     of ``snr_db_list``; every point equals the matching ``ergodic_se_oem``
-    or ``ergodic_se_mimo`` call bit for bit.  Each stage's unit draws are
-    made once for all min(N, M)*U channels; the MIMO channels are the
-    first min(N, M), the OEM mode-0 ones.
+    or ``ergodic_se_mimo`` call bit for bit.  Both curves are checked,
+    the MIMO one first, before either draws its own substreams; the MIMO
+    channels draw the values of the OEM mode-0 ones.
     """
     oem = _oem_pattern(cfg, mode_profile, total_power, normalization)
     mimo = _mimo_pattern(cfg.n_tx, cfg.m_rx, total_power, normalization)
-    mimo_curve, oem_curve = _ergodic_curves([mimo, oem], snr_db_list, trials, seed)
-    return oem_curve, mimo_curve
+    for gains, budget in (mimo, oem):
+        _pooled_budgets(gains, budget, snr_db_list, trials, seed)
+    mimo_curve = _ergodic_curve(*mimo, snr_db_list, trials, seed)
+    return _ergodic_curve(*oem, snr_db_list, trials, seed), mimo_curve

@@ -27,9 +27,8 @@ MIN_SAMPLES = 1_000
 
 # Most draws (channels x trials) one stage may hold: 2**27 float64 values
 # are 1 GiB.  A sweep keeps at most two buffers of this size alive (the
-# draws and their cumulative sums, or the draws and the rate sums), three
-# on a one-mode link, whose MIMO baseline copies all the draws, so a run
-# stays within a few GiB and fails with a message, not a MemoryError,
+# draws and their cumulative sums, or the draws and the rate sums), so a
+# run stays within a few GiB and fails with a message, not a MemoryError,
 # beyond that.  The 64x64 U=16 link at 10k trials uses 1e7 draws, 1/13 of
 # the cap.  The channel build caps its layout and exact-sum tables at the
 # same count.
@@ -177,6 +176,17 @@ def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
     return PowerPolicy(_allocate(gamma, water), water_level=water, total_power=total_power)
 
 
+def _check_draws(n_channels: int, count: int, seed: int) -> None:
+    """InvalidConfigError unless ``seed`` is nonnegative and the draws fit in MAX_DRAWS."""
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be nonnegative, got {seed}")
+    if n_channels * count > MAX_DRAWS:
+        raise InvalidConfigError(
+            f"{count} trials of {n_channels} channels exceed the {MAX_DRAWS} draws"
+            f" one run may hold; use at most {MAX_DRAWS // n_channels} trials"
+        )
+
+
 def _unit_draws(n_channels: int, count: int, seed: int, stage: int = 0) -> np.ndarray:
     """Draw (n_channels, count) i.i.d. unit-mean exponentials, channel-major.
 
@@ -185,17 +195,23 @@ def _unit_draws(n_channels: int, count: int, seed: int, stage: int = 0) -> np.nd
     channels they have in common.  A draw of mean m is m times the unit
     draw, bit for bit.
     """
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be nonnegative, got {seed}")
-    if n_channels * count > MAX_DRAWS:
-        raise InvalidConfigError(
-            f"{count} trials of {n_channels} channels exceed the {MAX_DRAWS} draws"
-            f" one run may hold; use at most {MAX_DRAWS // n_channels} trials"
-        )
+    _check_draws(n_channels, count, seed)
     out = np.empty((n_channels, count))
     for k, row in enumerate(out):
         np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)
     return out
+
+
+def _scaled_draws(units: np.ndarray, means: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Row k of ``units`` times ``means[k]``, in ``out`` if given; overflow is an error."""
+    try:
+        with np.errstate(over="raise"):
+            return np.multiply(units, means[:, None], out=out)
+    except FloatingPointError:
+        raise InvalidConfigError(
+            f"fading draws of mean {means.max():g} overflow the float range"
+        ) from None
 
 
 def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
@@ -206,7 +222,7 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
     zero-mean channel draws zeros.  The means are checked by ``SnrGrid``.
     """
     mean_flat = _grid_values(mean_flat).flatten(order="F")
-    return (_unit_draws(mean_flat.size, count, seed, stage) * mean_flat[:, None]).T
+    return _scaled_draws(_unit_draws(mean_flat.size, count, seed, stage), mean_flat).T
 
 
 def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_000,
@@ -228,7 +244,7 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     if not np.any(means > 0.0):
         raise InvalidConfigError("at least one channel must have positive mean SNR")
     draws = _unit_draws(means.size, samples, seed)
-    draws *= means[:, None]
+    _scaled_draws(draws, means, out=draws)
     water = _water_levels(draws, [samples * total_power])[0]
     mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
     return mu_star, lambda gamma: _allocate(gamma, 1.0 / (mu_star * LN2))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oem_mmwave import OemConfig
+from oem_mmwave import OemConfig, capacity
 
 SPEED_OF_LIGHT = 299_792_458.0
 WAVELENGTH_35GHZ = SPEED_OF_LIGHT / 35e9
@@ -25,3 +25,18 @@ def base_cfg():
         link_distance=50.0,
         noise_var=0.0,
     )
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Shapes of the unit draws ``capacity`` makes during the test, in order."""
+    shapes = []
+    unit_draws = capacity._unit_draws
+
+    def spy(*args, **kwargs):
+        units = unit_draws(*args, **kwargs)
+        shapes.append(units.shape)
+        return units
+
+    monkeypatch.setattr(capacity, "_unit_draws", spy)
+    return shapes

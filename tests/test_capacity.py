@@ -15,7 +15,7 @@ from oem_mmwave import (
     waterfill_ergodic,
     waterfill_instantaneous,
 )
-from oem_mmwave import capacity
+from oem_mmwave import capacity, waterfill
 from oem_mmwave.capacity import MAX_SNR_DB
 from oem_mmwave.errors import InvalidConfigError
 from oem_mmwave.waterfill import LN2, _unit_draws, _water_levels, sample_snr_realizations
@@ -108,13 +108,16 @@ class TestErgodicEstimators:
 
     def test_dead_high_modes_collapse_to_mimo(self, base_cfg):
         # all power lands on the mode-0 streams when the higher modes
-        # carry no gain, reproducing the plain MIMO baseline exactly on
-        # the shared channel substreams
+        # carry no gain, reproducing the plain MIMO baseline bit for bit:
+        # the substream keys alone make the MIMO draws the mode-0 ones
         cfg = base_cfg.with_(n_tx=4, m_rx=4, u_elems=2, v_elems=2)
         profile = np.array([1.0, 0.0])
         oem = ergodic_se_oem(cfg, profile, 15.0, 4.0, 3_000, seed=21, normalization="total")
         mimo = ergodic_se_mimo(4, 4, 15.0, 4.0, 3_000, seed=21, normalization="total")
-        assert oem.se == pytest.approx(mimo.se, abs=2 * (oem.stderr + mimo.stderr))
+        assert (oem.se, oem.stderr) == (mimo.se, mimo.stderr)
+        oem, mimo = sweep(link(6, 5, 4), np.array([1.0, 0.0, 0.0, 0.0]),
+                          [-20.0, 0.0, 10.0, 30.0], 0.4, 1_025, seed=3, normalization="total")
+        assert oem == mimo
 
     def test_se_vanishes_at_low_snr(self):
         values = [
@@ -157,6 +160,11 @@ class TestErgodicEstimators:
             ergodic_se_mimo(2, 2, 10.0, 1.0, 10**15, seed=0)
         with pytest.raises(InvalidConfigError, match="trials"):
             sweep(base_cfg, np.ones(base_cfg.u_elems), [10.0], 1.0, 10**15, seed=0)
+
+    def test_overflowing_draws_rejected(self):
+        # a unit draw above 1.8 times a gain of 1e308 leaves the float range
+        with pytest.raises(InvalidConfigError, match="mean 1e\\+308 overflow the float range"):
+            ergodic_se_oem(link(4, 4, 2), np.array([1.0, 1e308]), 0.0, 1.0, 1_000, 0)
 
 
 class TestRateAverage:
@@ -246,10 +254,10 @@ class TestSweep:
             assert (mp.se, mp.stderr) == (single_mimo.se, single_mimo.stderr)
 
     @staticmethod
-    def peak_bytes(snr_db_list, trials):
-        """Traced peak of a 16x16 U=4 sweep, 64 channels, at ``trials`` trials."""
-        cfg = link(16, 16, 4)
-        profile = np.array([1.0, 0.8, 0.6, 0.8])
+    def peak_bytes(snr_db_list, trials, n=16, profile=(1.0, 0.8, 0.6, 0.8)):
+        """Traced peak of a sweep at ``trials`` trials, by default of a 16x16 U=4 link."""
+        cfg = link(n, n, len(profile))
+        profile = np.array(profile)
         tracemalloc.start()
         try:
             sweep(cfg, profile, snr_db_list, 0.2, trials, seed=7)
@@ -260,10 +268,14 @@ class TestSweep:
 
     def test_working_memory_stays_within_two_draw_arrays(self):
         # stage 0 holds the draws and their cumulative sums; stage 1 the
-        # draws, two 512 KiB block buffers and seven rows of rate sums
+        # draws, two 512 KiB block buffers and seven rows of rate sums.
+        # Both links have 64 channels; on the 64x64 U=1 one the MIMO
+        # curve is as large as the OEM one.
         draw_array = 10_000 * 64 * 8
-        peak = self.peak_bytes([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], 10_000)
-        assert peak <= 2 * draw_array + 2 * 2**20
+        snr_db_list = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+        for n, profile in ((16, (1.0, 0.8, 0.6, 0.8)), (64, (1.0,))):
+            peak = self.peak_bytes(snr_db_list, 10_000, n, profile)
+            assert peak <= 2 * draw_array + 2 * 2**20, (n, peak / draw_array)
 
     def test_rate_sums_never_outgrow_the_draws(self):
         # 200 rows of rate sums at once would be 3.1 draw arrays on top of
@@ -295,6 +307,16 @@ class TestSweep:
         for bad in (math.nan, math.inf, MAX_SNR_DB + 1.0, -MAX_SNR_DB - 1.0):
             with pytest.raises(InvalidConfigError):
                 sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0, bad], 1.0, 1_000, seed=0)
+
+    def test_draw_cap_checked_before_any_draw(self, monkeypatch, drawn):
+        # the cap admits the 16 MIMO channels but not the 64 OEM ones
+        # at 1000 trials; the sweep rejects it before the MIMO curve draws
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 16 * 1_000)
+        with pytest.raises(InvalidConfigError, match="use at most 250 trials"):
+            sweep(link(16, 16, 4), np.ones(4), [0.0], 1.0, 1_000, seed=0)
+        with pytest.raises(InvalidConfigError, match="seed"):
+            sweep(link(16, 16, 4), np.ones(4), [0.0], 1.0, 1_000, seed=-1)
+        assert drawn == []
 
     def test_overflowing_budget_rejected(self):
         # 1000 trials of 1e300 per channel at 300 dB pool a budget beyond
@@ -343,6 +365,12 @@ class TestBlockedRatePass:
         rates = np.empty((len(waters), trials))
         capacity._rate_sums(units, gains, waters, rates)
         assert np.array_equal(rates, whole_array_sums(units, gains, waters))
+
+    def test_overflowing_block_rejected(self):
+        units = _unit_draws(2, 1_000, seed=0, stage=1)
+        rates = np.empty((1, 1_000))
+        with pytest.raises(InvalidConfigError, match="overflow the float range"):
+            capacity._rate_sums(units, np.array([1.0, 1e308]), [1.0], rates)
 
     @pytest.mark.parametrize("trials", [1_000, 1_001])
     def test_narrowest_blocks_keep_the_sums(self, monkeypatch, trials):

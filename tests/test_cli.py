@@ -449,6 +449,35 @@ class TestSimulate:
         assert "config error" in err and "trials" in err
         assert not out.exists()
 
+    def test_oem_draw_cap_exits_3_before_any_draw(self, config_path, monkeypatch, drawn,
+                                                  tmp_path, capsys):
+        # the cap admits the 2 MIMO channels but not the 8 OEM ones
+        monkeypatch.setattr(waterfill, "MAX_DRAWS", 2 * 1_000)
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", config_path, "--snr-db", "0:10:5",
+            "--trials", "1000", "--seed", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert "config error" in err and "use at most 250 trials" in err
+        assert not out.exists()
+        assert drawn == []
+
+    def test_overflowing_draws_exit_3(self, tmp_path, capsys):
+        # the reflector gain makes g_1 = 7.7e307, so mode-1 draws leave
+        # the float range; no row of inf and NaN is written
+        path = tmp_path / "big.json"
+        OemConfig(n_tx=4, m_rx=4, u_elems=2, v_elems=2, r1=0.1, r2=0.004, wavelength=0.0086,
+                  phi=0.5, phi_c=0.05, conv_gains=[1.0, 1.2e155]).save(path)
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", str(path), "--snr-db", "0:10:10",
+            "--trials", "1000", "--seed", "0", "--out", str(out),
+        )
+        assert code == 3
+        assert "config error" in err and "overflow the float range" in err
+        assert not out.exists()
+
     def test_oversized_exact_sum_exits_3(self, config_path, monkeypatch, tmp_path, capsys):
         # U = 4 needs 16 phase values, over a lowered cap of 15
         monkeypatch.setattr(waterfill, "MAX_DRAWS", 15)

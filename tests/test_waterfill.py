@@ -247,6 +247,11 @@ class TestErgodic:
         with pytest.raises(InvalidConfigError, match="overflows the float range"):
             waterfill_ergodic(np.ones((2, 2)), 1e306, samples=1_000, seed=0)
 
+    def test_overflowing_draws_rejected(self):
+        # a unit draw above 1.8 times a mean of 1e308 leaves the float range
+        with pytest.raises(InvalidConfigError, match="mean 1e\\+308 overflow the float range"):
+            waterfill_ergodic(np.array([[1e308]]), 1.0, samples=1_000, seed=0)
+
     def test_draw_cap_rejected_before_drawing(self):
         # 4 x 10**15 draws: the check runs before any array is made
         with pytest.raises(InvalidConfigError, match="trials"):
@@ -323,3 +328,7 @@ class TestSampling:
     def test_bad_means_rejected(self, bad):
         with pytest.raises(InvalidConfigError):
             sample_snr_realizations(np.array([1.0, bad]), 3, seed=0)
+
+    def test_overflowing_draws_rejected(self):
+        with pytest.raises(InvalidConfigError, match="overflow the float range"):
+            sample_snr_realizations(np.array([1.0, 1e308]), 100, seed=0)
