@@ -23,9 +23,9 @@ values for the channels they share.
 
 Every point of a curve has channel means s*g: s is the linear SNR and g
 per-channel gains that do not depend on it (the mode profile repeated
-over the streams for OEM, ones for MIMO).  So a curve makes its unit
-draws u once per stage, and each SNR point costs scalar probes plus one
-pass over the rates:
+over the streams for OEM, ones for MIMO).  So a curve makes its draws
+u*g once per stage, each row scaled by its gain g when it is drawn, and
+each SNR point costs scalar probes plus one pass over the rates:
 
 * stage 0 sorts a = 1/(u*g) and takes C = cumsum(a) once.  At SNR s the
   pooled reciprocals are a/s, so the water level is w~/s, where
@@ -39,10 +39,10 @@ pass over the rates:
   taken once for a group of points and their rates are summed there
   into each point's per-trial sums.
 
-A product u*g beyond the float range raises InvalidConfigError.
-``sweep`` is two curves, the MIMO baseline's and the OEM link's, each
-drawing its own substreams once for all its points; single-point calls
-are one-point curves, so a sweep point equals them bit for bit.
+A draw u*g beyond the float range raises InvalidConfigError as it is
+drawn.  ``sweep`` is two curves, the MIMO baseline's and the OEM link's,
+each drawing its own substreams once for all its points; single-point
+calls are one-point curves, so a sweep point equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ from .waterfill import (
     _check_power,
     _check_draws,
     _check_samples,
+    _fading_draws,
     _grid_values,
-    _scaled_draws,
-    _unit_draws,
     _water_levels,
     sample_snr_realizations,  # noqa: F401  bound here for perfbench/tracing.py
     waterfill_ergodic,  # noqa: F401  bound here for perfbench/tracing.py
@@ -119,9 +118,8 @@ def _budget(total_power: float, n_channels: int, normalization: str) -> float:
     raise InvalidConfigError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
 
 
-def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
-               rates: np.ndarray) -> None:
-    """Per-trial rate sums of the channels of ``gains`` at the levels ``waters``, in ``rates``.
+def _rate_sums(draws: np.ndarray, waters: Sequence[float], rates: np.ndarray) -> None:
+    """Per-trial rate sums of the (K, T) draws u*g at the levels ``waters``, in ``rates``.
 
     The trials are walked in contiguous blocks of all K channels by
     ``width`` trials.  Per block, L = log2(u*g) is taken once and each
@@ -130,7 +128,7 @@ def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
     every sum is the same bit for bit.  numpy sums a one-trial block
     pairwise instead, so the last block takes a lone trailing trial.
     """
-    k, trials = units.shape
+    k, trials = draws.shape
     width = max(2, _BLOCK_BYTES // (8 * k))
     edges = list(range(0, trials - 1, width)) + [trials]
     logs_buf = np.empty(k * min(width + 1, trials))
@@ -140,9 +138,8 @@ def _rate_sums(units: np.ndarray, gains: np.ndarray, waters: Sequence[float],
         size = k * (hi - lo)
         logs = logs_buf[:size].reshape(k, hi - lo)
         work = work_buf[:size].reshape(k, hi - lo)
-        _scaled_draws(units[:, lo:hi], gains, out=logs)
         with np.errstate(divide="ignore"):
-            np.log2(logs, out=logs)
+            np.log2(draws[:, lo:hi], out=logs)
         for shift, row in zip(shifts, rates):
             np.add(logs, shift, out=work)
             np.maximum(work, 0.0, out=work)
@@ -170,23 +167,23 @@ def _ergodic_curve(gains: np.ndarray, budget: float, snr_db: Sequence[float], tr
                    seed: int) -> tuple[SePoint, ...]:
     """Ergodic SE of the channels of ``gains`` and per-trial ``budget`` at each of ``snr_db``.
 
-    Stage 0 scales its draws in place and is freed, once it has every
-    point's water level w~, before stage 1 draws.  Stage 1 takes the
-    points in groups of at most as many as there are channels, so their
-    rate sums never outgrow the draws, whatever the point count.
+    Both stages draw u*g, each row scaled by its gain as it is drawn.
+    Stage 0 is freed, once it has every point's water level w~, before
+    stage 1 draws.  Stage 1 takes the points in groups of at most as
+    many as there are channels, so their rate sums never outgrow the
+    draws, whatever the point count.
     """
     budgets = _pooled_budgets(gains, budget, snr_db, trials, seed)
-    draws = _unit_draws(gains.size, trials, seed)
-    _scaled_draws(draws, gains, out=draws)
+    draws = _fading_draws(gains, trials, seed)
     waters = _water_levels(draws, budgets)
     del draws
 
-    units = _unit_draws(gains.size, trials, seed, stage=_SE_STAGE)
+    draws = _fading_draws(gains, trials, seed, stage=_SE_STAGE)
     rates = np.empty((min(len(waters), gains.size), trials))
     points = []
     for first in range(0, len(waters), len(rates)):
         group = waters[first:first + len(rates)]
-        _rate_sums(units, gains, group, rates)
+        _rate_sums(draws, group, rates)
         for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
             stderr = per_trial.std(ddof=1) / math.sqrt(trials)
             points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))

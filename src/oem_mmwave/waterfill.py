@@ -187,42 +187,39 @@ def _check_draws(n_channels: int, count: int, seed: int) -> None:
         )
 
 
-def _unit_draws(n_channels: int, count: int, seed: int, stage: int = 0) -> np.ndarray:
-    """Draw (n_channels, count) i.i.d. unit-mean exponentials, channel-major.
+def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0) -> np.ndarray:
+    """Draw (K, count) i.i.d. exponential SNRs of the K ``means``, channel-major.
 
     Row k comes from its own generator keyed by (seed, stage, k), so two
     configurations sharing a channel order see identical draws for the
-    channels they have in common.  A draw of mean m is m times the unit
-    draw, bit for bit.
+    channels they have in common.  Each row is scaled by its mean as soon
+    as it is drawn: a draw of mean m is m times the unit draw, bit for
+    bit, and a zero-mean channel draws zeros.  A draw beyond the float
+    range raises InvalidConfigError.
     """
-    _check_draws(n_channels, count, seed)
-    out = np.empty((n_channels, count))
-    for k, row in enumerate(out):
-        np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)
-    return out
-
-
-def _scaled_draws(units: np.ndarray, means: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Row k of ``units`` times ``means[k]``, in ``out`` if given; overflow is an error."""
+    _check_draws(means.size, count, seed)
+    out = np.empty((means.size, count))
     try:
         with np.errstate(over="raise"):
-            return np.multiply(units, means[:, None], out=out)
+            for k, row in enumerate(out):
+                np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)
+                row *= means[k]
     except FloatingPointError:
         raise InvalidConfigError(
             f"fading draws of mean {means.max():g} overflow the float range"
         ) from None
+    return out
 
 
 def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
                             stage: int = 0) -> np.ndarray:
     """Draw (count, K) i.i.d. exponential SNRs, one substream per channel.
 
-    Column k is ``mean_flat[k]`` times row k of ``_unit_draws``; a
-    zero-mean channel draws zeros.  The means are checked by ``SnrGrid``.
+    Column k is row k of ``_fading_draws``, scaled by ``mean_flat[k]``
+    when drawn.  The means are checked by ``SnrGrid``.
     """
     mean_flat = _grid_values(mean_flat).flatten(order="F")
-    return _scaled_draws(_unit_draws(mean_flat.size, count, seed, stage), mean_flat).T
+    return _fading_draws(mean_flat, count, seed, stage).T
 
 
 def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_000,
@@ -243,8 +240,7 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     means = _grid_values(mean_snr).flatten(order="F")
     if not np.any(means > 0.0):
         raise InvalidConfigError("at least one channel must have positive mean SNR")
-    draws = _unit_draws(means.size, samples, seed)
-    _scaled_draws(draws, means, out=draws)
+    draws = _fading_draws(means, samples, seed)
     water = _water_levels(draws, [samples * total_power])[0]
     mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
     return mu_star, lambda gamma: _allocate(gamma, 1.0 / (mu_star * LN2))

@@ -29,14 +29,14 @@ def base_cfg():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Shapes of the unit draws ``capacity`` makes during the test, in order."""
+    """Shapes of the fading draws ``capacity`` makes during the test, in order."""
     shapes = []
-    unit_draws = capacity._unit_draws
+    fading_draws = capacity._fading_draws
 
     def spy(*args, **kwargs):
-        units = unit_draws(*args, **kwargs)
-        shapes.append(units.shape)
-        return units
+        draws = fading_draws(*args, **kwargs)
+        shapes.append(draws.shape)
+        return draws
 
-    monkeypatch.setattr(capacity, "_unit_draws", spy)
+    monkeypatch.setattr(capacity, "_fading_draws", spy)
     return shapes

@@ -18,7 +18,7 @@ from oem_mmwave import (
 from oem_mmwave import capacity, waterfill
 from oem_mmwave.capacity import MAX_SNR_DB
 from oem_mmwave.errors import InvalidConfigError
-from oem_mmwave.waterfill import LN2, _unit_draws, _water_levels, sample_snr_realizations
+from oem_mmwave.waterfill import LN2, _water_levels, sample_snr_realizations
 
 from conftest import WAVELENGTH_35GHZ
 
@@ -47,14 +47,22 @@ def literal_se(means, total_power, trials, seed):
     return float(per_trial.mean()), float(per_trial.std(ddof=1) / math.sqrt(trials))
 
 
-def whole_array_sums(units, gains, waters):
+def gained_draws(gains, trials, seed, stage):
+    """(K, T) draws u*g: row k is the unit exponentials of the generator
+    keyed (seed, stage, k), times g_k."""
+    units = np.array([np.random.default_rng([seed, stage, k]).standard_exponential(trials)
+                      for k in range(gains.size)])
+    return units * gains[:, None]
+
+
+def whole_array_sums(draws, waters):
     """Per-trial rate sums, one row per water level w~, over all (K, T) draws at once.
 
     L = log2(u*g) is taken over the whole array, and each level's rates
     max(0, L + log2 w~) are summed with one ``sum(axis=0)``.
     """
     with np.errstate(divide="ignore"):
-        logs = np.log2(units[:gains.size] * gains[:, None])
+        logs = np.log2(draws)
     return np.array([
         np.maximum(logs + (math.log2(w) if w > 0.0 else -math.inf), 0.0).sum(axis=0)
         for w in waters
@@ -64,11 +72,11 @@ def whole_array_sums(units, gains, waters):
 def whole_array_curve(gains, budget, snr_db_list, trials, seed):
     """(SE, stderr) per point of one pattern: the stage-0 levels, then ``whole_array_sums``."""
     scales = [10.0 ** (snr_db / 10.0) for snr_db in snr_db_list]
-    draws = _unit_draws(gains.size, trials, seed) * gains[:, None]
+    draws = gained_draws(gains, trials, seed, stage=0)
     waters = _water_levels(draws, [s * (trials * budget) for s in scales])
-    units = _unit_draws(gains.size, trials, seed, stage=1)
+    draws = gained_draws(gains, trials, seed, stage=1)
     return [(float(per_trial.mean()), float(per_trial.std(ddof=1) / math.sqrt(trials)))
-            for per_trial in whole_array_sums(units, gains, waters)]
+            for per_trial in whole_array_sums(draws, waters)]
 
 
 class TestInstantaneousSe:
@@ -359,18 +367,18 @@ class TestBlockedRatePass:
     def test_per_trial_sums_are_the_whole_array_sums(self, k, trials):
         # each of these trial counts leaves one trial past the last full
         # block; a dead channel and an outage level (w~ = 0) ride along
-        units = _unit_draws(k, trials, seed=2, stage=1)
-        gains = np.linspace(1.0, 0.0, k)
+        draws = gained_draws(np.linspace(1.0, 0.0, k), trials, seed=2, stage=1)
         waters = [0.0, 0.5, 30.0]
         rates = np.empty((len(waters), trials))
-        capacity._rate_sums(units, gains, waters, rates)
-        assert np.array_equal(rates, whole_array_sums(units, gains, waters))
+        capacity._rate_sums(draws, waters, rates)
+        assert np.array_equal(rates, whole_array_sums(draws, waters))
 
     def test_overflowing_block_rejected(self):
-        units = _unit_draws(2, 1_000, seed=0, stage=1)
-        rates = np.empty((1, 1_000))
-        with pytest.raises(InvalidConfigError, match="overflow the float range"):
-            capacity._rate_sums(units, np.array([1.0, 1e308]), [1.0], rates)
+        # at seed 5 the largest unit draw of channel 1 is 6.89 in stage 0,
+        # which fits at a gain of 2.4e307, and 8.86 in stage 1, which does
+        # not: the rate pass never sees an infinite SNR
+        with pytest.raises(InvalidConfigError, match="mean 2.4e\\+307 overflow the float range"):
+            ergodic_se_oem(link(1, 1, 2), np.array([1.0, 2.4e307]), 0.0, 1.0, 1_000, 5)
 
     @pytest.mark.parametrize("trials", [1_000, 1_001])
     def test_narrowest_blocks_keep_the_sums(self, monkeypatch, trials):

@@ -356,22 +356,29 @@ class TestSimulate:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_golden_output(self, config_path, tmp_path, capsys):
-        # the bytes of this run as first recorded: a refactor of the
-        # estimator must leave every one where it was
-        out = tmp_path / "sweep.csv"
-        code, _, _ = run(
-            capsys, "simulate", "--config", config_path,
-            "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
-            "--out", str(out),
-        )
-        assert code == 0
-        assert out.read_text() == (
-            "snr_db,se_oem,se_oem_stderr,se_mimo,se_mimo_stderr\n"
+    def test_golden_output(self, config_path, base_cfg, tmp_path, capsys):
+        # the bytes of these runs as first recorded: a refactor of the
+        # estimator must leave every one where it was.  With one mode the
+        # OEM link is its MIMO baseline, so its OEM columns are the MIMO ones
+        one_mode = tmp_path / "one_mode.json"
+        base_cfg.with_(noise_var=1.0, u_elems=1).save(one_mode)
+        for config, rows in ((config_path, (
             "0,8.15119200883,0.0910497928083,2.08301144414,0.0460433564677\n"
             "5,14.6861106129,0.11672368947,3.71938295594,0.0591776527331\n"
             "10,23.8042348779,0.13731590032,6.00015028435,0.0693853701825\n"
-        )
+        )), (str(one_mode), (
+            "0,2.08301144414,0.0460433564677,2.08301144414,0.0460433564677\n"
+            "5,3.71938295594,0.0591776527331,3.71938295594,0.0591776527331\n"
+            "10,6.00015028435,0.0693853701825,6.00015028435,0.0693853701825\n"
+        ))):
+            out = tmp_path / "sweep.csv"
+            code, _, _ = run(
+                capsys, "simulate", "--config", config,
+                "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
+                "--out", str(out),
+            )
+            assert code == 0
+            assert out.read_text() == "snr_db,se_oem,se_oem_stderr,se_mimo,se_mimo_stderr\n" + rows
 
     def test_overflowing_budget_exits_3(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,4 +1,5 @@
-"""The installed package runs on numpy alone and ships no test oracle.
+"""The installed package runs on numpy alone, ships no test oracle and
+exports exactly the public names listed here.
 
 The import runs in a fresh interpreter, so modules the test session has
 already loaded (pytest, hypothesis, scipy, the oracles) do not mask a
@@ -10,12 +11,24 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import oem_mmwave
 
 ORACLES = Path(__file__).with_name("oracles.py")
 TEST_ONLY = ("scipy", "hypothesis", "pytest", "oracles")
+
+# The 30 public names ``oem_mmwave`` binds, besides ``__version__`` and
+# its submodules.  A name added to or dropped from the API changes this list.
+PUBLIC_NAMES = (
+    "DecomposedSignal", "DishDesign", "ModeChannels", "OemConfig", "PatchDesign", "PatchSpec",
+    "PowerPolicy", "ScenarioReport", "SePoint", "SnrGrid", "adjacent_distances", "bessel_j",
+    "build_layout", "build_mode_channels", "classify_region", "decompose_modes", "design_dish",
+    "design_patch", "ergodic_se_mimo", "ergodic_se_oem", "feed_impedance", "instantaneous_se",
+    "mode_power_profile", "propagate", "scenario_check", "sweep", "synthesize_elements",
+    "waterfill_ergodic", "waterfill_instantaneous", "zf_detect",
+)
 
 
 def _oracle_names():
@@ -45,3 +58,11 @@ def test_runtime_imports_no_test_dependency_and_exports_no_oracle(tmp_path):
     test_only, exported = json.loads(result.stdout)
     assert test_only == []
     assert exported == []
+
+
+def test_public_names_are_pinned():
+    public = sorted(
+        name for name, value in vars(oem_mmwave).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == sorted(PUBLIC_NAMES)
