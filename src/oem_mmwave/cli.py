@@ -7,18 +7,17 @@ numpy and platform versions; no timings).  All output is
 deterministic for a fixed seed, and never left half-written.
 
 Exit codes: 0 success, 2 invalid flags, 3 invalid config or input file
-or an output that cannot be written, 4 simulation error.  Toolkit errors
-are mapped to exit codes in ``main`` only.
+or an output that cannot be written, 4 simulation error.  Every exit 2
+is argparse's, ``channel --mode`` (bounded by the config's U) included;
+toolkit errors are mapped to 3 and 4 in ``main`` only.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
-import os
 import platform
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from . import __version__
 from .antenna import PatchSpec, design_dish, design_patch, feed_impedance
 from .capacity import MAX_SNR_DB, NORMALIZATIONS, sweep
 from .channel import build_mode_channels, mode_power_profile, VARIANTS
-from .config import OemConfig
+from .config import OemConfig, _replace_on_success
 from .errors import InvalidConfigError, OemError
 from .geometry import scenario_check
 from .waterfill import MIN_SAMPLES, waterfill_instantaneous
@@ -37,30 +36,12 @@ from .waterfill import MIN_SAMPLES, waterfill_instantaneous
 SPEED_OF_LIGHT = 299_792_458.0
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_SIMULATION = 4
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-@contextlib.contextmanager
-def _replace_on_success(path):
-    """Text handle on a temporary file that replaces ``path`` only once fully written.
-
-    An OSError while writing becomes an InvalidConfigError naming ``path``.
-    """
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _platform_name() -> str:
@@ -131,8 +112,7 @@ def _cmd_design_dish(args) -> int:
 def _cmd_channel(args) -> int:
     cfg = OemConfig.load(args.config)
     if args.mode is not None and not (0 <= args.mode < cfg.u_elems):
-        print(f"mode must lie in 0..{cfg.u_elems - 1}", file=sys.stderr)
-        return EXIT_USAGE
+        args.usage_error(f"argument --mode: must lie in 0..{cfg.u_elems - 1}, got {args.mode}")
     channels = build_mode_channels(cfg, kind=args.model)
     modes = range(len(channels)) if args.mode is None else [args.mode]
     m_rx, n_tx = channels.base.shape
@@ -220,34 +200,32 @@ def _parse_snr_range(text: str) -> list[float]:
 
     start and stop must be finite and within +-MAX_SNR_DB, and the range
     may hold at most MAX_SNR_POINTS points; the count is checked before
-    any point is built.
+    any point is built.  Other text raises ArgumentTypeError, with its reason.
     """
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("expected start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+        raise argparse.ArgumentTypeError("expected start:stop:step")
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise ValueError("start, stop and step must be finite")
+        raise argparse.ArgumentTypeError("start, stop and step must be finite")
     if max(abs(start), abs(stop)) > MAX_SNR_DB:
-        raise ValueError(f"start and stop must lie within +-{MAX_SNR_DB:g} dB")
+        raise argparse.ArgumentTypeError(f"start and stop must lie within +-{MAX_SNR_DB:g} dB")
     if step <= 0.0 or stop < start:
-        raise ValueError("need step > 0 and stop >= start")
+        raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
     steps = (stop - start) / step + 1e-9
     if steps >= MAX_SNR_POINTS:
-        raise ValueError(f"the range holds more than {MAX_SNR_POINTS} points")
+        raise argparse.ArgumentTypeError(f"the range holds more than {MAX_SNR_POINTS} points")
     return [start + k * step for k in range(int(steps) + 1)]
 
 
 def _cmd_simulate(args) -> int:
     cfg = OemConfig.load(args.config)
-    try:
-        snr_list = _parse_snr_range(args.snr_db)
-    except ValueError as exc:
-        print(f"bad --snr-db: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     profile = mode_power_profile(cfg, args.model)
     oem_curve, mimo_curve = sweep(
-        cfg, profile, snr_list, args.total_power, args.trials, args.seed, args.normalization
+        cfg, profile, args.snr_db, args.total_power, args.trials, args.seed, args.normalization
     )
     with _replace_on_success(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -262,7 +240,7 @@ def _cmd_simulate(args) -> int:
         "model": args.model,
         "normalization": args.normalization,
         "mode_profile": [float(g) for g in profile],
-        "snr_db": snr_list,
+        "snr_db": args.snr_db,
         "trials": args.trials,
         "total_power": args.total_power,
     }
@@ -343,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     channel.add_argument("--mode", type=int, default=None)
     channel.add_argument("--model", choices=VARIANTS, default="convergent")
     channel.add_argument("--out", required=True)
-    channel.set_defaults(func=_cmd_channel)
+    channel.set_defaults(func=_cmd_channel, usage_error=channel.error)
 
     waterfill = sub.add_parser("waterfill", help="instantaneous water-filling on a gamma CSV")
     waterfill.add_argument("--snr-csv", required=True)
@@ -354,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="ergodic SE sweep, OEM vs MIMO baseline")
     simulate.add_argument("--config", required=True)
     simulate.add_argument(
-        "--snr-db", required=True,
+        "--snr-db", type=_parse_snr_range, required=True,
         help=f"start:stop:step in dB, within +-{MAX_SNR_DB:g} dB, at most {MAX_SNR_POINTS} points",
     )
     simulate.add_argument("--trials", type=_trial_count, required=True)

@@ -10,8 +10,10 @@ Counts must be JSON integers, every other value a finite JSON number.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,6 +21,23 @@ from typing import Optional, Sequence
 from .errors import InvalidConfigError
 
 _ANGLES = ("phi", "phi_c", "theta")
+
+
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """Text handle on a temporary file that replaces ``path`` only once fully written.
+
+    An OSError while writing becomes an InvalidConfigError naming ``path``.
+    """
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _json_number(name: str, value, integer: bool = False):
@@ -125,7 +144,7 @@ class OemConfig:
             raise InvalidConfigError("; ".join(problems))
 
     def with_(self, **kwargs) -> "OemConfig":
-        """Return a modified copy (dataclasses.replace with validation)."""
+        """Return a modified copy; dataclasses.replace re-runs the validation."""
         return replace(self, **kwargs)
 
     # -- JSON round trip ---------------------------------------------------
@@ -155,7 +174,9 @@ class OemConfig:
         return cls(**{f.name: _from_json(f.name, f.type, d[f.name]) for f in schema if f.name in d})
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+        """Write the config as JSON through ``_replace_on_success``."""
+        with _replace_on_success(path) as fh:
+            fh.write(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "OemConfig":
@@ -166,7 +187,7 @@ class OemConfig:
             raise InvalidConfigError(str(exc)) from exc
         except UnicodeDecodeError as exc:
             raise InvalidConfigError(f"config file {path} is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
             raise InvalidConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise InvalidConfigError("config file must hold a JSON object")

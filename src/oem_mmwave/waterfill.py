@@ -154,12 +154,10 @@ def _water_levels(values: np.ndarray, budgets: Sequence[float]) -> list[float]:
 
 
 def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
-    """Powers max(0, water - 1/gamma), zero where gamma is not positive."""
+    """Powers max(0, water - 1/gamma): zero where gamma is not positive or 1/gamma overflows."""
     gamma = np.asarray(gamma, dtype=float)
-    out = np.zeros_like(gamma)
-    mask = gamma > 0.0
-    out[mask] = np.maximum(water - 1.0 / gamma[mask], 0.0)
-    return out
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(gamma > 0.0, np.maximum(water - 1.0 / gamma, 0.0), 0.0)
 
 
 def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:

@@ -163,6 +163,12 @@ class TestErgodicEstimators:
         with pytest.raises(InvalidConfigError, match="seed"):
             ergodic_se_mimo(2, 2, 10.0, 1.0, 2_000, seed=-1)
 
+    @pytest.mark.parametrize("n, m", [(0, 4), (4, 0)])
+    def test_mimo_needs_an_antenna_at_each_end(self, n, m):
+        with pytest.raises(InvalidConfigError,
+                           match="^need at least one transmit and one receive antenna$"):
+            ergodic_se_mimo(n, m, 10.0, 1.0, 2_000, seed=0)
+
     def test_draw_cap_rejected_before_drawing(self, base_cfg):
         with pytest.raises(InvalidConfigError, match="trials"):
             ergodic_se_mimo(2, 2, 10.0, 1.0, 10**15, seed=0)
@@ -247,7 +253,7 @@ class TestSweep:
     def test_points_are_the_single_point_estimates_bitwise(self, base_cfg, normalization,
                                                            profile):
         # N != M; 5000 trials of 16 channels pool 80,000 draws, more than
-        # one chunk of the water-level scan
+        # one block of the stage-1 rate pass
         cfg = base_cfg.with_(n_tx=8, m_rx=4, u_elems=4, v_elems=4)
         snr_db_list = [-20.0, 0.0, 12.5, 30.0]
         oem, mimo = sweep(cfg, profile, snr_db_list, 0.2, 5_000, seed=3,

@@ -61,6 +61,13 @@ class TestDesign:
             main(["design", "patch", "--freq-ghz", "35"])
         assert exc.value.code == 2
 
+    def test_zero_thickness_exits_3(self, capsys):
+        code, out, err = run(capsys, "design", "patch", *DESIGN_FLAGS["patch"],
+                             "--thickness-mm", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "config error: thickness must be finite and > 0, got 0.0\n"
+
     def test_bad_spec_exits_3(self, capsys):
         code, _, err = run(
             capsys, "design", "patch",
@@ -120,6 +127,18 @@ class TestScenario:
         path.write_text("{}")
         code, _, err = run(capsys, "scenario", "--config", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("field", ["r1", "n_tx"])
+    def test_integer_literal_too_long_to_convert_exits_3(self, field, base_cfg, tmp_path,
+                                                          capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**base_cfg.to_json_dict(), field: "huge"})
+                        .replace('"huge"', "1" * 5001))
+        code, out, err = run(capsys, "scenario", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("config error: config file is not valid JSON: ")
+        assert "digits" in err
 
     @pytest.mark.parametrize("field,value", [
         ("noise_var", math.nan), ("theta", math.nan), ("beta", math.nan),
@@ -220,10 +239,12 @@ class TestChannel:
 
         monkeypatch.setattr(cli, "build_mode_channels", unexpected)
         out_csv = tmp_path / "h.csv"
-        code, _, err = run(capsys, "channel", "--config", config_path, "--mode", "99",
-                           "--out", str(out_csv))
-        assert code == 2
-        assert "mode must lie in" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", "--config", config_path, "--mode", "99", "--out", str(out_csv)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: oem-sim channel")
+        assert "argument --mode: must lie in 0..3, got 99" in err
         assert not out_csv.exists()
 
     def test_oversized_layout_exits_3(self, config_path, monkeypatch, tmp_path, capsys):
@@ -328,6 +349,33 @@ class TestWaterfill:
         assert code == 3
         assert "power budget 1.7e+308 overflows the float range" in err
         assert list(tmp_path.iterdir()) == [snr_csv]
+
+    @pytest.mark.parametrize("text, message", [
+        ("i,l,gamma\n0,0,4.0\n0,-1,1.0\n",
+         "bad SNR csv, line 3: stream/mode indices must be nonnegative"),
+        ("i,l,gamma\n", "SNR csv holds no channels"),
+        (None, "bad SNR csv: [Errno 2] No such file or directory"),
+    ], ids=["negative-index", "header-only", "missing"])
+    def test_unusable_csv_exits_3(self, text, message, tmp_path, capsys):
+        snr_csv = tmp_path / "gamma.csv"
+        if text is not None:
+            snr_csv.write_text(text)
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(capsys, "waterfill", "--snr-csv", str(snr_csv),
+                           "--total-power", "1", "--out", str(out_csv))
+        assert code == 3
+        assert err.startswith(f"config error: {message}")
+        assert not out_csv.exists()
+
+    def test_subnormal_gamma_gets_no_power_silently(self, tmp_path, capsys):
+        # 1/5e-324 overflows to +inf, which no water level reaches
+        snr_csv = tmp_path / "gamma.csv"
+        snr_csv.write_text("i,l,gamma\n0,0,5e-324\n0,1,1.0\n")
+        out_csv = tmp_path / "powers.csv"
+        code, _, err = run(capsys, "waterfill", "--snr-csv", str(snr_csv),
+                           "--total-power", "1", "--out", str(out_csv))
+        assert (code, err) == (0, "")
+        assert out_csv.read_text() == "i,l,gamma,power\n0,0,4.94065645841e-324,0\n0,1,1,1\n"
 
     def test_duplicate_channel_exits_3(self, tmp_path, capsys):
         # two rows with one (i, l) label would be two channels that the
@@ -525,13 +573,21 @@ class TestSimulate:
         )
         assert not out.exists()
 
-    def test_bad_range_exits_2(self, config_path, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "simulate", "--config", config_path,
-            "--snr-db", "10", "--trials", "1000", "--seed", "7",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
+    def test_bad_range_exits_2(self, tmp_path, capsys):
+        # the flag is rejected before the (missing) config file is read
+        out = tmp_path / "x.csv"
+        for snr_db, reason in [("10", "expected start:stop:step"),
+                               ("0:ten:1", "could not convert string to float: 'ten'"),
+                               ("5:0:1", "need step > 0 and stop >= start"),
+                               ("0:10:0", "need step > 0 and stop >= start")]:
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "simulate", "--config", str(tmp_path / "missing.json"),
+                    "--snr-db", snr_db, "--trials", "1000", "--seed", "7", "--out", str(out),
+                ])
+            assert exc.value.code == 2
+            assert f"--snr-db: {reason}" in capsys.readouterr().err
+            assert not out.exists()
 
     # 0:100:0.1 holds 1001 points, one above the cap; 1e-320 makes the
     # point count overflow to inf
@@ -539,13 +595,21 @@ class TestSimulate:
                                         "0:0:nan", "-300.5:0:1", "0:300.5:1",
                                         "0:100:0.1", "0:30:1e-320"])
     def test_out_of_range_snr_exits_2(self, snr_db, config_path, tmp_path, capsys):
+        reason = {
+            "3100:3100:1": "start and stop must lie within +-300 dB",
+            "-300.5:0:1": "start and stop must lie within +-300 dB",
+            "0:300.5:1": "start and stop must lie within +-300 dB",
+            "0:100:0.1": "the range holds more than 1000 points",
+            "0:30:1e-320": "the range holds more than 1000 points",
+        }.get(snr_db, "start, stop and step must be finite")
         out = tmp_path / "x.csv"
-        code, _, err = run(
-            capsys, "simulate", "--config", config_path, f"--snr-db={snr_db}",
-            "--trials", "1000", "--seed", "7", "--out", str(out),
-        )
-        assert code == 2
-        assert "bad --snr-db" in err
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--config", config_path, f"--snr-db={snr_db}",
+                "--trials", "1000", "--seed", "7", "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert f"--snr-db: {reason}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_snr_range_limits_are_inclusive(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import pytest
@@ -102,6 +103,30 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidConfigError):
             OemConfig.load(path)
 
+    def test_json_array_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([VALID]))
+        with pytest.raises(InvalidConfigError, match="^config file must hold a JSON object$"):
+            OemConfig.load(path)
+
+    @pytest.mark.parametrize("field", ["r1", "n_tx"])
+    def test_integer_literal_too_long_to_convert_rejected(self, field, tmp_path):
+        # json.loads raises a plain ValueError, not JSONDecodeError, for it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**VALID, field: "huge"}).replace('"huge"', "1" * 5001))
+        with pytest.raises(InvalidConfigError, match="^config file is not valid JSON: .*digits"):
+            OemConfig.load(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        # an integer literal that float() cannot convert
+        ("r1", 10 ** 400, "^r1 is out of range, got 1000"),
+        ("beta", [1.0, 0.0, 0.0], r"^beta must be a number or \[re, im\], got \[1.0, 0.0, 0.0\]$"),
+        ("conv_gains", "1111", "^conv_gains must be a list or null, got '1111'$"),
+    ])
+    def test_bad_field_form_rejected_naming_it(self, field, value, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            OemConfig.from_json_dict({**VALID, field: value})
+
     @pytest.mark.parametrize("name", ["missing.json", ""], ids=["missing", "directory"])
     def test_unreadable_path_rejected(self, tmp_path, name):
         # the message is the OSError's own, naming the path, as the CLI prints it
@@ -109,6 +134,35 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidConfigError, match=re.escape(f": '{path}'")) as info:
             OemConfig.load(path)
         assert isinstance(info.value.__cause__, OSError)
+
+
+class TestSave:
+    def test_bytes(self, tmp_path):
+        cfg = OemConfig(n_tx=2, m_rx=3, u_elems=2, v_elems=4, r1=0.1, r2=0.004,
+                        wavelength=0.01, phi=math.radians(30), phi_c=0.0,
+                        beta=0.5 - 0.25j, conv_gains=(1.0, 0.5))
+        cfg.save(tmp_path / "cfg.json")
+        assert (tmp_path / "cfg.json").read_bytes() == (
+            b'{\n  "n_tx": 2,\n  "m_rx": 3,\n  "u_elems": 2,\n  "v_elems": 4,\n'
+            b'  "r1": 0.1,\n  "r2": 0.004,\n  "wavelength": 0.01,\n'
+            b'  "phi": 29.999999999999996,\n  "phi_c": 0.0,\n  "theta": 0.0,\n'
+            b'  "beta": [\n    0.5,\n    -0.25\n  ],\n  "link_distance": 100.0,\n'
+            b'  "conv_gains": [\n    1.0,\n    0.5\n  ],\n  "noise_var": 1.0\n}\n'
+        )
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_replaces_an_earlier_file(self, base_cfg, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("previous\n")
+        base_cfg.save(path)
+        assert path.read_text() == json.dumps(base_cfg.to_json_dict(), indent=2) + "\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_missing_directory_rejected_naming_the_path(self, base_cfg, tmp_path):
+        path = tmp_path / "missing" / "cfg.json"
+        with pytest.raises(InvalidConfigError, match=f"^cannot write {re.escape(str(path))}: "):
+            base_cfg.save(path)
+        assert os.listdir(tmp_path) == []
 
 
 @settings(max_examples=200, deadline=None)

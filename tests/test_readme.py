@@ -2,6 +2,8 @@
 
 Each block runs in a fresh interpreter against the source tree, so an
 API or CLI change that leaves the README behind fails the unit suite.
+A subprocess does not inherit pytest's ``filterwarnings``, so each one
+turns RuntimeWarnings into errors itself, and must write no stderr.
 """
 
 import math
@@ -24,7 +26,7 @@ def _blocks(lang):
 
 
 def _run(argv, cwd):
-    env = {**os.environ, "PYTHONPATH": SRC}
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONWARNINGS": "error::RuntimeWarning"}
     return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -32,7 +34,7 @@ def test_python_quick_start_runs(tmp_path):
     blocks = _blocks("python")
     assert len(blocks) == 1
     result = _run([sys.executable, "-c", blocks[0]], tmp_path)
-    assert result.returncode == 0, result.stderr
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def _cli_commands():
@@ -56,4 +58,4 @@ def test_cli_quick_start_runs(tmp_path):
     for command in commands:
         assert command[0] == "oem-sim"
         result = _run([sys.executable, "-m", "oem_mmwave.cli", *command[1:]], tmp_path)
-        assert result.returncode == 0, (command, result.stderr)
+        assert (result.returncode, result.stderr) == (0, ""), command

@@ -104,6 +104,11 @@ class TestPropagate:
         with pytest.raises(InvalidConfigError):
             propagate(random_symbols(base_cfg), channels, base_cfg)
 
+    def test_one_channel_per_mode_needed(self, base_cfg):
+        channels = build_mode_channels(base_cfg.with_(u_elems=3))
+        with pytest.raises(InvalidConfigError, match=r"^need one channel per mode 0\.\.3$"):
+            propagate(random_symbols(base_cfg), channels, base_cfg)
+
     def test_channel_column_count_must_match_config(self, base_cfg):
         cfg = base_cfg.with_(n_tx=4, m_rx=4)
         channels = build_mode_channels(cfg.with_(n_tx=5))
@@ -152,6 +157,11 @@ class TestDecompose:
         y = rng.standard_normal((base_cfg.m_rx, base_cfg.v_elems)) * (1 + 0j)
         dec = decompose_modes(y, base_cfg)
         assert np.allclose(dec.values[:, 0], y.sum(axis=1))
+
+    def test_observation_shape_must_match_config(self, base_cfg):
+        with pytest.raises(InvalidConfigError,
+                           match=r"^observation must be \(M, V\) = \(3, 8\), got \(3, 7\)$"):
+            decompose_modes(np.zeros((3, 7), dtype=complex), base_cfg)
 
     def test_noise_variance_scales_with_element_count(self, base_cfg):
         cfg = base_cfg.with_(n_tx=1, m_rx=1, noise_var=1.0)

@@ -28,6 +28,12 @@ class TestInstantaneous:
         policy = waterfill_instantaneous(np.array([1.0, 1.0]), 2.0)
         assert policy.allocations.ravel() == pytest.approx([1.0, 1.0])
 
+    def test_subnormal_channel_gets_no_power(self):
+        # 1/5e-324 overflows to +inf, which no water level reaches
+        policy = waterfill_instantaneous(np.array([5e-324, 1.0]), 1.0)
+        assert policy.water_level == 2.0
+        assert policy.allocations.ravel().tolist() == [0.0, 1.0]
+
     def test_two_channel_analytic_solution(self):
         # solve 2w - 1/4 - 1 = 1 for the water level
         policy = waterfill_instantaneous(np.array([4.0, 1.0]), 1.0)
@@ -144,7 +150,7 @@ def full_prefix_level(gamma, total_power):
     return float((total_power + inv[:k].sum()) / k)
 
 
-class TestChunkedScan:
+class TestLevelBisection:
     @pytest.mark.parametrize("budget", [1e-300, 1e-3, 1e4, 1e5, 1e9])
     def test_matches_the_full_prefix_search_bitwise(self, budget):
         # 168,535 positive entries; the budgets fill none, 2, a quarter,
@@ -194,6 +200,12 @@ class TestErgodic:
         # numpy's own error would be a plain ValueError naming no seed
         with pytest.raises(InvalidConfigError, match="seed must be nonnegative"):
             waterfill_ergodic(np.array([[10.0, 5.0]]), 1.0, samples=5_000, seed=-1)
+
+    def test_rule_gives_a_subnormal_channel_no_power(self):
+        mu, rule = waterfill_ergodic(np.array([[1.0]]), 1.0, samples=1_000, seed=0)
+        powers = rule(np.array([5e-324, 0.0, -0.0, 1e300]))
+        assert powers.tolist() == [0.0, 0.0, 0.0, 1.0 / (mu * LN2) - 1e-300]
+        assert not np.signbit(powers).any()
 
     def test_budget_met_on_independent_resample(self):
         means = np.array([[20.0, 8.0], [15.0, 3.0]])
