@@ -27,11 +27,17 @@ over the streams for OEM, ones for MIMO).  So a curve makes its draws
 u*g once per stage, each row scaled by its gain g when it is drawn, and
 each SNR point costs scalar probes plus one pass over the rates:
 
-* stage 0 sorts a = 1/(u*g) and takes C = cumsum(a) once.  At SNR s the
-  pooled reciprocals are a/s, so the water level is w~/s, where
-  w~ = (s*T*P + sum a[:k]) / k for the largest k with
-  (s*T*P + C_k)/k > a_k.  That test holds up to k and fails beyond, so a
-  bisection finds k; the prefix is then re-summed pairwise.
+* stage 0 sorts a = 1/(u*g) once and sums it at the edges of blocks of a
+  few thousand entries.  At SNR s the pooled reciprocals are a/s, so the
+  water level is w~/s, where w~ = (s*T*P + sum a[:k]) / k for the
+  largest k with (s*T*P + C_k)/k > a_k, C_k = sum a[:k].  That test
+  holds up to k and fails beyond, so a bisection over the block edges,
+  then over the cumulative sum of one block, finds k; the prefix is then
+  re-summed pairwise.
+* while stage 0 sorts and solves, one worker thread draws stage 1 into an
+  array the caller has allocated.  Every row comes from its own keyed
+  generator, so the draws do not depend on how the two threads are
+  scheduled.
 * stage 1 uses L = log2(u*g).  With w = w~/s the rate
   log2(1 + max(0, w - 1/gamma)*gamma) of a draw gamma = s*u*g is
   max(0, L + log2 w~), so a point needs no divide and no log per draw.
@@ -48,6 +54,7 @@ calls are one-point curves, so a sweep point equals them bit for bit.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,22 +175,41 @@ def _ergodic_curve(gains: np.ndarray, budget: float, snr_db: Sequence[float], tr
     """Ergodic SE of the channels of ``gains`` and per-trial ``budget`` at each of ``snr_db``.
 
     Both stages draw u*g, each row scaled by its gain as it is drawn.
-    Stage 0 is freed, once it has every point's water level w~, before
-    stage 1 draws.  Stage 1 takes the points in groups of at most as
-    many as there are channels, so their rate sums never outgrow the
-    draws, whatever the point count.
+    A worker thread draws stage 1, into an array allocated here, while
+    stage 0 solves every point's water level w~; the two draw arrays are
+    held together, and stage 0 is freed before the rate sums take its
+    place.  The worker is joined before any error leaves: a stage-0 error
+    is raised first, and a stage-1 one (an overflowing draw) is raised
+    here.  Stage 1 takes the points in groups of at most as many as there
+    are channels, so their rate sums never outgrow the draws, whatever the
+    point count.
     """
     budgets = _pooled_budgets(gains, budget, snr_db, trials, seed)
     draws = _fading_draws(gains, trials, seed)
-    waters = _water_levels(draws, budgets)
-    del draws
+    later = np.empty_like(draws)
+    failed = []
 
-    draws = _fading_draws(gains, trials, seed, stage=_SE_STAGE)
+    def draw_later() -> None:
+        try:
+            _fading_draws(gains, trials, seed, _SE_STAGE, out=later)
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=draw_later, name="oem-stage-1-draws")
+    worker.start()
+    try:
+        waters = _water_levels(draws, budgets)
+    finally:
+        worker.join()
+    del draws
+    if failed:
+        raise failed[0]
+
     rates = np.empty((min(len(waters), gains.size), trials))
     points = []
     for first in range(0, len(waters), len(rates)):
         group = waters[first:first + len(rates)]
-        _rate_sums(draws, group, rates)
+        _rate_sums(later, group, rates)
         for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
             stderr = per_trial.std(ddof=1) / math.sqrt(trials)
             points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))

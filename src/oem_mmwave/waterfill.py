@@ -27,12 +27,16 @@ MIN_SAMPLES = 1_000
 
 # Most draws (channels x trials) one stage may hold: 2**27 float64 values
 # are 1 GiB.  A sweep keeps at most two buffers of this size alive (the
-# draws and their cumulative sums, or the draws and the rate sums), so a
-# run stays within a few GiB and fails with a message, not a MemoryError,
-# beyond that.  The 64x64 U=16 link at 10k trials uses 1e7 draws, 1/13 of
-# the cap.  The channel build caps its layout and exact-sum tables at the
-# same count.
+# stage-0 draws and the stage-1 draws filled alongside them, or the
+# stage-1 draws and the rate sums), so a run stays within a few GiB and
+# fails with a message, not a MemoryError, beyond that.  The 64x64 U=16
+# link at 10k trials uses 1e7 draws, 1/13 of the cap.  The channel build
+# caps its layout and exact-sum tables at the same count.
 MAX_DRAWS = 2**27
+
+# Sorted reciprocals per block of the water-level search: the search holds
+# one prefix sum per block and the cumulative sum of one block at a time.
+_PREFIX_BLOCK = 4096
 
 GridLike = Union["SnrGrid", np.ndarray]
 
@@ -102,30 +106,45 @@ def _check_samples(count: int, noun: str) -> None:
         raise InvalidConfigError(f"need at least {MIN_SAMPLES} {noun}, got {count}")
 
 
-def _prefix_level(inv: np.ndarray, cums: np.ndarray, total_power: float) -> float:
+def _prefix_level(inv: np.ndarray, heads: Sequence[float], total_power: float) -> float:
     """Exact water level of ``total_power`` over ascending reciprocals ``inv``.
 
-    ``cums`` is the cumulative sum of ``inv``.  Takes the largest prefix
-    k whose level (P + cums_k) / k lies strictly above inv_k, so channels
-    exactly at the level stay off and +inf entries (zero SNR) are never
-    filled.  The test holds for every k up to that prefix and for none
-    beyond, since cums_k - k inv_k does not grow with k, so a bisection
-    finds k with ~log2(n) scalar probes.  The level of that prefix is
-    then re-summed pairwise, which keeps the budget exact to rounding
-    where the running sum ``cums`` has drifted.  Returns 0 when nothing
-    can be filled; a level beyond the float range raises
-    InvalidConfigError.
+    ``heads[j]`` is sum inv[:j*B], B = _PREFIX_BLOCK, for every block
+    edge j*B below ``inv.size``.  Takes the largest prefix k whose level
+    (P + C_k) / k, C_k = sum inv[:k], lies strictly above inv_k, so
+    channels exactly at the level stay off and +inf entries (zero SNR)
+    are never filled.  The test holds for every k up to that prefix and
+    for none beyond, since C_k - k inv_k does not grow with k, so k is
+    bisected first over the block edges, then within one block on its
+    cumulative sum: on at most one block, one cumsum and one bisection.
+    The probes read Python floats (``item``), the same doubles without
+    numpy's scalar overhead.  The level of that prefix is then re-summed
+    pairwise, which keeps the budget exact to rounding where the running
+    sums have drifted.  Returns 0 when nothing can be filled; a level
+    beyond the float range raises InvalidConfigError.
     """
-    lo, hi = 0, inv.size
+    lo, hi = 0, len(heads) - 1
+    while lo < hi:
+        j = (lo + hi + 1) // 2
+        if (total_power + heads[j]) / (j * _PREFIX_BLOCK) > inv.item(j * _PREFIX_BLOCK - 1):
+            lo = j
+        else:
+            hi = j - 1
+    start = lo * _PREFIX_BLOCK
+    block = inv[start:start + _PREFIX_BLOCK] if len(heads) > 1 else inv
+    base = total_power + heads[lo]
+    cums = np.cumsum(block)
+    lo, hi = 0, block.size
     while lo < hi:
         k = (lo + hi + 1) // 2
-        if (total_power + cums[k - 1]) / k > inv[k - 1]:
+        if (base + cums.item(k - 1)) / (start + k) > block.item(k - 1):
             lo = k
         else:
             hi = k - 1
-    if lo == 0:
+    count = start + lo
+    if count == 0:
         return 0.0
-    level = float((total_power + inv[:lo].sum()) / lo)
+    level = float((total_power + inv[:count].sum()) / count)
     if not math.isfinite(level):
         raise InvalidConfigError(
             f"the water level of power budget {total_power:g} overflows the float range"
@@ -137,20 +156,26 @@ def _water_levels(values: np.ndarray, budgets: Sequence[float]) -> list[float]:
     """Exact water level of each of ``budgets`` over the nonnegative ``values``.
 
     The reciprocals are taken in the buffer of ``values``, which is
-    overwritten, and sorted once with one cumulative sum for every
-    budget.  A zero (-0.0 included) becomes +inf and sorts last, where
-    no level reaches it.  A level is 0 when nothing can be filled: no
-    positive value, or a budget below the resolution of the best
-    1/value.  A level that overflows raises InvalidConfigError; sums
-    that overflow on the way, and a 1/value that overflows to +inf
-    (which no level reaches), stay silent.
+    overwritten, and sorted once; their sums at the block edges of
+    ``_prefix_level``, one pairwise sum per block accumulated over the
+    blocks, serve every budget, so no full-length cumsum is held.  A
+    zero (-0.0 included) becomes +inf and sorts last, where no level
+    reaches it.  A level is 0 when nothing can be filled: no positive
+    value, or a budget below the resolution of the best 1/value.  A
+    level that overflows raises InvalidConfigError; sums that overflow
+    on the way, and a 1/value that overflows to +inf (which no level
+    reaches), stay silent.
     """
     np.abs(values, out=values)
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.divide(1.0, values, out=values).reshape(-1)
         inv.sort()
-        cums = np.cumsum(inv)
-        return [_prefix_level(inv, cums, budget) for budget in budgets]
+        heads = (0.0,)
+        if inv.size > _PREFIX_BLOCK:
+            edges = (inv.size - 1) // _PREFIX_BLOCK
+            sums = inv[:edges * _PREFIX_BLOCK].reshape(edges, _PREFIX_BLOCK).sum(axis=1)
+            heads = (0.0, *np.cumsum(sums).tolist())
+        return [_prefix_level(inv, heads, budget) for budget in budgets]
 
 
 def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
@@ -163,10 +188,11 @@ def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
 def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
     """Exact water filling over one SNR realization.
 
-    The water level comes from one sort and cumulative sum of 1/gamma
-    (see ``_water_levels``); every channel below it gets the difference.
-    Channels at the level exactly count as inactive.  If no channel has
-    positive SNR the outage (all-zero) policy is returned.
+    The water level comes from one sort of 1/gamma and a bisection over
+    its prefix sums (see ``_water_levels``); every channel below it gets
+    the difference.  Channels at the level exactly count as inactive.
+    If no channel has positive SNR the outage (all-zero) policy is
+    returned.
     """
     _check_power(total_power)
     gamma = _grid_values(snr)
@@ -185,7 +211,8 @@ def _check_draws(n_channels: int, count: int, seed: int) -> None:
         )
 
 
-def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0) -> np.ndarray:
+def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Draw (K, count) i.i.d. exponential SNRs of the K ``means``, channel-major.
 
     Row k comes from its own generator keyed by (seed, stage, k), so two
@@ -193,10 +220,12 @@ def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0) -> n
     channels they have in common.  Each row is scaled by its mean as soon
     as it is drawn: a draw of mean m is m times the unit draw, bit for
     bit, and a zero-mean channel draws zeros.  A draw beyond the float
-    range raises InvalidConfigError.
+    range raises InvalidConfigError.  The draws fill ``out`` when given,
+    a (K, count) float64 array, and a new array otherwise.
     """
     _check_draws(means.size, count, seed)
-    out = np.empty((means.size, count))
+    if out is None:
+        out = np.empty((means.size, count))
     try:
         with np.errstate(over="raise"):
             for k, row in enumerate(out):

@@ -1,4 +1,8 @@
 import math
+import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -281,8 +285,9 @@ class TestSweep:
         return peak
 
     def test_working_memory_stays_within_two_draw_arrays(self):
-        # stage 0 holds the draws and their cumulative sums; stage 1 the
-        # draws, two 512 KiB block buffers and seven rows of rate sums.
+        # stage 0 holds its draws and the stage-1 draws being filled
+        # alongside them; stage 1 its draws, two 512 KiB block buffers and
+        # seven rows of rate sums.
         # Both links have 64 channels; on the 64x64 U=1 one the MIMO
         # curve is as large as the OEM one.
         draw_array = 10_000 * 64 * 8
@@ -397,6 +402,83 @@ class TestBlockedRatePass:
         for curve, gains in ((oem, np.repeat(profile, 4)), (mimo, np.ones(4))):
             expected = whole_array_curve(gains, 0.3 * gains.size, snr_db_list, trials, seed=6)
             assert [(p.se, p.stderr) for p in curve] == expected
+
+
+class TestStageOneWorker:
+    """Stage 1 is drawn on a worker thread while stage 0 solves its levels."""
+
+    @staticmethod
+    def stage_one_overflow_gain(seed):
+        """A gain at which only the stage-1 draws of channel 1 overflow.
+
+        The geometric mean of DBL_MAX over the largest unit draw of
+        channel 1 in each stage: 6.89 in stage 0 and 8.86 in stage 1 at
+        seed 5, 1000 trials.
+        """
+        top = [np.random.default_rng([seed, stage, 1]).standard_exponential(1_000).max()
+               for stage in (0, 1)]
+        assert top[0] < top[1]
+        return sys.float_info.max / math.sqrt(top[0] * top[1])
+
+    def test_no_thread_outlives_a_sweep(self, base_cfg):
+        before = threading.enumerate()
+        sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0, 10.0], 1.0, 1_000, seed=2)
+        assert threading.enumerate() == before
+
+    def test_concurrent_sweeps_give_the_serial_points(self):
+        # four callers, each with its own stage-1 worker, on more threads
+        # than cores, switching threads every microsecond
+        args = (link(4, 4, 3), np.array([1.0, 0.5, 0.2]), [0.0, 20.0], 0.5, 2_000)
+        expected = [sweep(*args, seed=seed) for seed in range(4)]
+        got = [None] * 4
+
+        def run(seed):
+            got[seed] = sweep(*args, seed=seed)
+
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
+
+    def test_stage_one_overflow_is_raised_in_the_caller(self):
+        before = threading.enumerate()
+        gain = self.stage_one_overflow_gain(5)
+        message = re.escape(f"fading draws of mean {gain:g} overflow the float range")
+        with pytest.raises(InvalidConfigError, match=message):
+            ergodic_se_oem(link(1, 1, 2), np.array([1.0, gain]), 0.0, 1.0, 1_000, 5)
+        assert threading.enumerate() == before
+
+    def test_stage_zero_level_overflow_wins(self, monkeypatch):
+        # channel 2's reciprocals near 1e303 push a pooled budget of
+        # 1.79e308 past the float range in stage 0, while channel 1's
+        # stage-1 draws overflow as above.  The stage-1 draws start late,
+        # so the worker is still running when stage 0 fails
+        fading_draws = capacity._fading_draws
+
+        def late_stage_one(means, count, seed, stage=0, out=None):
+            if stage:
+                time.sleep(0.1)
+            return fading_draws(means, count, seed, stage, out=out)
+
+        monkeypatch.setattr(capacity, "_fading_draws", late_stage_one)
+        before = threading.enumerate()
+        cfg = link(1, 1, 3)
+        profile = np.array([1.0, self.stage_one_overflow_gain(5), 1e-303])
+        with pytest.raises(InvalidConfigError, match="fading draws of mean"):
+            ergodic_se_oem(cfg, profile, 0.0, 1.0, 1_000, 5)
+        assert threading.enumerate() == before
+        with pytest.raises(InvalidConfigError,
+                           match="water level of power budget 1.79e\\+308 overflows"):
+            ergodic_se_oem(cfg, profile, 0.0, 1.79e305, 1_000, 5, normalization="total")
+        assert threading.enumerate() == before
 
 
 def closed_form_se(means, total_power):

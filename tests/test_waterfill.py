@@ -12,7 +12,7 @@ from oem_mmwave import (
     waterfill_instantaneous,
 )
 from oem_mmwave.errors import DomainError, InvalidConfigError
-from oem_mmwave.waterfill import LN2, sample_snr_realizations
+from oem_mmwave.waterfill import LN2, _PREFIX_BLOCK, _water_levels, sample_snr_realizations
 from oracles import brute_force_oracle
 
 LOG2 = LN2  # natural log of 2, the "log 2" of the allocation formulas
@@ -159,6 +159,60 @@ class TestLevelBisection:
         gamma = np.random.default_rng(5).exponential(1.0, 3 * 65_536 + 17)
         gamma[::7] = 0.0
         assert waterfill_instantaneous(gamma, budget).water_level == full_prefix_level(gamma, budget)
+
+
+def fill_budget(gamma, count):
+    """A budget that fills exactly the ``count`` best channels of ``gamma``.
+
+    k channels fill once the budget passes k inv_k - C_k over the sorted
+    reciprocals; the budget is halfway between that bound for ``count``
+    and for ``count + 1``, or twice the last bound when every positive
+    channel fills.
+    """
+    inv = np.sort(1.0 / gamma[gamma > 0.0])
+    need = np.arange(1, inv.size + 1) * inv - np.cumsum(inv)
+    if count == inv.size:
+        return 2.0 * need[-1]
+    return float((need[count - 1] + need[count]) / 2.0)
+
+
+class TestBlockedLevelSearch:
+    """The block-edge search lands where the search of every prefix does.
+
+    Sizes around one block B = _PREFIX_BLOCK and over three; budgets whose
+    filled prefix ends in the first block, inside a middle one, on a block
+    edge and in the tail block.
+    """
+
+    B = _PREFIX_BLOCK
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 17])
+    def test_matches_the_full_prefix_search_bitwise(self, n):
+        B = self.B
+        gamma = np.random.default_rng(n).exponential(1.0, n)
+        counts = sorted({c for c in (B // 3, B, B + B // 2, 2 * B, 3 * B, 3 * B + 9, n) if c <= n})
+        budgets = [fill_budget(gamma, count) for count in counts]
+        for count, budget in zip(counts, budgets):
+            policy = waterfill_instantaneous(gamma, budget)
+            assert np.count_nonzero(policy.allocations) == count
+            assert policy.water_level == full_prefix_level(gamma, budget)
+        assert _water_levels(gamma.copy(), budgets) == [
+            full_prefix_level(gamma, budget) for budget in budgets
+        ]
+
+    @pytest.mark.parametrize("positive", [B - 5, 2 * B - 1, 2 * B + 1])
+    def test_zero_snr_entries_across_an_edge_stay_off(self, positive):
+        # the +inf reciprocals of the zero SNRs start before a block edge
+        # and run past it; a budget that fills every positive channel and
+        # one that fills half of them
+        n = 3 * self.B + 17
+        gamma = np.random.default_rng(positive).exponential(1.0, n)
+        gamma[np.random.default_rng(1).permutation(n)[positive:]] = 0.0
+        for count in (positive // 2, positive):
+            budget = fill_budget(gamma, count)
+            policy = waterfill_instantaneous(gamma, budget)
+            assert np.count_nonzero(policy.allocations) == count
+            assert policy.water_level == full_prefix_level(gamma, budget)
 
 
 class TestOracleEquivalence:
