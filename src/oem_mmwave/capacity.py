@@ -34,10 +34,13 @@ each SNR point costs scalar probes plus one pass over the rates:
   holds up to k and fails beyond, so a bisection over the block edges,
   then over the cumulative sum of one block, finds k; the prefix is then
   re-summed pairwise.
-* while stage 0 sorts and solves, one worker thread draws stage 1 into an
-  array the caller has allocated.  Every row comes from its own keyed
-  generator, so the draws do not depend on how the two threads are
-  scheduled.
+* every stage runs on two threads, the caller and one worker: the
+  caller draws the first half of the stage-0 rows and the worker the
+  rest; while the caller sorts and solves stage 0, the worker draws
+  stage 1 into an array the caller has allocated; and each thread sums
+  the rates of one half of the trials.  Every row comes from its own
+  keyed generator and every trial's rate sum from its own column, so
+  the bytes do not depend on how the two threads are scheduled.
 * stage 1 uses L = log2(u*g).  With w = w~/s the rate
   log2(1 + max(0, w - 1/gamma)*gamma) of a draw gamma = s*u*g is
   max(0, L + log2 w~), so a point needs no divide and no log per draw.
@@ -56,7 +59,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -77,6 +80,8 @@ from .waterfill import (
 
 NORMALIZATIONS = ("per-channel", "total")
 
+_R = TypeVar("_R")
+
 # Largest |mean SNR| in dB that the estimators accept.  Far beyond any
 # physical link, and well inside the float range of 10**(dB/10).
 MAX_SNR_DB = 300.0
@@ -86,7 +91,7 @@ MAX_SNR_DB = 300.0
 _SE_STAGE = 1
 
 # Bytes of one stage-1 block buffer (the logs or the rates of a block of
-# trials); the two of them fit in L2.
+# trials); the two of each thread fit in its core's L2.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -125,21 +130,31 @@ def _budget(total_power: float, n_channels: int, normalization: str) -> float:
     raise InvalidConfigError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
 
 
-def _rate_sums(draws: np.ndarray, waters: Sequence[float], rates: np.ndarray) -> None:
+def _block_buffers(k: int) -> np.ndarray:
+    """The two block buffers of ``_rate_sums`` over K channels.
+
+    A block is width = max(2, _BLOCK_BYTES // 8K) trials of all K
+    channels; each buffer holds one more trial, for a lone trailing one.
+    """
+    return np.empty((2, k * (max(2, _BLOCK_BYTES // (8 * k)) + 1)))
+
+
+def _rate_sums(draws: np.ndarray, waters: Sequence[float], rates: np.ndarray,
+               buffers: np.ndarray) -> None:
     """Per-trial rate sums of the (K, T) draws u*g at the levels ``waters``, in ``rates``.
 
     The trials are walked in contiguous blocks of all K channels by
-    ``width`` trials.  Per block, L = log2(u*g) is taken once and each
-    point's rates max(0, L + log2 w~) are summed over the channels in
-    row order, the order of ``sum(axis=0)`` over the whole array, so
-    every sum is the same bit for bit.  numpy sums a one-trial block
-    pairwise instead, so the last block takes a lone trailing trial.
+    ``width`` trials, in the ``_block_buffers(K)`` given as ``buffers``.
+    Per block, L = log2(u*g) is taken once and each point's rates
+    max(0, L + log2 w~) are summed over the channels in row order, the
+    order of ``sum(axis=0)`` over the whole array, so every sum is the
+    same bit for bit.  numpy sums a one-trial block pairwise instead, so
+    the last block takes a lone trailing trial.
     """
     k, trials = draws.shape
-    width = max(2, _BLOCK_BYTES // (8 * k))
+    logs_buf, work_buf = buffers
+    width = logs_buf.size // k - 1
     edges = list(range(0, trials - 1, width)) + [trials]
-    logs_buf = np.empty(k * min(width + 1, trials))
-    work_buf = np.empty_like(logs_buf)
     shifts = [math.log2(w) if w > 0.0 else -math.inf for w in waters]
     for lo, hi in zip(edges, edges[1:]):
         size = k * (hi - lo)
@@ -170,46 +185,67 @@ def _pooled_budgets(gains: np.ndarray, budget: float, snr_db: Sequence[float], t
     return [s * pooled for s in scales]
 
 
+def _both(first: Callable[[], _R], second: Callable[[], object]) -> _R:
+    """Run ``second`` on a worker thread while ``first`` runs here; return first's result.
+
+    The worker is joined before anything leaves, so no thread outlives
+    the call.  An error of ``first`` wins; the worker's is stored and
+    raised here only when ``first`` returned.
+    """
+    failed = []
+
+    def run() -> None:
+        try:
+            second()
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=run, name="oem-curve-worker")
+    worker.start()
+    try:
+        result = first()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return result
+
+
 def _ergodic_curve(gains: np.ndarray, budget: float, snr_db: Sequence[float], trials: int,
                    seed: int) -> tuple[SePoint, ...]:
     """Ergodic SE of the channels of ``gains`` and per-trial ``budget`` at each of ``snr_db``.
 
     Both stages draw u*g, each row scaled by its gain as it is drawn.
-    A worker thread draws stage 1, into an array allocated here, while
-    stage 0 solves every point's water level w~; the two draw arrays are
-    held together, and stage 0 is freed before the rate sums take its
-    place.  The worker is joined before any error leaves: a stage-0 error
-    is raised first, and a stage-1 one (an overflowing draw) is raised
-    here.  Stage 1 takes the points in groups of at most as many as there
-    are channels, so their rate sums never outgrow the draws, whatever the
-    point count.
+    Each step runs here and on one worker (``_both``), in that order: the
+    stage-0 rows [0, K//2) and [K//2, K); the stage-0 levels w~ and the
+    stage-1 draws; the rate sums of trials [0, T//2) and [T//2, T), each
+    at least MIN_SAMPLES // 2 wide, so no block is one trial.  Both rate
+    halves' block buffers are allocated here: a thread's own allocations
+    come from a malloc arena of its own, which stays resident after the
+    curve.  An error here wins, so a stage-0 level overflow is raised
+    before a stage-1 draw overflow.  Stage 0 is freed before the rate sums
+    take its place, and stage 1 takes the points in groups of at most as
+    many as there are channels, so their rate sums never outgrow the
+    draws, whatever the point count.
     """
     budgets = _pooled_budgets(gains, budget, snr_db, trials, seed)
-    draws = _fading_draws(gains, trials, seed)
+    half = gains.size // 2
+    draws = np.empty((gains.size, trials))
+    _both(lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half)),
+          lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half, None)))
     later = np.empty_like(draws)
-    failed = []
-
-    def draw_later() -> None:
-        try:
-            _fading_draws(gains, trials, seed, _SE_STAGE, out=later)
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=draw_later, name="oem-stage-1-draws")
-    worker.start()
-    try:
-        waters = _water_levels(draws, budgets)
-    finally:
-        worker.join()
+    waters = _both(lambda: _water_levels(draws, budgets),
+                   lambda: _fading_draws(gains, trials, seed, _SE_STAGE, out=later))
     del draws
-    if failed:
-        raise failed[0]
 
     rates = np.empty((min(len(waters), gains.size), trials))
+    mid = trials // 2
+    here, there = _block_buffers(gains.size), _block_buffers(gains.size)
     points = []
     for first in range(0, len(waters), len(rates)):
         group = waters[first:first + len(rates)]
-        _rate_sums(later, group, rates)
+        _both(lambda: _rate_sums(later[:, :mid], group, rates[:, :mid], here),
+              lambda: _rate_sums(later[:, mid:], group, rates[:, mid:], there))
         for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
             stderr = per_trial.std(ddof=1) / math.sqrt(trials)
             points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))

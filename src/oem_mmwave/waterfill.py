@@ -28,10 +28,12 @@ MIN_SAMPLES = 1_000
 # Most draws (channels x trials) one stage may hold: 2**27 float64 values
 # are 1 GiB.  A sweep keeps at most two buffers of this size alive (the
 # stage-0 draws and the stage-1 draws filled alongside them, or the
-# stage-1 draws and the rate sums), so a run stays within a few GiB and
-# fails with a message, not a MemoryError, beyond that.  The 64x64 U=16
-# link at 10k trials uses 1e7 draws, 1/13 of the cap.  The channel build
-# caps its layout and exact-sum tables at the same count.
+# stage-1 draws and the rate sums).  The two threads of a curve share
+# them, drawing row halves of one array or summing trial halves into one,
+# so the second thread adds no buffer of this size.  A run stays within a
+# few GiB and fails with a message, not a MemoryError, beyond that.  The
+# 64x64 U=16 link at 10k trials uses 1e7 draws, 1/13 of the cap.  The
+# channel build caps its layout and exact-sum tables at the same count.
 MAX_DRAWS = 2**27
 
 # Sorted reciprocals per block of the water-level search: the search holds
@@ -212,7 +214,7 @@ def _check_draws(n_channels: int, count: int, seed: int) -> None:
 
 
 def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
     """Draw (K, count) i.i.d. exponential SNRs of the K ``means``, channel-major.
 
     Row k comes from its own generator keyed by (seed, stage, k), so two
@@ -220,15 +222,19 @@ def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
     channels they have in common.  Each row is scaled by its mean as soon
     as it is drawn: a draw of mean m is m times the unit draw, bit for
     bit, and a zero-mean channel draws zeros.  A draw beyond the float
-    range raises InvalidConfigError.  The draws fill ``out`` when given,
-    a (K, count) float64 array, and a new array otherwise.
+    range raises InvalidConfigError naming the largest of all K means.
+    The draws fill ``out`` when given, a (K, count) float64 array, and a
+    new array otherwise.  Only the rows in the range ``rows`` of the K
+    are drawn, each still under its own key k, so two calls on the two
+    halves of the rows fill ``out`` with the draws of one call on all.
     """
     _check_draws(means.size, count, seed)
     if out is None:
         out = np.empty((means.size, count))
     try:
         with np.errstate(over="raise"):
-            for k, row in enumerate(out):
+            for k in range(*rows.indices(means.size)):
+                row = out[k]
                 np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)
                 row *= means[k]
     except FloatingPointError:

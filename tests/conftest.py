@@ -29,7 +29,7 @@ def base_cfg():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Shapes of the fading draws ``capacity`` makes during the test, in order."""
+    """Shapes of the arrays ``capacity``'s fading draws fill during the test, one per call."""
     shapes = []
     fading_draws = capacity._fading_draws
 

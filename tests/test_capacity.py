@@ -286,8 +286,9 @@ class TestSweep:
 
     def test_working_memory_stays_within_two_draw_arrays(self):
         # stage 0 holds its draws and the stage-1 draws being filled
-        # alongside them; stage 1 its draws, two 512 KiB block buffers and
-        # seven rows of rate sums.
+        # alongside them; stage 1 its draws, four 512 KiB block buffers
+        # (two per trial half, one half per thread) and seven rows of rate
+        # sums.
         # Both links have 64 channels; on the 64x64 U=1 one the MIMO
         # curve is as large as the OEM one.
         draw_array = 10_000 * 64 * 8
@@ -381,7 +382,7 @@ class TestBlockedRatePass:
         draws = gained_draws(np.linspace(1.0, 0.0, k), trials, seed=2, stage=1)
         waters = [0.0, 0.5, 30.0]
         rates = np.empty((len(waters), trials))
-        capacity._rate_sums(draws, waters, rates)
+        capacity._rate_sums(draws, waters, rates, capacity._block_buffers(k))
         assert np.array_equal(rates, whole_array_sums(draws, waters))
 
     def test_overflowing_block_rejected(self):
@@ -403,9 +404,38 @@ class TestBlockedRatePass:
             expected = whole_array_curve(gains, 0.3 * gains.size, snr_db_list, trials, seed=6)
             assert [(p.se, p.stderr) for p in curve] == expected
 
+    @pytest.mark.parametrize("block_bytes", [capacity._BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("trials", [1_000, 1_001])
+    @pytest.mark.parametrize("n, profile", [(1, (1.0,)), (9, (1.0, 0.0, 0.7, 0.5, 0.9, 0.3, 0.8))])
+    def test_thread_halves_keep_the_sums(self, monkeypatch, block_bytes, trials, n, profile):
+        # K = 1 leaves this thread no stage-0 rows; K = 63 and 9 split
+        # unevenly; 1001 trials split into rate halves of 500 and 501, and
+        # at one byte per buffer every block of either half is two or three
+        # trials wide.  Each half's per-trial sums are checked too: a
+        # one-trial block moves them by an ulp, which the means may absorb
+        monkeypatch.setattr(capacity, "_BLOCK_BYTES", block_bytes)
+        rate_sums = capacity._rate_sums
+        halves = []
+
+        def spy(draws, waters, rates, buffers):
+            rate_sums(draws, waters, rates, buffers)
+            halves.append((draws.shape[1], rates[:len(waters)].copy(),
+                           whole_array_sums(draws, waters)))
+
+        monkeypatch.setattr(capacity, "_rate_sums", spy)
+        profile = np.array(profile)
+        snr_db_list = [-300.0, 0.0, 25.0]
+        oem, mimo = sweep(link(n, n, profile.size), profile, snr_db_list, 0.4, trials, seed=8)
+        for curve, gains in ((oem, np.repeat(profile, n)), (mimo, np.ones(n))):
+            expected = whole_array_curve(gains, 0.4 * gains.size, snr_db_list, trials, seed=8)
+            assert [(p.se, p.stderr) for p in curve] == expected
+        assert {width for width, _, _ in halves} == {trials // 2, trials - trials // 2}
+        for _, got, whole in halves:
+            assert np.array_equal(got, whole)
+
 
 class TestStageOneWorker:
-    """Stage 1 is drawn on a worker thread while stage 0 solves its levels."""
+    """Each stage of a curve runs on the caller and one worker thread."""
 
     @staticmethod
     def stage_one_overflow_gain(seed):
@@ -463,10 +493,10 @@ class TestStageOneWorker:
         # so the worker is still running when stage 0 fails
         fading_draws = capacity._fading_draws
 
-        def late_stage_one(means, count, seed, stage=0, out=None):
+        def late_stage_one(means, count, seed, stage=0, out=None, rows=slice(None)):
             if stage:
                 time.sleep(0.1)
-            return fading_draws(means, count, seed, stage, out=out)
+            return fading_draws(means, count, seed, stage, out=out, rows=rows)
 
         monkeypatch.setattr(capacity, "_fading_draws", late_stage_one)
         before = threading.enumerate()
@@ -478,6 +508,37 @@ class TestStageOneWorker:
         with pytest.raises(InvalidConfigError,
                            match="water level of power budget 1.79e\\+308 overflows"):
             ergodic_se_oem(cfg, profile, 0.0, 1.79e305, 1_000, 5, normalization="total")
+        assert threading.enumerate() == before
+
+    def test_stage_zero_overflow_on_the_worker_names_the_largest_mean(self):
+        # one channel per mode: the caller draws rows 0-1, the worker rows
+        # 2-3.  The largest stage-0 unit draws of channels 1 and 2 are
+        # 5.68 and 9.15 at seed 1, so channel 1's gain, the largest, fits
+        # and channel 2's smaller one overflows
+        top = [np.random.default_rng([1, 0, k]).standard_exponential(1_000).max() for k in (1, 2)]
+        fits, overflows = sys.float_info.max / top[0] * 0.9, sys.float_info.max / top[1] * 1.1
+        assert fits > overflows
+        before = threading.enumerate()
+        message = re.escape(f"fading draws of mean {fits:g} overflow the float range")
+        with pytest.raises(InvalidConfigError, match=message):
+            ergodic_se_oem(link(1, 1, 4), np.array([1.0, fits, overflows, 0.5]), 0.0, 1.0,
+                           1_000, 1)
+        assert threading.enumerate() == before
+
+    def test_a_caller_error_wins_over_the_workers(self):
+        def fail(where):
+            def run():
+                raise RuntimeError(where)
+            return run
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="caller"):
+            capacity._both(fail("caller"), fail("worker"))
+        assert threading.enumerate() == before
+        with pytest.raises(RuntimeError, match="worker"):
+            capacity._both(lambda: None, fail("worker"))
+        assert threading.enumerate() == before
+        assert capacity._both(lambda: 3, lambda: None) == 3
         assert threading.enumerate() == before
 
 
