@@ -22,10 +22,11 @@ are keyed by their mode-major flat index, so systems sharing channels
 values for the channels they share.
 
 Every point of a curve has channel means s*g: s is the linear SNR and g
-per-channel gains that do not depend on it (the mode profile repeated
-over the streams for OEM, ones for MIMO).  So a curve makes its draws
-u*g once per stage, each row scaled by its gain g when it is drawn, and
-each SNR point costs scalar probes plus one pass over the rates:
+per-channel gains that do not depend on it: the mode profile repeated
+over the streams, the MIMO baseline's being the one-mode profile [1.0].
+So a curve makes its draws u*g once per stage, each row scaled by its
+gain g when it is drawn, and each SNR point costs scalar probes plus
+one pass over the rates:
 
 * stage 0 sorts a = 1/(u*g) once and sums it at the edges of blocks of a
   few thousand entries.  At SNR s the pooled reciprocals are a/s, so the
@@ -52,6 +53,7 @@ A draw u*g beyond the float range raises InvalidConfigError as it is
 drawn.  ``sweep`` is two curves, the MIMO baseline's and the OEM link's,
 each drawing its own substreams once for all its points; single-point
 calls are one-point curves, so a sweep point equals them bit for bit.
+Each curve is checked once, before anything is drawn.
 """
 
 from __future__ import annotations
@@ -95,15 +97,6 @@ _SE_STAGE = 1
 _BLOCK_BYTES = 512 * 1024
 
 
-def _snr_linear(snr_db: float) -> float:
-    """Linear SNR of ``snr_db``; InvalidConfigError outside +-MAX_SNR_DB."""
-    if not (math.isfinite(snr_db) and abs(snr_db) <= MAX_SNR_DB):
-        raise InvalidConfigError(
-            f"mean SNR must be finite and within +-{MAX_SNR_DB:g} dB, got {snr_db}"
-        )
-    return 10.0 ** (snr_db / 10.0)
-
-
 @dataclass(frozen=True)
 class SePoint:
     mean_snr_db: float
@@ -119,15 +112,6 @@ def instantaneous_se(snr: GridLike, policy: PowerPolicy) -> float:
             f"SNR grid shape {gamma.shape} does not match policy shape {policy.allocations.shape}"
         )
     return float(np.log2(1.0 + policy.allocations * gamma).sum())
-
-
-def _budget(total_power: float, n_channels: int, normalization: str) -> float:
-    _check_power(total_power)
-    if normalization == "per-channel":
-        return total_power * n_channels
-    if normalization == "total":
-        return total_power
-    raise InvalidConfigError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
 
 
 def _block_buffers(k: int) -> np.ndarray:
@@ -168,23 +152,6 @@ def _rate_sums(draws: np.ndarray, waters: Sequence[float], rates: np.ndarray,
             work.sum(axis=0, out=row[lo:hi])
 
 
-def _pooled_budgets(gains: np.ndarray, budget: float, snr_db: Sequence[float], trials: int,
-                    seed: int) -> list[float]:
-    """Pooled budgets s*T*P of the points ``snr_db``, after every check a curve makes."""
-    _check_samples(trials, "trials")
-    if len(snr_db) == 0:
-        raise InvalidConfigError("need at least one SNR point")
-    scales = [_snr_linear(point_db) for point_db in snr_db]
-    _check_draws(gains.size, trials, seed)
-    pooled = trials * budget
-    if not math.isfinite(pooled * max(scales)):
-        raise InvalidConfigError(
-            f"a power budget of {budget:g} per trial over {trials} trials at"
-            f" {max(snr_db):g} dB overflows the float range"
-        )
-    return [s * pooled for s in scales]
-
-
 def _both(first: Callable[[], _R], second: Callable[[], object]) -> _R:
     """Run ``second`` on a worker thread while ``first`` runs here; return first's result.
 
@@ -211,9 +178,9 @@ def _both(first: Callable[[], _R], second: Callable[[], object]) -> _R:
     return result
 
 
-def _ergodic_curve(gains: np.ndarray, budget: float, snr_db: Sequence[float], trials: int,
-                   seed: int) -> tuple[SePoint, ...]:
-    """Ergodic SE of the channels of ``gains`` and per-trial ``budget`` at each of ``snr_db``.
+def _ergodic_curve(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequence[float],
+                   trials: int, seed: int) -> tuple[SePoint, ...]:
+    """Ergodic SE at each of ``snr_db`` of the ``_curve_inputs`` gains and pooled budgets.
 
     Both stages draw u*g, each row scaled by its gain as it is drawn.
     Each step runs here and on one worker (``_both``), in that order: the
@@ -228,7 +195,6 @@ def _ergodic_curve(gains: np.ndarray, budget: float, snr_db: Sequence[float], tr
     many as there are channels, so their rate sums never outgrow the
     draws, whatever the point count.
     """
-    budgets = _pooled_budgets(gains, budget, snr_db, trials, seed)
     half = gains.size // 2
     draws = np.empty((gains.size, trials))
     _both(lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half)),
@@ -252,9 +218,8 @@ def _ergodic_curve(gains: np.ndarray, budget: float, snr_db: Sequence[float], tr
     return tuple(points)
 
 
-def _oem_pattern(cfg: OemConfig, mode_profile: np.ndarray, total_power: float,
-                 normalization: str) -> tuple[np.ndarray, float]:
-    """Gains and budget of min(N, M) streams of gain g_l on each of the U modes l."""
+def _checked_profile(cfg: OemConfig, mode_profile: np.ndarray) -> np.ndarray:
+    """``mode_profile`` as U finite, nonnegative per-mode gains with g_0 = 1."""
     profile = np.asarray(mode_profile, dtype=float)
     if profile.shape != (cfg.u_elems,):
         raise InvalidConfigError(
@@ -264,17 +229,41 @@ def _oem_pattern(cfg: OemConfig, mode_profile: np.ndarray, total_power: float,
         raise InvalidConfigError("mode profile entries must be finite and nonnegative")
     if not math.isclose(profile[0], 1.0, rel_tol=1e-9):
         raise InvalidConfigError(f"mode profile must be normalized to g_0 = 1, got {profile[0]}")
-    gains = np.repeat(profile, min(cfg.n_tx, cfg.m_rx))
-    return gains, _budget(total_power, gains.size, normalization)
+    return profile
 
 
-def _mimo_pattern(n: int, m: int, total_power: float,
-                  normalization: str) -> tuple[np.ndarray, float]:
-    """Gains and budget of min(N, M) unit-gain streams."""
+def _curve_inputs(profile: Sequence[float], n: int, m: int, total_power: float,
+                  normalization: str, snr_db: Sequence[float], trials: int,
+                  seed: int) -> tuple[np.ndarray, list[float]]:
+    """Gains and pooled budgets s*T*P of min(N, M) streams on each mode of a checked profile.
+
+    Every check a curve makes is made here, before anything is drawn.
+    """
     if n < 1 or m < 1:
         raise InvalidConfigError("need at least one transmit and one receive antenna")
-    gains = np.ones(min(n, m))
-    return gains, _budget(total_power, gains.size, normalization)
+    gains = np.repeat(np.asarray(profile, dtype=float), min(n, m))
+    _check_power(total_power)
+    if normalization not in NORMALIZATIONS:
+        raise InvalidConfigError(f"normalization must be one of {NORMALIZATIONS},"
+                                 f" got {normalization!r}")
+    budget = total_power * gains.size if normalization == "per-channel" else total_power
+    _check_samples(trials, "trials")
+    if len(snr_db) == 0:
+        raise InvalidConfigError("need at least one SNR point")
+    for point_db in snr_db:
+        if not (math.isfinite(point_db) and abs(point_db) <= MAX_SNR_DB):
+            raise InvalidConfigError(
+                f"mean SNR must be finite and within +-{MAX_SNR_DB:g} dB, got {point_db}"
+            )
+    scales = [10.0 ** (point_db / 10.0) for point_db in snr_db]
+    _check_draws(gains.size, trials, seed)
+    pooled = trials * budget
+    if not math.isfinite(pooled * max(scales)):
+        raise InvalidConfigError(
+            f"a power budget of {budget:g} per trial over {trials} trials at"
+            f" {max(snr_db):g} dB overflows the float range"
+        )
+    return gains, [s * pooled for s in scales]
 
 
 def ergodic_se_oem(cfg: OemConfig, mode_profile: np.ndarray, mean_snr_db: float,
@@ -285,15 +274,16 @@ def ergodic_se_oem(cfg: OemConfig, mode_profile: np.ndarray, mean_snr_db: float,
     ``mode_profile`` holds the U per-mode power gains g_l, g_0 = 1, e.g.
     from ``channel.mode_power_profile``.
     """
-    gains, budget = _oem_pattern(cfg, mode_profile, total_power, normalization)
-    return _ergodic_curve(gains, budget, [mean_snr_db], trials, seed)[0]
+    inputs = _curve_inputs(_checked_profile(cfg, mode_profile), cfg.n_tx, cfg.m_rx, total_power,
+                           normalization, [mean_snr_db], trials, seed)
+    return _ergodic_curve(*inputs, [mean_snr_db], trials, seed)[0]
 
 
 def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
                     trials: int, seed: int, normalization: str = "per-channel") -> SePoint:
     """Ergodic SE of the plain multiplexing-MIMO baseline (single mode)."""
-    gains, budget = _mimo_pattern(n, m, total_power, normalization)
-    return _ergodic_curve(gains, budget, [mean_snr_db], trials, seed)[0]
+    inputs = _curve_inputs([1.0], n, m, total_power, normalization, [mean_snr_db], trials, seed)
+    return _ergodic_curve(*inputs, [mean_snr_db], trials, seed)[0]
 
 
 def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float],
@@ -303,13 +293,13 @@ def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float]
 
     Returns two tuples of ``SePoint``, OEM then MIMO, one point per entry
     of ``snr_db_list``; every point equals the matching ``ergodic_se_oem``
-    or ``ergodic_se_mimo`` call bit for bit.  Both curves are checked,
-    the MIMO one first, before either draws its own substreams; the MIMO
-    channels draw the values of the OEM mode-0 ones.
+    or ``ergodic_se_mimo`` call bit for bit.  The MIMO baseline is the
+    one-mode profile [1.0] on the same N x M link.  Each curve is checked
+    once, the MIMO one first, before either draws its own substreams; the
+    MIMO channels draw the values of the OEM mode-0 ones.
     """
-    oem = _oem_pattern(cfg, mode_profile, total_power, normalization)
-    mimo = _mimo_pattern(cfg.n_tx, cfg.m_rx, total_power, normalization)
-    for gains, budget in (mimo, oem):
-        _pooled_budgets(gains, budget, snr_db_list, trials, seed)
+    profile = _checked_profile(cfg, mode_profile)
+    mimo, oem = [_curve_inputs(p, cfg.n_tx, cfg.m_rx, total_power, normalization, snr_db_list,
+                               trials, seed) for p in ([1.0], profile)]
     mimo_curve = _ergodic_curve(*mimo, snr_db_list, trials, seed)
     return _ergodic_curve(*oem, snr_db_list, trials, seed), mimo_curve

@@ -116,6 +116,13 @@ class ModeChannels:
         return zf_filter, noise_gains
 
 
+def _bessel_range_error(order: int, x: float) -> str | None:
+    """Why ``bessel_j`` does not support J_order(x) for order >= 0, or None."""
+    if order > 64:
+        return f"order {order} exceeds the supported maximum 64"
+    return f"|x| = {abs(x)} exceeds the supported maximum 1e3" if abs(x) > 1e3 else None
+
+
 def bessel_j(order: int, x: float) -> float:
     """Bessel function of the first kind J_order(x).
 
@@ -126,18 +133,22 @@ def bessel_j(order: int, x: float) -> float:
     """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    if order > 64:
-        raise DomainError(f"order {order} exceeds the supported maximum 64")
-    if abs(x) > 1e3:
-        raise DomainError(f"|x| = {abs(x)} exceeds the supported maximum 1e3")
+    reason = _bessel_range_error(order, x)
+    if reason is not None:
+        raise DomainError(reason)
     nodes = 64 + 4 * (order + int(math.ceil(abs(x))))
     t = np.pi * (np.arange(nodes) + 0.5) / nodes
     return float(np.mean(np.cos(order * t - x * np.sin(t))))
 
 
-def _bessel_factors(cfg: OemConfig, angle: float) -> np.ndarray:
-    """(U,) values J_l(2 pi r2 sin(angle) / lambda) for l = 0..U-1."""
-    arg = 2.0 * math.pi * cfg.r2 * math.sin(angle) / cfg.wavelength
+def _bessel_factors(cfg: OemConfig, kind: str) -> np.ndarray:
+    """(U,) values J_l(2 pi r2 sin(angle) / lambda), l = 0..U-1, angle phi_c if convergent."""
+    angle = "phi" if kind == "bessel" else "phi_c"
+    arg = 2.0 * math.pi * cfg.r2 * math.sin(getattr(cfg, angle)) / cfg.wavelength
+    reason = _bessel_range_error(cfg.u_elems - 1, arg)
+    if reason is not None:
+        raise InvalidConfigError(f"the {kind} model needs J_l(x) for l < U={cfg.u_elems}"
+                                 f" at x = 2 pi r2 sin({angle}) / wavelength: {reason}")
     return np.array([bessel_j(l, arg) for l in range(cfg.u_elems)])
 
 
@@ -157,7 +168,8 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
     """(U,) per-mode factors c_l of the gains c_l * B[m, n]; none depends on (m, n).
 
     The exact sum builds U x U phase tables; a U whose tables would exceed
-    ``waterfill.MAX_DRAWS`` values raises InvalidConfigError before any is built.
+    ``waterfill.MAX_DRAWS`` values raises InvalidConfigError before any is built,
+    as does a Bessel order U-1 or argument outside ``bessel_j``'s range.
     """
     u_count = cfg.u_elems
     if kind not in VARIANTS:
@@ -176,10 +188,10 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
         )
         return np.sum(ramp * wavefront, axis=1) / math.sqrt(u_count)
     if kind == "bessel":
-        bessel, amps = _bessel_factors(cfg, cfg.phi), np.ones(u_count)
+        bessel, amps = _bessel_factors(cfg, kind), np.ones(u_count)
     else:
         # configured gains, or the default ones of the same J_l values
-        bessel = _bessel_factors(cfg, cfg.phi_c)
+        bessel = _bessel_factors(cfg, kind)
         amps = cfg.conv_gains if cfg.conv_gains is not None else _equalizing_gains(bessel)
     return np.array([float(amps[l]) * math.sqrt(u_count) * (np.exp(1j * cfg.theta * l) * (1j) ** l)
                      * float(bessel[l]) for l in range(u_count)])

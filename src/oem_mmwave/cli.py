@@ -8,8 +8,10 @@ deterministic for a fixed seed, and never left half-written.
 
 Exit codes: 0 success, 2 invalid flags, 3 invalid config or input file
 or an output that cannot be written, 4 simulation error.  Every exit 2
-is argparse's, ``channel --mode`` (bounded by the config's U) included;
-toolkit errors are mapped to 3 and 4 in ``main`` only.
+is argparse's, ``channel --mode`` (bounded by the config's U) included,
+and a flag value that is not a number is rejected with its conversion's
+reason.  ``main`` alone returns 0, 3 and 4: the subcommand handlers
+return nothing, and toolkit errors are mapped to 3 and 4 there.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _write_manifest(command: str, config_echo: dict, seed, outputs: list[str]) -
 # -- design --------------------------------------------------------------
 
 
-def _cmd_design_patch(args) -> int:
+def _cmd_design_patch(args) -> None:
     wavelength = SPEED_OF_LIGHT / (args.freq_ghz * 1e9)
     spec = PatchSpec(
         wavelength=wavelength, eps_r=args.eps_r,
@@ -90,10 +92,9 @@ def _cmd_design_patch(args) -> int:
         "feed_impedance_ohm": [zin.real, zin.imag],
     }
     print(json.dumps(record, indent=2))
-    return EXIT_OK
 
 
-def _cmd_design_dish(args) -> int:
+def _cmd_design_dish(args) -> None:
     wavelength = SPEED_OF_LIGHT / (args.freq_ghz * 1e9)
     design = design_dish(args.gain_db, args.efficiency, args.kappa, wavelength)
     record = {
@@ -103,13 +104,12 @@ def _cmd_design_dish(args) -> int:
         "surface_per_mm": design.surface * 1e-3,
     }
     print(json.dumps(record, indent=2))
-    return EXIT_OK
 
 
 # -- channel -------------------------------------------------------------
 
 
-def _cmd_channel(args) -> int:
+def _cmd_channel(args) -> None:
     cfg = OemConfig.load(args.config)
     if args.mode is not None and not (0 <= args.mode < cfg.u_elems):
         args.usage_error(f"argument --mode: must lie in 0..{cfg.u_elems - 1}, got {args.mode}")
@@ -132,7 +132,6 @@ def _cmd_channel(args) -> int:
             values[2::3] = matrix.imag.ravel().tolist()
             fh.write(template % tuple(values))
     _write_manifest("channel", cfg.to_json_dict(), None, [args.out])
-    return EXIT_OK
 
 
 # -- waterfill -----------------------------------------------------------
@@ -165,7 +164,7 @@ def _read_snr_csv(path: str) -> list[tuple[int, int, float]]:
     return rows
 
 
-def _cmd_waterfill(args) -> int:
+def _cmd_waterfill(args) -> None:
     rows = _read_snr_csv(args.snr_csv)
     policy = waterfill_instantaneous(np.array([gamma for _, _, gamma in rows]), args.total_power)
     with _replace_on_success(args.out) as fh:
@@ -185,7 +184,6 @@ def _cmd_waterfill(args) -> int:
         "waterfill", {"snr_csv": args.snr_csv, "total_power": args.total_power},
         None, [args.out, summary_path],
     )
-    return EXIT_OK
 
 
 # -- simulate ------------------------------------------------------------
@@ -221,7 +219,7 @@ def _parse_snr_range(text: str) -> list[float]:
     return [start + k * step for k in range(int(steps) + 1)]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     cfg = OemConfig.load(args.config)
     profile = mode_power_profile(cfg, args.model)
     oem_curve, mimo_curve = sweep(
@@ -245,13 +243,12 @@ def _cmd_simulate(args) -> int:
         "total_power": args.total_power,
     }
     _write_manifest("simulate", config_echo, args.seed, [args.out])
-    return EXIT_OK
 
 
 # -- scenario ------------------------------------------------------------
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args) -> None:
     report = scenario_check(OemConfig.load(args.config))
     record = {
         "scenario": report.scenario,
@@ -266,31 +263,26 @@ def _cmd_scenario(args) -> int:
         "no_valid_wavelength": report.interval_empty,
     }
     print(json.dumps(record, indent=2))
-    return EXIT_OK
 
 
 # -- parser --------------------------------------------------------------
 
 
-def _trial_count(text: str) -> int:
-    trials = int(text)
-    if trials < MIN_SAMPLES:
-        raise argparse.ArgumentTypeError(f"need at least {MIN_SAMPLES} trials, got {text}")
-    return trials
+def _number(convert, holds, need: str):
+    """An argparse type: ``convert`` the text and require ``holds`` of the value.
 
-
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return seed
+    Text that does not convert is rejected with the conversion's own
+    reason; a value that fails ``holds`` with "<need>, got <text>".
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,11 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _number(float, lambda x: math.isfinite(x) and x > 0.0, "must be positive and finite")
 
     design = sub.add_parser("design", help="closed-form antenna design calculators")
     design_sub = design.add_subparsers(dest="design_kind", required=True)
     patch = design_sub.add_parser("patch", help="rectangular microstrip patch element")
-    patch.add_argument("--freq-ghz", type=_positive_finite, required=True)
+    patch.add_argument("--freq-ghz", type=positive, required=True)
     patch.add_argument("--eps-r", type=float, required=True)
     patch.add_argument("--thickness-mm", type=float, required=True)
     patch.add_argument("--z0", type=float, default=50.0)
@@ -313,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     dish.add_argument("--gain-db", type=float, required=True)
     dish.add_argument("--efficiency", type=float, required=True)
     dish.add_argument("--kappa", type=float, required=True)
-    dish.add_argument("--freq-ghz", type=_positive_finite, required=True)
+    dish.add_argument("--freq-ghz", type=positive, required=True)
     dish.set_defaults(func=_cmd_design_dish)
 
     channel = sub.add_parser("channel", help="dump per-mode channel matrices as CSV")
@@ -325,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     waterfill = sub.add_parser("waterfill", help="instantaneous water-filling on a gamma CSV")
     waterfill.add_argument("--snr-csv", required=True)
-    waterfill.add_argument("--total-power", type=_positive_finite, required=True)
+    waterfill.add_argument("--total-power", type=positive, required=True)
     waterfill.add_argument("--out", required=True)
     waterfill.set_defaults(func=_cmd_waterfill)
 
@@ -335,12 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--snr-db", type=_parse_snr_range, required=True,
         help=f"start:stop:step in dB, within +-{MAX_SNR_DB:g} dB, at most {MAX_SNR_POINTS} points",
     )
-    simulate.add_argument("--trials", type=_trial_count, required=True)
-    simulate.add_argument("--seed", type=_seed, required=True)
+    trials = _number(int, lambda n: n >= MIN_SAMPLES, f"need at least {MIN_SAMPLES} trials")
+    simulate.add_argument("--trials", type=trials, required=True)
+    simulate.add_argument("--seed", type=_number(int, lambda n: n >= 0, "must be nonnegative"),
+                          required=True)
     simulate.add_argument("--out", required=True)
     simulate.add_argument("--model", choices=VARIANTS, default="convergent")
     simulate.add_argument("--normalization", choices=NORMALIZATIONS, default="per-channel")
-    simulate.add_argument("--total-power", type=_positive_finite, default=1.0)
+    simulate.add_argument("--total-power", type=positive, default=1.0)
     simulate.set_defaults(func=_cmd_simulate)
 
     scenario = sub.add_parser("scenario", help="wavelength-regime check")
@@ -350,16 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except InvalidConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OemError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

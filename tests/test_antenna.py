@@ -4,9 +4,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from oem_mmwave import DishDesign, PatchSpec, design_dish, design_patch, feed_impedance
+from oem_mmwave import (
+    DishDesign, PatchDesign, PatchSpec, design_dish, design_patch, feed_impedance,
+)
 from oem_mmwave.antenna import wall_impedance
-from oem_mmwave.errors import InvalidConfigError
+from oem_mmwave.errors import InvalidConfigError, NumericSingularityError
 
 from conftest import WAVELENGTH_35GHZ
 
@@ -40,6 +42,11 @@ class TestDesignPatch:
     def test_too_thick_substrate_rejected(self):
         with pytest.raises(InvalidConfigError):
             design_patch(PatchSpec(wavelength=1e-3, eps_r=2.2, thickness=5e-3))
+
+    @pytest.mark.parametrize("wavelength", [0.0, -1e-3, math.inf, math.nan])
+    def test_bad_wavelength_rejected(self, wavelength):
+        with pytest.raises(InvalidConfigError, match="^wavelength must be finite and > 0, got"):
+            PatchSpec(**{**REFERENCE_SPEC, "wavelength": wavelength})
 
     def test_vanishing_thickness_rejected_naming_it(self):
         # W/T overflows to inf, so the gap and the resonant length are NaN
@@ -79,6 +86,17 @@ class TestFeedImpedance:
         b = 0.01668 * design.gap_correction * design.width * design.eps_eff / (t * lam)
         expected = 1.0 / complex(g, b)
         assert wall_impedance(spec, design) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_width_design_has_no_wall_admittance(self):
+        # PatchDesign is a plain dataclass; a zero width zeroes both
+        # parts of the radiating-wall admittance
+        spec = PatchSpec(**REFERENCE_SPEC)
+        design = PatchDesign(width=0.0, eps_eff=2.0, guide_wavelength=6e-3, length=2.8e-3,
+                             gap_correction=1e-4, feed_offset=0.4e-3, xi_re=2.0)
+        with pytest.raises(NumericSingularityError, match="^wall admittance vanished$"):
+            wall_impedance(spec, design)
+        with pytest.raises(NumericSingularityError, match="^wall admittance vanished$"):
+            feed_impedance(spec, design, design.feed_offset)
 
     def test_center_feed_is_symmetric(self):
         spec = PatchSpec(**REFERENCE_SPEC)

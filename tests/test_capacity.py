@@ -328,6 +328,19 @@ class TestSweep:
             with pytest.raises(InvalidConfigError):
                 sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0, bad], 1.0, 1_000, seed=0)
 
+    def test_each_curve_is_checked_once_mimo_first(self, monkeypatch, drawn):
+        checked = []
+        check_draws = capacity._check_draws
+
+        def spy(count, trials, seed):
+            checked.append((count, len(drawn)))
+            check_draws(count, trials, seed)
+
+        monkeypatch.setattr(capacity, "_check_draws", spy)
+        sweep(link(16, 16, 4), np.ones(4), [0.0, 10.0], 1.0, 1_000, seed=0)
+        # 16 MIMO then 64 OEM channels, both before the first draw
+        assert checked == [(16, 0), (64, 0)]
+
     def test_draw_cap_checked_before_any_draw(self, monkeypatch, drawn):
         # the cap admits the 16 MIMO channels but not the 64 OEM ones
         # at 1000 trials; the sweep rejects it before the MIMO curve draws

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -320,6 +321,51 @@ class TestConvergenceGains:
         )
         expected /= expected[0]
         assert np.allclose(profile, expected, rtol=1e-9)
+
+
+class TestBesselRange:
+    """A Bessel model whose orders 0..U-1 or argument lie outside
+    ``bessel_j``'s range rejects the config, naming U or the argument and
+    the model, before any Bessel value or layout is computed."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = []
+        evaluate, layout = channel.bessel_j, channel.build_layout
+        monkeypatch.setattr(channel, "bessel_j", lambda l, x: calls.append(l) or evaluate(l, x))
+        monkeypatch.setattr(channel, "build_layout",
+                            lambda cfg: calls.append("layout") or layout(cfg))
+        return calls
+
+    @pytest.mark.parametrize("build", [build_mode_channels, mode_power_profile])
+    @pytest.mark.parametrize("kind", ["bessel", "convergent"])
+    def test_order_past_64_rejected_naming_u(self, base_cfg, build, kind, computed):
+        cfg = base_cfg.with_(u_elems=128, v_elems=128)
+        with pytest.raises(InvalidConfigError, match=(
+                f"^the {kind} model needs J_l\\(x\\) for l < U=128 at x = .*:"
+                " order 127 exceeds the supported maximum 64$")):
+            build(cfg, kind)
+        assert computed == []
+        # orders 0..64 are supported
+        build(base_cfg.with_(u_elems=65, v_elems=65), kind)
+        assert computed[:65] == list(range(65))
+
+    @pytest.mark.parametrize("build", [build_mode_channels, mode_power_profile])
+    def test_argument_past_1e3_rejected_naming_it(self, base_cfg, build, computed):
+        # x = 2 pi r2 sin(30 deg) / lambda = 500 pi at phi; 26.2 at phi_c = 3 deg
+        cfg = base_cfg.with_(r1=1.0, r2=0.5, wavelength=1e-3)
+        with pytest.raises(InvalidConfigError, match=re.escape(
+                "the bessel model needs J_l(x) for l < U=4 at x = 2 pi r2 sin(phi) / wavelength:"
+                " |x| = 1570.79")):
+            build(cfg, "bessel")
+        assert computed == []
+        build(cfg, "convergent")
+        assert computed[:4] == list(range(4))
+
+    def test_exact_sum_needs_no_bessel_value(self, base_cfg, computed):
+        cfg = base_cfg.with_(u_elems=128, v_elems=128, r1=1.0, r2=0.5, wavelength=1e-3)
+        assert mode_power_profile(cfg, "exact-sum").shape == (128,)
+        assert computed == []
 
 
 class TestSizeCap:

@@ -617,6 +617,65 @@ class TestSimulate:
         assert cli._parse_snr_range("-300:300:600") == [-300.0, 300.0]
 
 
+class TestMalformedNumbers:
+    """A flag value that is not a number exits 2 with its conversion's reason."""
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--trials", "1e4", "invalid literal for int() with base 10: '1e4'"),
+        ("--seed", "x", "invalid literal for int() with base 10: 'x'"),
+        ("--total-power", "abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_simulate_flag_exits_2(self, flag, value, reason, config_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--config", config_path, "--snr-db", "0:10:5", "--trials", "1000",
+                "--seed", "7", "--out", str(out), flag, value,
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {reason}" in err
+        assert not any(name in err for name in ("_trial_count", "_seed", "_positive_finite"))
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_design_frequency_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "dish", *DESIGN_FLAGS["dish"], "--freq-ghz", "abc"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument --freq-ghz: could not convert string to float: 'abc'" in out.err
+        assert "_positive_finite" not in out.err
+
+
+class TestBesselRange:
+    """Configs whose Bessel model needs J_l outside ``bessel_j``'s range exit 3."""
+
+    @pytest.mark.parametrize("command", ["channel", "simulate"])
+    @pytest.mark.parametrize("fields, model, reason", [
+        (dict(u_elems=128, v_elems=128), "convergent",
+         "J_l(x) for l < U=128 at x = 2 pi r2 sin(phi_c) / wavelength: order 127 exceeds"),
+        (dict(r1=1.0, r2=0.5, wavelength=1e-3), "bessel",
+         "J_l(x) for l < U=4 at x = 2 pi r2 sin(phi) / wavelength: |x| = 1570.79"),
+    ])
+    def test_exits_3_naming_the_model(self, command, fields, model, reason, base_cfg, tmp_path,
+                                      capsys):
+        path = tmp_path / "wide.json"
+        base_cfg.with_(**fields).save(path)
+        out = tmp_path / "x.csv"
+        argv = {
+            "channel": ["channel"],
+            "simulate": ["simulate", "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7"],
+        }[command] + ["--config", str(path), "--model", model, "--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith(f"config error: the {model} model needs ")
+        assert reason in err
+        assert sorted(os.listdir(tmp_path)) == ["wide.json"]
+
+
 class TestOutputs:
     @pytest.mark.parametrize("command", ["channel", "waterfill", "simulate"])
     def test_failed_write_leaves_old_output_whole(self, command, config_path, tmp_path,
