@@ -37,11 +37,12 @@ one pass over the rates:
   re-summed pairwise.
 * every stage runs on two threads, the caller and one worker: the
   caller draws the first half of the stage-0 rows and the worker the
-  rest; while the caller sorts and solves stage 0, the worker draws
-  stage 1 into an array the caller has allocated; and each thread sums
-  the rates of one half of the trials.  Every row comes from its own
-  keyed generator and every trial's rate sum from its own column, so
-  the bytes do not depend on how the two threads are scheduled.
+  rest; while the caller sorts and solves stage 0, the worker solves
+  the MIMO baseline's levels, if any, then draws stage 1 into an array
+  the caller has allocated; and each thread sums the rates of one half
+  of the trials.  Every row comes from its own keyed generator and
+  every trial's rate sum from its own column, so the bytes do not
+  depend on how the two threads are scheduled.
 * stage 1 uses L = log2(u*g).  With w = w~/s the rate
   log2(1 + max(0, w - 1/gamma)*gamma) of a draw gamma = s*u*g is
   max(0, L + log2 w~), so a point needs no divide and no log per draw.
@@ -50,10 +51,14 @@ one pass over the rates:
   into each point's per-trial sums.
 
 A draw u*g beyond the float range raises InvalidConfigError as it is
-drawn.  ``sweep`` is two curves, the MIMO baseline's and the OEM link's,
-each drawing its own substreams once for all its points; single-point
-calls are one-point curves, so a sweep point equals them bit for bit.
-Each curve is checked once, before anything is drawn.
+drawn.  ``sweep`` computes the OEM link's curve and, from the same
+draws, the MIMO baseline's: the baseline's channels are the OEM mode-0
+rows at unit gain, under the same keys.  So each stage draws those rows
+once, at unit gain, lets the baseline use them, and then scales them by
+g_0 in place; u*1.0*g_0 is u*g_0 bit for bit.  Every keyed row of a
+sweep is thus drawn once.  Single-point calls are one-point curves with
+no baseline, so a sweep point equals them bit for bit.  Each curve is
+checked once, before anything is drawn.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from .waterfill import (
     _check_samples,
     _fading_draws,
     _grid_values,
+    _overflow_guard,
     _water_levels,
     sample_snr_realizations,  # noqa: F401  bound here for perfbench/tracing.py
     waterfill_ergodic,  # noqa: F401  bound here for perfbench/tracing.py
@@ -178,44 +184,69 @@ def _both(first: Callable[[], _R], second: Callable[[], object]) -> _R:
     return result
 
 
-def _ergodic_curve(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequence[float],
-                   trials: int, seed: int) -> tuple[SePoint, ...]:
+def _ergodic_curves(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequence[float],
+                    trials: int, seed: int, base_rows: int = 0,
+                    base_budgets: Sequence[float] = ()) -> tuple[tuple[SePoint, ...], ...]:
     """Ergodic SE at each of ``snr_db`` of the ``_curve_inputs`` gains and pooled budgets.
 
-    Both stages draw u*g, each row scaled by its gain as it is drawn.
+    Returns that curve and, from the same draws, the curve of a unit-gain
+    baseline on rows [0, ``base_rows``) at ``base_budgets`` (empty when
+    there are none).  In each stage those rows are drawn at unit gain,
+    used by the baseline and then scaled by their gains in place: u*1.0*g
+    is u*g bit for bit, so every keyed row is drawn once.
+
     Each step runs here and on one worker (``_both``), in that order: the
     stage-0 rows [0, K//2) and [K//2, K); the stage-0 levels w~ and the
-    stage-1 draws; the rate sums of trials [0, T//2) and [T//2, T), each
-    at least MIN_SAMPLES // 2 wide, so no block is one trial.  Both rate
-    halves' block buffers are allocated here: a thread's own allocations
-    come from a malloc arena of its own, which stays resident after the
-    curve.  An error here wins, so a stage-0 level overflow is raised
-    before a stage-1 draw overflow.  Stage 0 is freed before the rate sums
-    take its place, and stage 1 takes the points in groups of at most as
-    many as there are channels, so their rate sums never outgrow the
-    draws, whatever the point count.
+    baseline's levels, solved on a copy of its rows in the stage-1 array
+    (so stage 0 holds two draw arrays), then the stage-1 draws; the rate
+    sums of trials [0, T//2) and [T//2, T), each at least MIN_SAMPLES // 2
+    wide, so no block is one trial.  Both rate halves' block buffers are
+    allocated here: a thread's own allocations come from a malloc arena
+    of its own, which stays resident after the curve.  The baseline's
+    sums take them too, as a per-trial sum does not depend on the block
+    width.  An error here wins, so a stage-0 level overflow is raised
+    before a stage-1 draw overflow.  Stage 0 is freed before the rate
+    sums take its place, and stage 1 takes the points in groups of at
+    most as many as there are channels, so their rate sums never outgrow
+    the draws, whatever the point count.
     """
+    drawn = np.concatenate((np.ones(base_rows), gains[base_rows:]))
     half = gains.size // 2
     draws = np.empty((gains.size, trials))
-    _both(lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half)),
-          lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half, None)))
+    _both(lambda: _fading_draws(drawn, trials, seed, out=draws, rows=slice(half)),
+          lambda: _fading_draws(drawn, trials, seed, out=draws, rows=slice(half, None)))
     later = np.empty_like(draws)
-    waters = _both(lambda: _water_levels(draws, budgets),
-                   lambda: _fading_draws(gains, trials, seed, _SE_STAGE, out=later))
+    later[:base_rows] = draws[:base_rows]
+    with _overflow_guard(gains):
+        draws[:base_rows] *= gains[:base_rows, None]
+    base_waters = []
+
+    def base_levels_then_stage_one() -> None:
+        base_waters.extend(_water_levels(later[:base_rows], base_budgets))
+        _fading_draws(drawn, trials, seed, _SE_STAGE, out=later)
+
+    waters = _both(lambda: _water_levels(draws, budgets), base_levels_then_stage_one)
     del draws
 
     rates = np.empty((min(len(waters), gains.size), trials))
     mid = trials // 2
     here, there = _block_buffers(gains.size), _block_buffers(gains.size)
-    points = []
-    for first in range(0, len(waters), len(rates)):
-        group = waters[first:first + len(rates)]
-        _both(lambda: _rate_sums(later[:, :mid], group, rates[:, :mid], here),
-              lambda: _rate_sums(later[:, mid:], group, rates[:, mid:], there))
-        for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
-            stderr = per_trial.std(ddof=1) / math.sqrt(trials)
-            points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))
-    return tuple(points)
+
+    def curve(rows: np.ndarray, curve_waters: Sequence[float]) -> tuple[SePoint, ...]:
+        points = []
+        for first in range(0, len(curve_waters), len(rates)):
+            group = curve_waters[first:first + len(rates)]
+            _both(lambda: _rate_sums(rows[:, :mid], group, rates[:, :mid], here),
+                  lambda: _rate_sums(rows[:, mid:], group, rates[:, mid:], there))
+            for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
+                stderr = per_trial.std(ddof=1) / math.sqrt(trials)
+                points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))
+        return tuple(points)
+
+    base_curve = curve(later[:base_rows], base_waters)
+    with _overflow_guard(gains):
+        later[:base_rows] *= gains[:base_rows, None]
+    return curve(later, waters), base_curve
 
 
 def _checked_profile(cfg: OemConfig, mode_profile: np.ndarray) -> np.ndarray:
@@ -276,14 +307,14 @@ def ergodic_se_oem(cfg: OemConfig, mode_profile: np.ndarray, mean_snr_db: float,
     """
     inputs = _curve_inputs(_checked_profile(cfg, mode_profile), cfg.n_tx, cfg.m_rx, total_power,
                            normalization, [mean_snr_db], trials, seed)
-    return _ergodic_curve(*inputs, [mean_snr_db], trials, seed)[0]
+    return _ergodic_curves(*inputs, [mean_snr_db], trials, seed)[0][0]
 
 
 def ergodic_se_mimo(n: int, m: int, mean_snr_db: float, total_power: float,
                     trials: int, seed: int, normalization: str = "per-channel") -> SePoint:
     """Ergodic SE of the plain multiplexing-MIMO baseline (single mode)."""
     inputs = _curve_inputs([1.0], n, m, total_power, normalization, [mean_snr_db], trials, seed)
-    return _ergodic_curve(*inputs, [mean_snr_db], trials, seed)[0]
+    return _ergodic_curves(*inputs, [mean_snr_db], trials, seed)[0][0]
 
 
 def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float],
@@ -295,11 +326,13 @@ def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float]
     of ``snr_db_list``; every point equals the matching ``ergodic_se_oem``
     or ``ergodic_se_mimo`` call bit for bit.  The MIMO baseline is the
     one-mode profile [1.0] on the same N x M link.  Each curve is checked
-    once, the MIMO one first, before either draws its own substreams; the
-    MIMO channels draw the values of the OEM mode-0 ones.
+    once, the MIMO one first, before anything is drawn.  The MIMO
+    channels are the OEM mode-0 rows at unit gain, so one
+    ``_ergodic_curves`` call draws each keyed row once for both curves.
     """
     profile = _checked_profile(cfg, mode_profile)
-    mimo, oem = [_curve_inputs(p, cfg.n_tx, cfg.m_rx, total_power, normalization, snr_db_list,
-                               trials, seed) for p in ([1.0], profile)]
-    mimo_curve = _ergodic_curve(*mimo, snr_db_list, trials, seed)
-    return _ergodic_curve(*oem, snr_db_list, trials, seed), mimo_curve
+    (mimo_gains, mimo_budgets), oem = [
+        _curve_inputs(p, cfg.n_tx, cfg.m_rx, total_power, normalization, snr_db_list, trials, seed)
+        for p in ([1.0], profile)
+    ]
+    return _ergodic_curves(*oem, snr_db_list, trials, seed, mimo_gains.size, mimo_budgets)

@@ -268,8 +268,8 @@ def _cmd_scenario(args) -> None:
 # -- parser --------------------------------------------------------------
 
 
-def _number(convert, holds, need: str):
-    """An argparse type: ``convert`` the text and require ``holds`` of the value.
+def _number(convert, holds=None, need: str = ""):
+    """An argparse type: ``convert`` the text and require ``holds`` of the value, if given.
 
     Text that does not convert is rejected with the conversion's own
     reason; a value that fails ``holds`` with "<need>, got <text>".
@@ -279,7 +279,7 @@ def _number(convert, holds, need: str):
             value = convert(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        if not holds(value):
+        if holds is not None and not holds(value):
             raise argparse.ArgumentTypeError(f"{need}, got {text}")
         return value
     return parse
@@ -293,25 +293,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     positive = _number(float, lambda x: math.isfinite(x) and x > 0.0, "must be positive and finite")
+    # the design calculators check the range of these values themselves
+    real = _number(float)
 
     design = sub.add_parser("design", help="closed-form antenna design calculators")
     design_sub = design.add_subparsers(dest="design_kind", required=True)
     patch = design_sub.add_parser("patch", help="rectangular microstrip patch element")
     patch.add_argument("--freq-ghz", type=positive, required=True)
-    patch.add_argument("--eps-r", type=float, required=True)
-    patch.add_argument("--thickness-mm", type=float, required=True)
-    patch.add_argument("--z0", type=float, default=50.0)
+    patch.add_argument("--eps-r", type=real, required=True)
+    patch.add_argument("--thickness-mm", type=real, required=True)
+    patch.add_argument("--z0", type=real, default=50.0)
     patch.set_defaults(func=_cmd_design_patch)
     dish = design_sub.add_parser("dish", help="converging parabolic reflector")
-    dish.add_argument("--gain-db", type=float, required=True)
-    dish.add_argument("--efficiency", type=float, required=True)
-    dish.add_argument("--kappa", type=float, required=True)
+    dish.add_argument("--gain-db", type=real, required=True)
+    dish.add_argument("--efficiency", type=real, required=True)
+    dish.add_argument("--kappa", type=real, required=True)
     dish.add_argument("--freq-ghz", type=positive, required=True)
     dish.set_defaults(func=_cmd_design_dish)
 
     channel = sub.add_parser("channel", help="dump per-mode channel matrices as CSV")
     channel.add_argument("--config", required=True)
-    channel.add_argument("--mode", type=int, default=None)
+    channel.add_argument("--mode", type=_number(int), default=None)
     channel.add_argument("--model", choices=VARIANTS, default="convergent")
     channel.add_argument("--out", required=True)
     channel.set_defaults(func=_cmd_channel, usage_error=channel.error)

@@ -12,9 +12,11 @@ level is 1 / (mu* ln 2).
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +41,13 @@ MAX_DRAWS = 2**27
 # Sorted reciprocals per block of the water-level search: the search holds
 # one prefix sum per block and the cumulative sum of one block at a time.
 _PREFIX_BLOCK = 4096
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx),
+# whose PCG64 state words ``_seed_words`` computes for a block of rows.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 GridLike = Union["SnrGrid", np.ndarray]
 
@@ -213,13 +222,128 @@ def _check_draws(n_channels: int, count: int, seed: int) -> None:
         )
 
 
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative int; [0] for zero."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The uint32 column init * mult**j, j = 0..calls: hash call j XORs entry j, multiplies by j + 1."""
+    values = [init]
+    for _ in range(calls):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    values ^= values >> np.uint32(16)
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    mixed ^= mixed >> np.uint32(16)
+    return mixed
+
+
+def _seed_words(seed: int, stage: int, keys: np.ndarray) -> np.ndarray:
+    """(R, 4) uint64: ``SeedSequence([seed, stage, k]).generate_state(4, np.uint64)`` per key k.
+
+    numpy seeds a PCG64 from these four words (the state, then the
+    increment).  They are computed here for all R keys at once, in uint32
+    numpy arithmetic that wraps as numpy's C code does, following its
+    SeedSequence step by step:
+
+    * the entropy is the 32-bit words of seed, stage and k, each
+      little-endian and [0] for zero; only the last word, k, differs
+      between rows;
+    * ``hashmix`` XORs a word with a running hash constant, advances the
+      constant (times MULT_A), multiplies by it and XORs in the upper 16
+      bits.  The constants depend on the call count alone, so the j-th
+      call's pair is ``_hash_constants(INIT_A, MULT_A, ...)`` rows j and j + 1;
+    * the 4-word pool is the hashmix of the first 4 entropy words (0
+      beyond the entropy); then each word i is mixed into every other
+      word j in turn, j = mix(j, hashmix(i)), ``mix`` being
+      MIX_MULT_L * j - MIX_MULT_R * y with the upper 16 bits XORed in;
+      then every entropy word past the fourth is mixed into all four;
+    * ``generate_state`` hashes the pool, cycled to 8 words, with the
+      INIT_B/MULT_B constants and pairs them little-endian into 4 uint64.
+
+    The keys are row indices, so each fits one 32-bit word.
+    """
+    prefix = _uint32_words(seed) + _uint32_words(stage)
+    entropy = np.empty((len(prefix) + 1, keys.size), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-1] = keys
+    extra = max(0, len(entropy) - _POOL_SIZE)
+    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * extra)
+    head = entropy[:_POOL_SIZE]
+    pool = np.zeros((_POOL_SIZE, keys.size), dtype=np.uint32)
+    pool[:len(head)] = head
+    pool = _hashmix(pool, hash_a[:_POOL_SIZE], hash_a[1:_POOL_SIZE + 1])
+    calls = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[src], hash_a[calls:calls + 3], hash_a[calls + 1:calls + 4])
+        pool[dst] = _mix(pool[dst], hashed)
+        calls += 3
+    for word in entropy[_POOL_SIZE:]:
+        hashed = _hashmix(word, hash_a[calls:calls + 4], hash_a[calls + 1:calls + 5])
+        pool = _mix(pool, hashed)
+        calls += 4
+    hash_b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.concatenate((pool, pool)), hash_b[:-1], hash_b[1:]).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """The seed sequence type that hands a PCG64 the state words of ``_seed_words``.
+
+    Defined on first use: it derives from numpy.random's ISeedSequence,
+    and importing numpy.random adds about 40 ms to the start of a run
+    that draws nothing, such as a channel dump.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return StateWords
+
+
+@contextmanager
+def _overflow_guard(means: np.ndarray) -> Iterator[None]:
+    """Raise InvalidConfigError naming the largest of ``means`` if a draw overflows inside."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidConfigError(
+            f"fading draws of mean {means.max():g} overflow the float range"
+        ) from None
+
+
 def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
                   out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
     """Draw (K, count) i.i.d. exponential SNRs of the K ``means``, channel-major.
 
     Row k comes from its own generator keyed by (seed, stage, k), so two
     configurations sharing a channel order see identical draws for the
-    channels they have in common.  Each row is scaled by its mean as soon
+    channels they have in common.  That generator is the PCG64 of
+    ``np.random.default_rng([seed, stage, k])``, seeded from the state
+    words ``_seed_words`` computes for all the rows at once, in place of
+    one SeedSequence per row.  Each row is scaled by its mean as soon
     as it is drawn: a draw of mean m is m times the unit draw, bit for
     bit, and a zero-mean channel draws zeros.  A draw beyond the float
     range raises InvalidConfigError naming the largest of all K means.
@@ -231,16 +355,14 @@ def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
     _check_draws(means.size, count, seed)
     if out is None:
         out = np.empty((means.size, count))
-    try:
-        with np.errstate(over="raise"):
-            for k in range(*rows.indices(means.size)):
-                row = out[k]
-                np.random.default_rng([int(seed), int(stage), k]).standard_exponential(out=row)
-                row *= means[k]
-    except FloatingPointError:
-        raise InvalidConfigError(
-            f"fading draws of mean {means.max():g} overflow the float range"
-        ) from None
+    keys = np.arange(*rows.indices(means.size))
+    words = _seed_words(int(seed), int(stage), keys)
+    state_words = _state_words_type()
+    with _overflow_guard(means):
+        for k, state in zip(keys.tolist(), words):
+            row = out[k]
+            np.random.Generator(np.random.PCG64(state_words(state))).standard_exponential(out=row)
+            row *= means[k]
     return out
 
 

@@ -253,7 +253,10 @@ class TestSweep:
             sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0], 1.0, 999, seed=0)
 
     @pytest.mark.parametrize("normalization", ["per-channel", "total"])
-    @pytest.mark.parametrize("profile", [[1.0, 0.7, 0.3, 0.1], [1.0, 0.0, 0.5, 0.0]])
+    # g_0 = 1 + 5e-10 passes the profile check but scales the mode-0 draws,
+    # so a MIMO point that read the scaled OEM rows would differ
+    @pytest.mark.parametrize("profile", [[1.0, 0.7, 0.3, 0.1], [1.0, 0.0, 0.5, 0.0],
+                                         [1.0 + 5e-10, 0.7, 0.3, 0.1]])
     def test_points_are_the_single_point_estimates_bitwise(self, base_cfg, normalization,
                                                            profile):
         # N != M; 5000 trials of 16 channels pool 80,000 draws, more than
@@ -270,6 +273,24 @@ class TestSweep:
             assert op.mean_snr_db == mp.mean_snr_db == snr_db
             assert (op.se, op.stderr) == (single_oem.se, single_oem.stderr)
             assert (mp.se, mp.stderr) == (single_mimo.se, single_mimo.stderr)
+
+    @pytest.mark.parametrize("n, profile", [(16, (1.0, 0.7, 0.3, 0.1)), (64, (1.0,))])
+    def test_each_keyed_row_is_drawn_once(self, monkeypatch, n, profile):
+        # both links have 64 channels, so 2 stages of 64 keyed rows; the
+        # MIMO baseline's rows are the OEM mode-0 rows and draw no more
+        drawn_words = []
+        pcg64 = np.random.PCG64
+
+        def spy(seed_seq):
+            drawn_words.append(tuple(seed_seq.generate_state(4, np.uint64).tolist()))
+            return pcg64(seed_seq)
+
+        monkeypatch.setattr(np.random, "PCG64", spy)
+        sweep(link(n, n, len(profile)), np.array(profile), [0.0, 20.0], 0.5, 1_000, seed=11)
+        keyed = {tuple(np.random.SeedSequence([11, stage, k]).generate_state(4, np.uint64).tolist())
+                 for stage in (0, 1) for k in range(64)}
+        assert len(drawn_words) == 128
+        assert set(drawn_words) == keyed
 
     @staticmethod
     def peak_bytes(snr_db_list, trials, n=16, profile=(1.0, 0.8, 0.6, 0.8)):

@@ -648,6 +648,38 @@ class TestMalformedNumbers:
         assert "argument --freq-ghz: could not convert string to float: 'abc'" in out.err
         assert "_positive_finite" not in out.err
 
+    @pytest.mark.parametrize("kind, flag", [
+        ("patch", "--eps-r"), ("patch", "--thickness-mm"), ("patch", "--z0"),
+        ("dish", "--gain-db"), ("dish", "--efficiency"), ("dish", "--kappa"),
+    ])
+    def test_design_flag_exits_2(self, kind, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["design", kind, *DESIGN_FLAGS[kind], flag, "abc"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument {flag}: could not convert string to float: 'abc'" in out.err
+        assert "Traceback" not in out.err
+        assert os.listdir(tmp_path) == []
+
+    def test_design_range_checks_stay_with_the_calculators(self, capsys):
+        code, out, err = run(capsys, "design", "patch", *DESIGN_FLAGS["patch"], "--eps-r", "nan")
+        assert code == 3
+        assert out == ""
+        assert err == "config error: eps_r must be finite and > 1, got nan\n"
+
+    def test_channel_mode_exits_2(self, config_path, tmp_path, capsys):
+        out_csv = tmp_path / "h.csv"
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", "--config", config_path, "--mode", "abc", "--out", str(out_csv)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --mode: invalid literal for int() with base 10: 'abc'" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
 
 class TestBesselRange:
     """Configs whose Bessel model needs J_l outside ``bessel_j``'s range exit 3."""

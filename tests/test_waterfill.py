@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oem_mmwave import (
     SnrGrid,
@@ -14,6 +14,7 @@ from oem_mmwave import (
 from oem_mmwave.errors import DomainError, InvalidConfigError
 from oem_mmwave.waterfill import LN2, _PREFIX_BLOCK, _water_levels, sample_snr_realizations
 from oracles import brute_force_oracle
+from test_capacity import gained_draws
 
 LOG2 = LN2  # natural log of 2, the "log 2" of the allocation formulas
 
@@ -398,3 +399,42 @@ class TestSampling:
     def test_overflowing_draws_rejected(self):
         with pytest.raises(InvalidConfigError, match="overflow the float range"):
             sample_snr_realizations(np.array([1.0, 1e308]), 100, seed=0)
+
+
+class TestKeyedSeeds:
+    """Row k of a stage is drawn by numpy's ``default_rng([seed, stage, k])``.
+
+    The rows' PCG64 state words are computed for a block of rows at once;
+    numpy's own SeedSequence and ``default_rng`` are the oracles.
+    """
+
+    @given(seed=st.integers(0, 2**128 - 1), stage=st.sampled_from([0, 1]),
+           start=st.integers(0, 500), size=st.integers(0, 40))
+    @example(seed=0, stage=0, start=0, size=3)
+    @example(seed=2**32 - 1, stage=1, start=60, size=10)
+    @example(seed=2**32, stage=0, start=1, size=5)
+    @example(seed=2**64 - 1, stage=1, start=0, size=4)
+    @example(seed=2**64, stage=0, start=7, size=4)
+    @example(seed=2**96 + 3, stage=1, start=2, size=4)
+    @settings(max_examples=80, deadline=None)
+    def test_seed_words_are_the_seed_sequence_state(self, seed, stage, start, size):
+        keys = range(start, start + size)
+        expected = np.array(
+            [np.random.SeedSequence([seed, stage, k]).generate_state(4, np.uint64) for k in keys],
+            dtype=np.uint64,
+        ).reshape(size, 4)
+        got = waterfill._seed_words(seed, stage, np.arange(start, start + size))
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 1])
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_rows_are_the_default_rng_draws(self, seed, stage):
+        gains = np.array([1.0, 0.5, 0.0, 3.0, 1e-300])
+        expected = gained_draws(gains, 1_000, seed, stage)
+        assert np.array_equal(waterfill._fading_draws(gains, 1_000, seed, stage), expected)
+        # a block of rows that starts mid-range draws those rows alone
+        out = np.zeros((gains.size, 1_000))
+        waterfill._fading_draws(gains, 1_000, seed, stage, out=out, rows=slice(2, 4))
+        assert np.array_equal(out[2:4], expected[2:4])
+        assert not out[[0, 1, 4]].any()
