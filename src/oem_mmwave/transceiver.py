@@ -5,8 +5,10 @@ mode l on transmit UCA n.  Element observations live on an M x V grid.
 Channels come as the ``ModeChannels`` of ``build_mode_channels``: mode l's
 matrix is c_l * B, which the decomposition over V elements scales by V, so
 reception and detection of all modes are one product with B or its
-zero-forcing filter, scaled per mode.  The DFT matrices over the element
-and mode indices are built once per size.
+zero-forcing filter, scaled per mode.  Detection's per-stream SNR weights
+are computed once per link, V and noise level and handed out as one
+read-only grid.  The DFT matrices over the element and mode indices are
+built once per size.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .channel import ModeChannels
 from .config import OemConfig
-from .errors import InvalidConfigError, RankDeficientError
+from .errors import InvalidConfigError
 from .waterfill import SnrGrid
 
 
@@ -92,9 +94,12 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
     y_{m,v} = sum_l sum_n h_{mn,l} s_{n,l} exp(j 2 pi (v-1) l / V) + w_{m,v}
     with circularly-symmetric complex Gaussian element noise of variance
     cfg.noise_var, drawn deterministically from noise_seed.  The per-UCA
-    sums of the mode matrices c_l * B are c_l * (B s_l).  A negative
-    noise_seed raises InvalidConfigError.
+    sums of the mode matrices c_l * B are c_l * (B s_l).  A noise_seed
+    that is not a nonnegative integer (bools included) raises
+    InvalidConfigError.
     """
+    if isinstance(noise_seed, bool) or not isinstance(noise_seed, Integral):
+        raise InvalidConfigError(f"noise_seed must be an integer, got {noise_seed!r}")
     if noise_seed < 0:
         raise InvalidConfigError(f"noise_seed must be nonnegative, got {noise_seed}")
     symbols = _checked_symbols(symbols, cfg)
@@ -143,7 +148,10 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
     noiseless case (sigma_l^2 = 0) the weights are reported per unit
     mode-noise variance instead.  The filter and noise gains of B come
     from ``ModeChannels.zf_solution``, which evaluates (B^H B)^{-1} from
-    B's SVD once per link, so a block costs one product for all modes.
+    B's SVD once per link.  The mode gains and the weights are computed
+    once per link, V and noise level, and the returned grid is read-only
+    and shared by every block of that key, so a block costs one product
+    for all modes and one divide.
     """
     values = decomposed.values
     m_rx, u = values.shape
@@ -156,12 +164,6 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
             f"decomposed signal has {m_rx} receive UCAs, "
             f"the channel matrices have M={channels.base.shape[0]}"
         )
-    dead = np.flatnonzero(channels.coefficients == 0.0)
-    if dead.size:
-        raise RankDeficientError(f"mode {dead[0]} gain vanished")
-    zf_filter, noise_gains = channels.zf_solution
-    mode_gains = decomposed.v_elems * channels.coefficients
-    sigma2 = decomposed.noise_var_per_mode if decomposed.noise_var_per_mode > 0.0 else 1.0
-    estimates = (zf_filter @ values) / mode_gains
-    weights = np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None])
-    return estimates, SnrGrid(values=weights)
+    mode_gains, weights = channels._zf_weights(decomposed.v_elems, decomposed.noise_var_per_mode)
+    zf_filter, _ = channels.zf_solution
+    return (zf_filter @ values) / mode_gains, weights

@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from oem_mmwave import (
     synthesize_elements,
     zf_detect,
 )
-from oem_mmwave.channel import VARIANTS
+from oem_mmwave.channel import _DETECTION_KEYS, VARIANTS
 from oem_mmwave.transceiver import DecomposedSignal
 from oem_mmwave.errors import InvalidConfigError, RankDeficientError
 
@@ -120,6 +123,21 @@ class TestPropagate:
         cfg = base_cfg if noiseless else base_cfg.with_(noise_var=0.5)
         with pytest.raises(InvalidConfigError, match="^noise_seed must be nonnegative, got -1$"):
             propagate(random_symbols(cfg), build_mode_channels(cfg), cfg, noise_seed=-1)
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    @pytest.mark.parametrize("seed", [True, False, 1.5, np.float64(2.0), "7", None])
+    def test_non_integer_noise_seed_rejected(self, base_cfg, noiseless, seed):
+        cfg = base_cfg if noiseless else base_cfg.with_(noise_var=0.5)
+        with pytest.raises(InvalidConfigError,
+                           match=f"^noise_seed must be an integer, got {re.escape(repr(seed))}$"):
+            propagate(random_symbols(cfg), build_mode_channels(cfg), cfg, noise_seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(42), np.uint64(42), np.int8(42)])
+    def test_numpy_integer_noise_seed_is_its_int(self, base_cfg, seed):
+        cfg = base_cfg.with_(noise_var=0.5)
+        channels, s = build_mode_channels(cfg), random_symbols(cfg)
+        assert np.array_equal(propagate(s, channels, cfg, noise_seed=seed),
+                              propagate(s, channels, cfg, noise_seed=42))
 
     def test_linearity(self, base_cfg):
         channels = build_mode_channels(base_cfg)
@@ -356,6 +374,109 @@ class TestZfCache:
         for _ in range(3):
             with pytest.raises(RankDeficientError):
                 zf_detect(dec, channels)
+
+    @staticmethod
+    def uncached(dec, channels):
+        """zf_detect's estimates and weights, by its formula from the SVD solution."""
+        zf_filter, noise_gains = channels.zf_solution
+        mode_gains = dec.v_elems * channels.coefficients
+        sigma2 = dec.noise_var_per_mode if dec.noise_var_per_mode > 0.0 else 1.0
+        return ((zf_filter @ dec.values) / mode_gains,
+                np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None]))
+
+    @staticmethod
+    def blocks(base_cfg, count, noise_vars=(1e-7, 0.0)):
+        """Decomposed blocks of the 1 m link, cycling V in (4, 8) and ``noise_vars``."""
+        rng = np.random.default_rng(11)
+        cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4, link_distance=1.0)
+        channels = build_mode_channels(cfg, "convergent")
+        out = []
+        for i in range(count):
+            block = cfg.with_(v_elems=(4, 8)[i // 2 % 2], noise_var=noise_vars[i % len(noise_vars)])
+            received = propagate(random_symbols(block, seed=i), channels, block,
+                                 noise_seed=int(rng.integers(2**63)))
+            out.append(decompose_modes(received, block))
+        return channels, out
+
+    def test_blocks_match_the_uncached_formula_bitwise(self, base_cfg):
+        # noisy and noise-free blocks in turn under V = 4 and V = 8; the
+        # noise-free weights are reported per unit mode-noise variance
+        channels, blocks = self.blocks(base_cfg, 40)
+        assert {(d.v_elems, d.noise_var_per_mode > 0.0) for d in blocks} == {
+            (4, True), (4, False), (8, True), (8, False)}
+        for dec in blocks:
+            est, grid = zf_detect(dec, channels)
+            oracle_est, oracle_weights = self.uncached(dec, channels)
+            assert np.array_equal(est, oracle_est)
+            assert np.array_equal(grid.values, oracle_weights)
+
+    def test_weights_are_read_only(self, base_cfg):
+        channels, blocks = self.blocks(base_cfg, 2, noise_vars=(1e-7,))
+        _, grid = zf_detect(blocks[0], channels)
+        before = grid.values.copy()
+        assert not grid.values.flags.writeable
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            grid.values *= 2.0
+        _, again = zf_detect(blocks[0], channels)
+        assert np.array_equal(again.values, before)
+        assert np.array_equal(again.values, self.uncached(blocks[0], channels)[1])
+
+    def test_dead_mode_raises_on_every_call_without_a_factorization(self, base_cfg,
+                                                                     monkeypatch):
+        cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4, link_distance=1.0,
+                             noise_var=1e-7, conv_gains=(1.0, 1.0, 0.0, 1.0))
+        channels = build_mode_channels(cfg, "convergent")
+        dec = decompose_modes(propagate(random_symbols(cfg), channels, cfg, noise_seed=2), cfg)
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+        for _ in range(3):
+            with pytest.raises(RankDeficientError, match="^mode 2 gain vanished$"):
+                zf_detect(dec, channels)
+        assert calls == []
+
+    def test_noise_sweep_keeps_the_cache_within_its_limit(self, base_cfg):
+        noise_vars = tuple(np.geomspace(1e-9, 1e-5, 100))
+        channels, blocks = self.blocks(base_cfg, 200, noise_vars=noise_vars)
+        for dec in blocks:
+            est, grid = zf_detect(dec, channels)
+            assert len(channels._detection) <= _DETECTION_KEYS
+            oracle_est, oracle_weights = self.uncached(dec, channels)
+            assert np.array_equal(est, oracle_est)
+            assert np.array_equal(grid.values, oracle_weights)
+        assert len(channels._detection) == _DETECTION_KEYS
+
+    def test_concurrent_callers_give_the_serial_results(self, base_cfg):
+        # four threads on one link, over more keys than the cache keeps,
+        # switching threads every microsecond
+        noise_vars = (1e-7, 0.0, 3e-6, 2e-9, 5e-8)
+        channels, blocks = self.blocks(base_cfg, 60, noise_vars=noise_vars)
+        serial_channels = ModeChannels(channels.base, channels.coefficients)
+        expected = [zf_detect(dec, serial_channels) for dec in blocks]
+        got = [[None] * len(blocks) for _ in range(4)]
+
+        def run(caller):
+            for i in range(len(blocks)):
+                j = (i + 15 * caller) % len(blocks)
+                got[caller][j] = zf_detect(blocks[j], channels)
+
+        callers = [threading.Thread(target=run, args=(c,)) for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for results in got:
+            for (est, grid), (want_est, want_grid) in zip(results, expected):
+                assert np.array_equal(est, want_est)
+                assert np.array_equal(grid.values, want_grid.values)
+        assert len(channels._detection) <= _DETECTION_KEYS
 
     def test_matches_pseudo_inverse_oracle(self, base_cfg):
         # pinv(H) = (H^H H)^{-1} H^H, and pinv(H) pinv(H)^H = (H^H H)^{-1},
