@@ -117,7 +117,9 @@ def instantaneous_se(snr: GridLike, policy: PowerPolicy) -> float:
         raise InvalidConfigError(
             f"SNR grid shape {gamma.shape} does not match policy shape {policy.allocations.shape}"
         )
-    return float(np.log2(1.0 + policy.allocations * gamma).sum())
+    rates = policy.allocations * gamma
+    rates += 1.0
+    return float(np.log2(rates, out=rates).sum())
 
 
 def _block_buffers(k: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import platform
@@ -346,8 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``build_parser`` parser, built once per process.
+
+    Parsing leaves it unchanged, and each handler looks up the toolkit
+    functions it calls (``sweep``, ``build_mode_channels``, ...) in this
+    module when it runs, so a reused parser reaches replaced functions too.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except InvalidConfigError as exc:

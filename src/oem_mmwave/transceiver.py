@@ -8,7 +8,9 @@ reception and detection of all modes are one product with B or its
 zero-forcing filter, scaled per mode.  Detection's per-stream SNR weights
 are computed once per link, V and noise level and handed out as one
 read-only grid.  The DFT matrices over the element and mode indices are
-built once per size.
+built once per size.  Each step scales, adds and divides in place in
+the array its own product has just made, never in one it was given or
+that a link shares.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ def synthesize_elements(symbols: np.ndarray, cfg: OemConfig) -> np.ndarray:
     """
     symbols = _checked_symbols(symbols, cfg)
     u = cfg.u_elems
-    return symbols @ _dft(u, u, u).T / np.sqrt(u)  # dft is (u_idx, l)
+    elements = symbols @ _dft(u, u, u).T  # dft is (u_idx, l)
+    elements /= math.sqrt(u)
+    return elements
 
 
 def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
@@ -94,7 +98,10 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
     y_{m,v} = sum_l sum_n h_{mn,l} s_{n,l} exp(j 2 pi (v-1) l / V) + w_{m,v}
     with circularly-symmetric complex Gaussian element noise of variance
     cfg.noise_var, drawn deterministically from noise_seed.  The per-UCA
-    sums of the mode matrices c_l * B are c_l * (B s_l).  A noise_seed
+    sums of the mode matrices c_l * B are c_l * (B s_l), scaled by c in
+    the product B s.  The noise is drawn as one (2, M, V) array of
+    standard normals, scaled once by sqrt(noise_var / 2) and added to the
+    real and the imaginary parts of the received signal.  A noise_seed
     that is not a nonnegative integer (bools included) raises
     InvalidConfigError.
     """
@@ -110,11 +117,14 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
         raise InvalidConfigError(
             f"channel matrices must be (M, N) = ({m_rx}, {cfg.n_tx}), got {channels.base.shape}"
         )
-    per_uca = (channels.base @ symbols) * channels.coefficients
+    per_uca = channels.base @ symbols
+    per_uca *= channels.coefficients
     out = per_uca @ _dft(u, v, v)  # dft is (l, v_idx)
     if cfg.noise_var > 0.0:
         noise = np.random.default_rng(noise_seed).standard_normal((2, m_rx, v))
-        out += np.sqrt(cfg.noise_var / 2.0) * (noise[0] + 1j * noise[1])
+        noise *= math.sqrt(cfg.noise_var / 2.0)
+        out.real += noise[0]
+        out.imag += noise[1]
     return out
 
 
@@ -166,4 +176,6 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
         )
     mode_gains, weights = channels._zf_weights(decomposed.v_elems, decomposed.noise_var_per_mode)
     zf_filter, _ = channels.zf_solution
-    return (zf_filter @ values) / mode_gains, weights
+    estimates = zf_filter @ values
+    estimates /= mode_gains
+    return estimates, weights

@@ -144,7 +144,7 @@ def _prefix_level(inv: np.ndarray, heads: Sequence[float], total_power: float) -
     start = lo * _PREFIX_BLOCK
     block = inv[start:start + _PREFIX_BLOCK] if len(heads) > 1 else inv
     base = total_power + heads[lo]
-    cums = np.cumsum(block)
+    cums = np.add.accumulate(block)
     lo, hi = 0, block.size
     while lo < hi:
         k = (lo + hi + 1) // 2
@@ -163,52 +163,66 @@ def _prefix_level(inv: np.ndarray, heads: Sequence[float], total_power: float) -
     return level
 
 
+def _reciprocal_levels(inv: np.ndarray, budgets: Sequence[float]) -> list[float]:
+    """Exact water level of each of ``budgets`` over the flat reciprocals ``inv``.
+
+    ``inv`` holds 1/|gamma| per channel, +inf for a zero SNR or a
+    reciprocal that overflows; it is sorted in place, once, and its sums
+    at the block edges of ``_prefix_level``, one pairwise sum per block
+    accumulated over the blocks, serve every budget, so no full-length
+    cumsum is held.  A +inf sorts last, where no level reaches it.  A
+    level is 0 when nothing can be filled: no finite reciprocal, or a
+    budget below the resolution of the best one.  A level that overflows
+    raises InvalidConfigError.  Call it under ``np.errstate(over="ignore")``,
+    which keeps sums that overflow on the way silent.
+    """
+    inv.sort()
+    heads = (0.0,)
+    if inv.size > _PREFIX_BLOCK:
+        edges = (inv.size - 1) // _PREFIX_BLOCK
+        sums = inv[:edges * _PREFIX_BLOCK].reshape(edges, _PREFIX_BLOCK).sum(axis=1)
+        heads = (0.0, *np.cumsum(sums).tolist())
+    return [_prefix_level(inv, heads, budget) for budget in budgets]
+
+
 def _water_levels(values: np.ndarray, budgets: Sequence[float]) -> list[float]:
     """Exact water level of each of ``budgets`` over the nonnegative ``values``.
 
-    The reciprocals are taken in the buffer of ``values``, which is
-    overwritten, and sorted once; their sums at the block edges of
-    ``_prefix_level``, one pairwise sum per block accumulated over the
-    blocks, serve every budget, so no full-length cumsum is held.  A
-    zero (-0.0 included) becomes +inf and sorts last, where no level
-    reaches it.  A level is 0 when nothing can be filled: no positive
-    value, or a budget below the resolution of the best 1/value.  A
-    level that overflows raises InvalidConfigError; sums that overflow
-    on the way, and a 1/value that overflows to +inf (which no level
-    reaches), stay silent.
+    The reciprocals 1/|value| are taken in the buffer of ``values``, which
+    is overwritten, and handed to ``_reciprocal_levels``.  A zero (-0.0
+    included) becomes +inf.  A level that overflows raises
+    InvalidConfigError; sums that overflow on the way, and a 1/value that
+    overflows to +inf (which no level reaches), stay silent.
     """
     np.abs(values, out=values)
     with np.errstate(divide="ignore", over="ignore"):
-        inv = np.divide(1.0, values, out=values).reshape(-1)
-        inv.sort()
-        heads = (0.0,)
-        if inv.size > _PREFIX_BLOCK:
-            edges = (inv.size - 1) // _PREFIX_BLOCK
-            sums = inv[:edges * _PREFIX_BLOCK].reshape(edges, _PREFIX_BLOCK).sum(axis=1)
-            heads = (0.0, *np.cumsum(sums).tolist())
-        return [_prefix_level(inv, heads, budget) for budget in budgets]
+        return _reciprocal_levels(np.divide(1.0, values, out=values).reshape(-1), budgets)
 
 
-def _allocate(gamma: np.ndarray, water: float) -> np.ndarray:
-    """Powers max(0, water - 1/gamma): zero where gamma is not positive or 1/gamma overflows."""
-    gamma = np.asarray(gamma, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(gamma > 0.0, np.maximum(water - 1.0 / gamma, 0.0), 0.0)
+def _fill(inv: np.ndarray, water: float) -> np.ndarray:
+    """Powers max(water - inv, 0) over the reciprocals ``inv``, in their buffer; +inf gets 0."""
+    np.subtract(water, inv, out=inv)
+    return np.maximum(inv, 0.0, out=inv)
 
 
 def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
     """Exact water filling over one SNR realization.
 
-    The water level comes from one sort of 1/gamma and a bisection over
-    its prefix sums (see ``_water_levels``); every channel below it gets
-    the difference.  Channels at the level exactly count as inactive.
-    If no channel has positive SNR the outage (all-zero) policy is
-    returned.
+    The reciprocals 1/|gamma| are taken once, into a new array: a sorted
+    copy of them gives the water level (see ``_reciprocal_levels``), and
+    the reciprocals themselves become the powers max(w - 1/gamma, 0) in
+    place.  A zero SNR, and one whose reciprocal overflows, has a
+    reciprocal of +inf and gets no power; channels at the level exactly
+    count as inactive.  If no channel has positive SNR the outage
+    (all-zero) policy is returned.  The allocations share no memory with
+    ``snr``.
     """
     _check_power(total_power)
-    gamma = _grid_values(snr)
-    water = _water_levels(gamma.copy(), [total_power])[0]
-    return PowerPolicy(_allocate(gamma, water), water_level=water, total_power=total_power)
+    inv = np.abs(_grid_values(snr))
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, inv, out=inv)
+        water = _reciprocal_levels(inv.flatten(), [total_power])[0]
+    return PowerPolicy(_fill(inv, water), water_level=water, total_power=total_power)
 
 
 def _check_draws(n_channels: int, count: int, seed: int) -> None:
@@ -398,7 +412,16 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     draws = _fading_draws(means, samples, seed)
     water = _water_levels(draws, [samples * total_power])[0]
     mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
-    return mu_star, lambda gamma: _allocate(gamma, 1.0 / (mu_star * LN2))
+    level = 1.0 / (mu_star * LN2)
+
+    def rule(gamma: np.ndarray) -> np.ndarray:
+        # 1/gamma where gamma > 0; +inf, which gets no power, for gamma <= 0 and NaN
+        gamma = np.asarray(gamma, dtype=float)
+        with np.errstate(over="ignore"):
+            inv = np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > 0.0)
+        return _fill(inv, level)
+
+    return mu_star, rule
 
 
 def classify_region(gamma_0: float, gamma_1: float, mu_star: float) -> str:

@@ -13,6 +13,10 @@ what the package computes in closed or vectorized form.
   row with the csv module.
 * ``zf_qr_oracle`` — the zero-forcing filter and noise gains of B from
   its QR factorization, without an SVD.
+* ``where_allocation`` — the water-filling powers masked by ``np.where``,
+  where the package fills the reciprocals in place.
+* ``link_block_oracle`` — one closed-loop link block with a new array
+  for every step, where the package scales and divides in place.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from oem_mmwave.channel import _base_gain, _mode_coefficients
+from oem_mmwave.channel import ModeChannels, _base_gain, _mode_coefficients
 from oem_mmwave.config import OemConfig
 from oem_mmwave.errors import DomainError, InvalidConfigError
 from oem_mmwave.geometry import build_layout
-from oem_mmwave.waterfill import GridLike, PowerPolicy, _grid_values
+from oem_mmwave.transceiver import _dft
+from oem_mmwave.waterfill import GridLike, PowerPolicy, _grid_values, _water_levels
 
 
 def brute_force_oracle(snr: GridLike, total_power: float) -> PowerPolicy:
@@ -146,3 +151,38 @@ def zf_qr_oracle(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(np.asarray(base, dtype=complex))
     r_inv = np.linalg.solve(r, np.eye(r.shape[0], dtype=complex))
     return np.linalg.solve(r, q.conj().T), np.sum(np.abs(r_inv) ** 2, axis=1)
+
+
+def where_allocation(gamma, water: float) -> np.ndarray:
+    """Powers max(0, water - 1/gamma) where gamma > 0, else 0, masked by ``np.where``."""
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(gamma > 0.0, np.maximum(water - 1.0 / gamma, 0.0), 0.0)
+
+
+def link_block_oracle(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
+                      noise_seed: int, total_power: float) -> dict:
+    """One link block: synthesis, reception, decomposition, ZF detection,
+    instantaneous water filling and its sum rate, each step a new array.
+
+    The water level is ``_water_levels`` on a copy of the ZF weights; the
+    ZF filter and weights are the link's cached ones.
+    """
+    u, v = cfg.u_elems, cfg.v_elems
+    received = ((channels.base @ symbols) * channels.coefficients) @ _dft(u, v, v)
+    if cfg.noise_var > 0.0:
+        noise = np.random.default_rng(noise_seed).standard_normal((2, cfg.m_rx, v))
+        received += np.sqrt(cfg.noise_var / 2.0) * (noise[0] + 1j * noise[1])
+    gains, weights = channels._zf_weights(v, v * cfg.noise_var)
+    zf, _ = channels.zf_solution
+    gamma = weights.values
+    water = _water_levels(gamma.copy(), [total_power])[0]
+    allocations = where_allocation(gamma, water)
+    return {
+        "elements": symbols @ _dft(u, u, u).T / np.sqrt(u),
+        "received": received,
+        "estimates": (zf @ (received @ _dft(v, u, v, inverse=True))) / gains,
+        "allocations": allocations,
+        "water_level": water,
+        "se": float(np.log2(1 + allocations * gamma).sum()),
+    }

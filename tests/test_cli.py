@@ -617,6 +617,50 @@ class TestSimulate:
         assert cli._parse_snr_range("-300:300:600") == [-300.0, 300.0]
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it unchanged."""
+
+    @staticmethod
+    def fresh_usage_error(capsys, build_parser, argv):
+        """Exit code and stderr of ``argv`` on a parser newly built by ``build_parser``."""
+        with pytest.raises(SystemExit) as exc:
+            args = build_parser().parse_args(argv)
+            args.func(args)
+        return exc.value.code, capsys.readouterr().err
+
+    def test_run_usage_error_run_keep_their_bytes(self, config_path, tmp_path, capsys,
+                                                  monkeypatch):
+        cli._parser.cache_clear()
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        simulate = ["simulate", "--config", config_path, "--snr-db", "0:10:5",
+                    "--trials", "1000", "--seed", "7", "--out"]
+        assert run(capsys, *simulate, str(outs[0]))[0] == 0
+        for argv in (
+            ["simulate", "--config", config_path, "--snr-db", "ten", "--trials", "1000",
+             "--seed", "7", "--out", str(tmp_path / "x.csv")],
+            ["channel", "--config", config_path, "--mode", "9", "--out", str(tmp_path / "h.csv")],
+            ["design", "patch", "--freq-ghz", "35"],
+            ["nonsense"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            err = capsys.readouterr().err
+            assert (exc.value.code, err) == self.fresh_usage_error(capsys, build_parser, argv)
+            assert exc.value.code == 2 and err.startswith("usage: oem-sim")
+        # the handlers look their toolkit functions up when they run
+        swept = []
+        sweep = cli.sweep
+        monkeypatch.setattr(cli, "sweep", lambda *args: swept.append(1) or sweep(*args))
+        assert run(capsys, *simulate, str(outs[1]))[0] == 0
+        assert swept == [1]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(built) == 1
+        assert cli._parser() is cli._parser()
+
+
 class TestMalformedNumbers:
     """A flag value that is not a number exits 2 with its conversion's reason."""
 

@@ -16,10 +16,12 @@ from oem_mmwave import (
     zf_detect,
 )
 from oem_mmwave.channel import _DETECTION_KEYS, VARIANTS
+from oem_mmwave.capacity import instantaneous_se
 from oem_mmwave.transceiver import DecomposedSignal
 from oem_mmwave.errors import InvalidConfigError, RankDeficientError
+from oem_mmwave.waterfill import waterfill_instantaneous
 
-from oracles import zf_qr_oracle
+from oracles import link_block_oracle, zf_qr_oracle
 
 
 def random_symbols(cfg, seed=0):
@@ -555,3 +557,129 @@ class TestEndToEnd:
         element_snr = np.abs(y[0, 0]) ** 2 / cfg.noise_var
         mode_snr = np.abs(dec.values[0, 0]) ** 2 / dec.noise_var_per_mode
         assert mode_snr == pytest.approx(cfg.v_elems * element_snr, rel=1e-9)
+
+
+def block_link(base_cfg):
+    """The 1 m 16x16 U=V=4 link of the benchmark's link blocks, its channels and budget."""
+    cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4, theta=0.0,
+                         link_distance=1.0, noise_var=1e-7)
+    return cfg, build_mode_channels(cfg, "convergent"), float(cfg.n_tx * cfg.u_elems)
+
+
+def qpsk_blocks(cfg, count, seed=3):
+    """(symbols, noise seed) of ``count`` blocks of unit-power QPSK symbols."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(count):
+        bits = rng.integers(0, 2, size=(2, cfg.n_tx, cfg.u_elems))
+        symbols = ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / math.sqrt(2.0)
+        blocks.append((symbols, int(rng.integers(2**63))))
+    return blocks
+
+
+def run_block(symbols, channels, cfg, noise_seed, budget):
+    """One link block, keyed as ``link_block_oracle`` keys its results."""
+    received = propagate(symbols, channels, cfg, noise_seed)
+    decomposed = decompose_modes(received, cfg)
+    estimates, weights = zf_detect(decomposed, channels)
+    policy = waterfill_instantaneous(weights, budget)
+    return {
+        "elements": synthesize_elements(symbols, cfg),
+        "received": received,
+        "estimates": estimates,
+        "allocations": policy.allocations,
+        "water_level": policy.water_level,
+        "se": instantaneous_se(weights, policy),
+    }, decomposed, weights
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLinkBlockBitwise:
+    def test_blocks_match_the_new_array_expressions(self, base_cfg):
+        # every in-place step gives the bits of the expression it replaced
+        cfg, channels, budget = block_link(base_cfg)
+        for symbols, noise_seed in qpsk_blocks(cfg, 200):
+            got, _, _ = run_block(symbols, channels, cfg, noise_seed, budget)
+            want = link_block_oracle(symbols, channels, cfg, noise_seed, budget)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert same_bits(got[key], want[key]), key
+
+
+class TestSharedArrays:
+    """A block writes into no array it is given or that a link shares."""
+
+    def test_waterfill_leaves_the_shared_grid_alone(self, base_cfg):
+        cfg, channels, budget = block_link(base_cfg)
+        symbols, noise_seed = qpsk_blocks(cfg, 1)[0]
+        _, weights = zf_detect(decompose_modes(propagate(symbols, channels, cfg, noise_seed),
+                                               cfg), channels)
+        before = weights.values.copy()
+        assert not weights.values.flags.writeable
+        policy = waterfill_instantaneous(weights, budget)
+        assert same_bits(weights.values, before)
+        assert policy.allocations.flags.writeable
+        assert not np.shares_memory(policy.allocations, weights.values)
+        policy.allocations[:] = -1.0
+        assert same_bits(weights.values, before)
+        assert same_bits(waterfill_instantaneous(weights, budget).allocations,
+                         waterfill_instantaneous(before, budget).allocations)
+
+    def test_block_leaves_its_inputs_alone(self, base_cfg):
+        cfg, channels, budget = block_link(base_cfg)
+        base, coefficients = channels.base.copy(), channels.coefficients.copy()
+        for symbols, noise_seed in qpsk_blocks(cfg, 8):
+            kept = symbols.copy()
+            synthesize_elements(symbols, cfg)
+            received = propagate(symbols, channels, cfg, noise_seed)
+            decomposed = decompose_modes(received, cfg)
+            values = decomposed.values.copy()
+            estimates, weights = zf_detect(decomposed, channels)
+            instantaneous_se(weights, waterfill_instantaneous(weights, budget))
+            assert same_bits(symbols, kept)
+            assert same_bits(decomposed.values, values)
+            assert not np.shares_memory(estimates, decomposed.values)
+            assert not np.shares_memory(received, decomposed.values)
+        assert same_bits(channels.base, base)
+        assert same_bits(channels.coefficients, coefficients)
+
+    def test_four_threads_on_one_grid_give_the_serial_results(self, base_cfg):
+        # one read-only grid, as zf_detect hands every block of a link,
+        # water-filled by four threads switching every microsecond
+        cfg, channels, budget = block_link(base_cfg)
+        symbols, noise_seed = qpsk_blocks(cfg, 1)[0]
+        _, weights = zf_detect(decompose_modes(propagate(symbols, channels, cfg, noise_seed),
+                                               cfg), channels)
+        budgets = [budget * 2.0 ** k for k in range(-20, 21)]
+
+        def solve(total_power):
+            policy = waterfill_instantaneous(weights, total_power)
+            return policy.allocations.copy(), policy.water_level
+
+        expected = [solve(b) for b in budgets]
+        got = [[None] * len(budgets) for _ in range(4)]
+
+        def run(caller):
+            for i in range(len(budgets)):
+                j = (i + 10 * caller) % len(budgets)
+                got[caller][j] = solve(budgets[j])
+
+        callers = [threading.Thread(target=run, args=(c,)) for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for results in got:
+            for (allocations, water), (want, want_water) in zip(results, expected):
+                assert same_bits(allocations, want)
+                assert water == want_water

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from oem_mmwave import (
 )
 from oem_mmwave.errors import DomainError, InvalidConfigError
 from oem_mmwave.waterfill import LN2, _PREFIX_BLOCK, _water_levels, sample_snr_realizations
-from oracles import brute_force_oracle
+from oracles import brute_force_oracle, where_allocation
 from test_capacity import gained_draws
 
 LOG2 = LN2  # natural log of 2, the "log 2" of the allocation formulas
@@ -214,6 +215,54 @@ class TestBlockedLevelSearch:
             policy = waterfill_instantaneous(gamma, budget)
             assert np.count_nonzero(policy.allocations) == count
             assert policy.water_level == full_prefix_level(gamma, budget)
+
+
+def edge_case_grids(count, seed=17):
+    """(grid, budget) pairs: SNRs over 600 decades holding 0, -0.0 and 5e-324
+    entries, budgets from 1e-300 to 1e300, one grid past a prefix block and
+    one whose water level overflows."""
+    rng = np.random.default_rng(seed)
+    sizes = [int(n) for n in rng.integers(1, 130, count - 1)] + [2 * _PREFIX_BLOCK + 3]
+    cases = []
+    for n in sizes:
+        gamma = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        kind = rng.integers(0, 6, n)
+        gamma[kind == 0], gamma[kind == 1], gamma[kind == 2] = 0.0, -0.0, 5e-324
+        shape = (n,) if n % 3 else (n // 3, 3)
+        cases.append((gamma.reshape(shape), 10.0 ** rng.uniform(-300.0, 300.0)))
+    return cases + [(np.array([1e-308, 0.0, 1e-308]), 1e300)]
+
+
+class TestOneReciprocalPass:
+    """The powers max(w - 1/|gamma|, 0) taken in place are the masked ``where`` form."""
+
+    def test_grids_match_the_where_form_bitwise(self):
+        cases = edge_case_grids(300)
+        assert sum(np.asarray(g).size > _PREFIX_BLOCK for g, _ in cases) == 1
+        for gamma, budget in cases:
+            values = SnrGrid(gamma).values
+            try:
+                water = _water_levels(values.copy(), [budget])[0]
+            except InvalidConfigError as exc:
+                with pytest.raises(InvalidConfigError, match=re.escape(str(exc))):
+                    waterfill_instantaneous(gamma, budget)
+                continue
+            policy = waterfill_instantaneous(gamma, budget)
+            want = where_allocation(values, water)
+            assert policy.water_level == water
+            assert (policy.allocations.dtype, policy.allocations.shape) == (want.dtype, want.shape)
+            assert policy.allocations.tobytes() == want.tobytes()
+
+    def test_ergodic_rule_matches_the_where_form_bitwise(self):
+        mu_star, rule = waterfill_ergodic(np.array([[1.0, 0.5], [2.0, 0.0]]), 2.0, 2_000, seed=4)
+        gamma = np.array([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324,
+                          1e-300, 0.1, 1.0, 3.0, 1e300])
+        level = 1.0 / (mu_star * LN2)
+        assert rule(gamma).tobytes() == where_allocation(gamma, level).tobytes()
+        for one in gamma.tolist():
+            got, want = rule(one), where_allocation(one, level)
+            assert got.shape == want.shape == ()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOracleEquivalence:
