@@ -53,11 +53,11 @@ one pass over the rates:
 A draw u*g beyond the float range raises InvalidConfigError as it is
 drawn.  ``sweep`` computes the OEM link's curve and, from the same
 draws, the MIMO baseline's: the baseline's channels are the OEM mode-0
-rows at unit gain, under the same keys.  So each stage draws those rows
-once, at unit gain, lets the baseline use them, and then scales them by
-g_0 in place; u*1.0*g_0 is u*g_0 bit for bit.  Every keyed row of a
-sweep is thus drawn once.  Single-point calls are one-point curves with
-no baseline, so a sweep point equals them bit for bit.  Each curve is
+rows, under the same keys and at the same gain, exactly 1 once
+``_checked_profile`` divides the profile by its g_0.  So the baseline
+reads the OEM's rows [0, n) as they are, and every keyed row of a sweep
+is drawn once.  Single-point calls are one-point curves with no
+baseline, so a sweep point equals them bit for bit.  Each curve is
 checked once, before anything is drawn.
 """
 
@@ -80,7 +80,6 @@ from .waterfill import (
     _check_samples,
     _fading_draws,
     _grid_values,
-    _overflow_guard,
     _water_levels,
     sample_snr_realizations,  # noqa: F401  bound here for perfbench/tracing.py
     waterfill_ergodic,  # noqa: F401  bound here for perfbench/tracing.py
@@ -191,11 +190,9 @@ def _ergodic_curves(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequenc
                     base_budgets: Sequence[float] = ()) -> tuple[tuple[SePoint, ...], ...]:
     """Ergodic SE at each of ``snr_db`` of the ``_curve_inputs`` gains and pooled budgets.
 
-    Returns that curve and, from the same draws, the curve of a unit-gain
-    baseline on rows [0, ``base_rows``) at ``base_budgets`` (empty when
-    there are none).  In each stage those rows are drawn at unit gain,
-    used by the baseline and then scaled by their gains in place: u*1.0*g
-    is u*g bit for bit, so every keyed row is drawn once.
+    Returns that curve and, from the same draws, the curve of a baseline
+    on rows [0, ``base_rows``) at ``base_budgets`` (empty when there are
+    none); those rows must have the baseline's gain, exactly 1.
 
     Each step runs here and on one worker (``_both``), in that order: the
     stage-0 rows [0, K//2) and [K//2, K); the stage-0 levels w~ and the
@@ -212,20 +209,17 @@ def _ergodic_curves(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequenc
     most as many as there are channels, so their rate sums never outgrow
     the draws, whatever the point count.
     """
-    drawn = np.concatenate((np.ones(base_rows), gains[base_rows:]))
     half = gains.size // 2
     draws = np.empty((gains.size, trials))
-    _both(lambda: _fading_draws(drawn, trials, seed, out=draws, rows=slice(half)),
-          lambda: _fading_draws(drawn, trials, seed, out=draws, rows=slice(half, None)))
+    _both(lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half)),
+          lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half, None)))
     later = np.empty_like(draws)
     later[:base_rows] = draws[:base_rows]
-    with _overflow_guard(gains):
-        draws[:base_rows] *= gains[:base_rows, None]
     base_waters = []
 
     def base_levels_then_stage_one() -> None:
         base_waters.extend(_water_levels(later[:base_rows], base_budgets))
-        _fading_draws(drawn, trials, seed, _SE_STAGE, out=later)
+        _fading_draws(gains, trials, seed, _SE_STAGE, out=later)
 
     waters = _both(lambda: _water_levels(draws, budgets), base_levels_then_stage_one)
     del draws
@@ -245,14 +239,14 @@ def _ergodic_curves(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequenc
                 points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))
         return tuple(points)
 
-    base_curve = curve(later[:base_rows], base_waters)
-    with _overflow_guard(gains):
-        later[:base_rows] *= gains[:base_rows, None]
-    return curve(later, waters), base_curve
+    return curve(later, waters), curve(later[:base_rows], base_waters)
 
 
 def _checked_profile(cfg: OemConfig, mode_profile: np.ndarray) -> np.ndarray:
-    """``mode_profile`` as U finite, nonnegative per-mode gains with g_0 = 1."""
+    """``mode_profile`` as U finite, nonnegative gains over its g_0, which is then exactly 1.
+
+    g_0 must lie within 1e-9 of 1; a profile whose g_0 is 1.0 keeps its bytes.
+    """
     profile = np.asarray(mode_profile, dtype=float)
     if profile.shape != (cfg.u_elems,):
         raise InvalidConfigError(
@@ -262,7 +256,7 @@ def _checked_profile(cfg: OemConfig, mode_profile: np.ndarray) -> np.ndarray:
         raise InvalidConfigError("mode profile entries must be finite and nonnegative")
     if not math.isclose(profile[0], 1.0, rel_tol=1e-9):
         raise InvalidConfigError(f"mode profile must be normalized to g_0 = 1, got {profile[0]}")
-    return profile
+    return profile / profile[0]
 
 
 def _curve_inputs(profile: Sequence[float], n: int, m: int, total_power: float,
@@ -305,7 +299,7 @@ def ergodic_se_oem(cfg: OemConfig, mode_profile: np.ndarray, mean_snr_db: float,
     """Ergodic SE of the OEM link: min(N, M) streams on each of U modes.
 
     ``mode_profile`` holds the U per-mode power gains g_l, g_0 = 1, e.g.
-    from ``channel.mode_power_profile``.
+    from ``channel.mode_power_profile``; it is divided by its g_0.
     """
     inputs = _curve_inputs(_checked_profile(cfg, mode_profile), cfg.n_tx, cfg.m_rx, total_power,
                            normalization, [mean_snr_db], trials, seed)
@@ -329,8 +323,8 @@ def sweep(cfg: OemConfig, mode_profile: np.ndarray, snr_db_list: Sequence[float]
     or ``ergodic_se_mimo`` call bit for bit.  The MIMO baseline is the
     one-mode profile [1.0] on the same N x M link.  Each curve is checked
     once, the MIMO one first, before anything is drawn.  The MIMO
-    channels are the OEM mode-0 rows at unit gain, so one
-    ``_ergodic_curves`` call draws each keyed row once for both curves.
+    channels are the OEM mode-0 rows, so one ``_ergodic_curves`` call
+    draws each keyed row once for both curves.
     """
     profile = _checked_profile(cfg, mode_profile)
     (mimo_gains, mimo_budgets), oem = [

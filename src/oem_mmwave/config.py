@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,9 +41,9 @@ def _replace_on_success(path):
         tmp.unlink(missing_ok=True)
 
 
-def _json_number(name: str, value, integer: bool = False):
-    """A JSON integer, or a JSON number as a float; anything else names the field."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+def _field_number(name: str, value, integer: bool = False):
+    """An integer (not a bool), or a number as a float; anything else names the field."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else (int, float)):
         raise InvalidConfigError(
             f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     try:
@@ -57,12 +58,12 @@ def _from_json(name: str, kind: str, value):
         parts = value if isinstance(value, list) else [value, 0.0]
         if len(parts) != 2:
             raise InvalidConfigError(f"beta must be a number or [re, im], got {value!r}")
-        return complex(*(_json_number(name, x) for x in parts))
+        return complex(*(_field_number(name, x) for x in parts))
     if name == "conv_gains":
         if not isinstance(value, (list, type(None))):
             raise InvalidConfigError(f"conv_gains must be a list or null, got {value!r}")
-        return None if value is None else [_json_number(name, g) for g in value]
-    number = _json_number(name, value, integer=kind == "int")
+        return None if value is None else [_field_number(name, g) for g in value]
+    number = _field_number(name, value, integer=kind == "int")
     return math.radians(number) if name in _ANGLES else number
 
 
@@ -108,6 +109,8 @@ class OemConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("n_tx", "m_rx", "u_elems", "v_elems"):
+            _field_number(name, getattr(self, name), integer=True)
         problems = []
         if self.n_tx < 1 or self.m_rx < 1:
             problems.append("need at least one transmit and one receive UCA")

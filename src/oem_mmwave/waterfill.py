@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from numbers import Integral
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -112,7 +112,14 @@ def _check_power(total_power: float) -> None:
         raise InvalidConfigError(f"total power must be positive and finite, got {total_power}")
 
 
+def _check_integer(value: int, noun: str) -> None:
+    """InvalidConfigError unless ``value`` is an integer (a numpy one too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidConfigError(f"{noun} must be an integer, got {value!r}")
+
+
 def _check_samples(count: int, noun: str) -> None:
+    _check_integer(count, noun)
     if count < MIN_SAMPLES:
         raise InvalidConfigError(f"need at least {MIN_SAMPLES} {noun}, got {count}")
 
@@ -226,7 +233,8 @@ def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
 
 
 def _check_draws(n_channels: int, count: int, seed: int) -> None:
-    """InvalidConfigError unless ``seed`` is nonnegative and the draws fit in MAX_DRAWS."""
+    """InvalidConfigError unless ``seed`` is an integer >= 0 and the draws fit in MAX_DRAWS."""
+    _check_integer(seed, "seed")
     if seed < 0:
         raise InvalidConfigError(f"seed must be nonnegative, got {seed}")
     if n_channels * count > MAX_DRAWS:
@@ -336,18 +344,6 @@ def _state_words_type() -> type:
     return StateWords
 
 
-@contextmanager
-def _overflow_guard(means: np.ndarray) -> Iterator[None]:
-    """Raise InvalidConfigError naming the largest of ``means`` if a draw overflows inside."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise InvalidConfigError(
-            f"fading draws of mean {means.max():g} overflow the float range"
-        ) from None
-
-
 def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
                   out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
     """Draw (K, count) i.i.d. exponential SNRs of the K ``means``, channel-major.
@@ -372,11 +368,17 @@ def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
     keys = np.arange(*rows.indices(means.size))
     words = _seed_words(int(seed), int(stage), keys)
     state_words = _state_words_type()
-    with _overflow_guard(means):
-        for k, state in zip(keys.tolist(), words):
-            row = out[k]
-            np.random.Generator(np.random.PCG64(state_words(state))).standard_exponential(out=row)
-            row *= means[k]
+    try:
+        with np.errstate(over="raise"):
+            for k, state in zip(keys.tolist(), words):
+                row = out[k]
+                rng = np.random.Generator(np.random.PCG64(state_words(state)))
+                rng.standard_exponential(out=row)
+                row *= means[k]
+    except FloatingPointError:
+        raise InvalidConfigError(
+            f"fading draws of mean {means.max():g} overflow the float range"
+        ) from None
     return out
 
 

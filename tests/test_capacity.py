@@ -253,8 +253,8 @@ class TestSweep:
             sweep(base_cfg, np.ones(base_cfg.u_elems), [0.0], 1.0, 999, seed=0)
 
     @pytest.mark.parametrize("normalization", ["per-channel", "total"])
-    # g_0 = 1 + 5e-10 passes the profile check but scales the mode-0 draws,
-    # so a MIMO point that read the scaled OEM rows would differ
+    # g_0 = 1 + 5e-10 passes the profile check, which divides the profile
+    # by it, so the MIMO points read OEM mode-0 rows of gain exactly 1.0
     @pytest.mark.parametrize("profile", [[1.0, 0.7, 0.3, 0.1], [1.0, 0.0, 0.5, 0.0],
                                          [1.0 + 5e-10, 0.7, 0.3, 0.1]])
     def test_points_are_the_single_point_estimates_bitwise(self, base_cfg, normalization,
@@ -273,6 +273,32 @@ class TestSweep:
             assert op.mean_snr_db == mp.mean_snr_db == snr_db
             assert (op.se, op.stderr) == (single_oem.se, single_oem.stderr)
             assert (mp.se, mp.stderr) == (single_mimo.se, single_mimo.stderr)
+
+    @pytest.mark.parametrize("normalization", ["per-channel", "total"])
+    def test_profile_is_divided_by_its_g0(self, monkeypatch, base_cfg, normalization):
+        # the division moves every gain of this profile, and makes g_0 1.0
+        cfg = base_cfg.with_(n_tx=8, m_rx=4, u_elems=4, v_elems=4)
+        profile = np.array([1.0 + 5e-10, 0.7, 0.3, 0.1])
+        divided = profile / profile[0]
+        assert divided[0] == 1.0 and not np.any(divided[1:] == profile[1:])
+        mode_zero_gains = []
+        fading_draws = capacity._fading_draws
+
+        def spy(means, *args, **kwargs):
+            mode_zero_gains.append(means[:4].tolist())
+            return fading_draws(means, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "_fading_draws", spy)
+        snr_db_list = [-20.0, 0.0, 12.5, 30.0]
+        args = (snr_db_list, 0.2, 1_000)
+        oem, mimo = sweep(cfg, profile, *args, seed=3, normalization=normalization)
+        assert (oem, mimo) == sweep(cfg, divided, *args, seed=3, normalization=normalization)
+        for snr_db, point in zip(snr_db_list, oem):
+            assert point == ergodic_se_oem(cfg, profile, snr_db, 0.2, 1_000, seed=3,
+                                           normalization=normalization)
+        # two sweeps and four one-point curves draw three times each: the
+        # two halves of stage 0, then stage 1
+        assert mode_zero_gains == [[1.0] * 4] * 18
 
     @pytest.mark.parametrize("n, profile", [(16, (1.0, 0.7, 0.3, 0.1)), (64, (1.0,))])
     def test_each_keyed_row_is_drawn_once(self, monkeypatch, n, profile):
@@ -574,6 +600,45 @@ class TestStageOneWorker:
         assert threading.enumerate() == before
         assert capacity._both(lambda: 3, lambda: None) == 3
         assert threading.enumerate() == before
+
+
+class TestIntegerArguments:
+    """Seeds and trial counts are integers, numpy ones too, and never bools."""
+
+    @staticmethod
+    def estimators(seed, trials=1_000):
+        """Each ergodic estimator on a 2x2 U=3 link, as a zero-argument call."""
+        cfg = link(2, 2, 3)
+        profile = np.array([1.0, 0.5, 0.2])
+
+        def waterfill_rule():
+            mu, rule = waterfill_ergodic(mean_grid(10.0, profile, 2), 1.0, trials, seed)
+            return mu, rule(np.logspace(-3.0, 3.0, 13)).tolist()
+
+        return (
+            lambda: ergodic_se_oem(cfg, profile, 10.0, 1.0, trials, seed),
+            lambda: ergodic_se_mimo(2, 2, 10.0, 1.0, trials, seed),
+            lambda: sweep(cfg, profile, [0.0, 10.0], 1.0, trials, seed),
+            waterfill_rule,
+        )
+
+    @pytest.mark.parametrize("seed", [0.9, 1.5, math.nan, math.inf, "3", True])
+    def test_non_integer_seed_rejected(self, seed):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        for call in self.estimators(seed):
+            with pytest.raises(InvalidConfigError, match=message):
+                call()
+
+    def test_non_integer_trial_count_rejected(self):
+        for call in self.estimators(0, trials=1000.0):
+            with pytest.raises(InvalidConfigError,
+                               match="^(trials|samples) must be an integer, got 1000.0$"):
+                call()
+
+    def test_numpy_integers_give_the_int_bytes(self):
+        for numpy_call, int_call in zip(self.estimators(np.int64(3), np.int64(1_000)),
+                                        self.estimators(3)):
+            assert numpy_call() == int_call()
 
 
 def closed_form_se(means, total_power):

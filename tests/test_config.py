@@ -3,6 +3,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +51,17 @@ class TestValidation:
     def test_invariant_violations_rejected(self, base_cfg, kwargs):
         with pytest.raises(InvalidConfigError):
             base_cfg.with_(**kwargs)
+
+    @pytest.mark.parametrize("field", ["n_tx", "m_rx", "u_elems", "v_elems"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, np.float64(8.0), "8", None])
+    def test_non_integer_count_rejected_naming_it(self, base_cfg, field, value):
+        with pytest.raises(InvalidConfigError,
+                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            base_cfg.with_(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self, base_cfg):
+        counts = {"n_tx": 2, "m_rx": 3, "u_elems": 4, "v_elems": 8}
+        assert base_cfg.with_(**{k: np.int64(v) for k, v in counts.items()}) == base_cfg
 
 
 class TestJsonRoundTrip:
