@@ -25,7 +25,6 @@ not of the c_l * B form.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,12 +36,6 @@ from .errors import DomainError, InvalidConfigError, RankDeficientError
 from .geometry import build_layout
 
 VARIANTS = ("exact-sum", "bessel", "convergent")
-
-# (V, mode-noise variance) keys of detection state one link keeps; past
-# that, the oldest key is dropped.  The lock guards only the stores.
-_DETECTION_KEYS = 8
-_detection_lock = threading.Lock()
-
 
 @dataclass(frozen=True, eq=False)
 class ModeMatrix:
@@ -59,8 +52,7 @@ class ModeChannels:
     coefficients : complex (U,) per-mode factors c; mode l is position l.
 
     Both arrays are read-only complex copies of the ones passed in, so
-    the zero-forcing solution of B and the detection weights computed on
-    first use stay valid.
+    the zero-forcing solution of B computed on first use stays valid.
     ``channels[l].matrix`` is mode l's full matrix, computed on access.
     Channel sets compare and hash by identity, as an ndarray field has
     no single truth value.
@@ -83,7 +75,6 @@ class ModeChannels:
         coefficients.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "_detection", {})
 
     def __len__(self) -> int:
         return self.coefficients.size
@@ -122,37 +113,6 @@ class ModeChannels:
         zf_filter.setflags(write=False)
         noise_gains.setflags(write=False)
         return zf_filter, noise_gains
-
-    def _zf_weights(self, v_elems: int, noise_var: float
-                    ) -> tuple[np.ndarray, waterfill.SnrGrid]:
-        """Mode gains V * c, (U,), and the SnrGrid of zero-forcing weights
-        |V c_l|^2 / (sigma^2 [(B^H B)^{-1}]_ii) of one V and mode-noise
-        variance sigma^2 (1 if noise_var is 0), both read-only.
-
-        Computed on the first call with a key and kept for up to
-        _DETECTION_KEYS keys.  A zero c_l raises RankDeficientError before
-        ``zf_solution`` is evaluated; no failure is kept, so each call with
-        a dead mode, a rank-deficient B or weights outside SnrGrid's range
-        raises again.
-        """
-        sigma2 = noise_var if noise_var > 0.0 else 1.0
-        key = (v_elems, sigma2)
-        entry = self._detection.get(key)
-        if entry is None:
-            dead = np.flatnonzero(self.coefficients == 0.0)
-            if dead.size:
-                raise RankDeficientError(f"mode {dead[0]} gain vanished")
-            _, noise_gains = self.zf_solution
-            mode_gains = v_elems * self.coefficients
-            grid = waterfill.SnrGrid(np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None]))
-            mode_gains.setflags(write=False)
-            grid.values.setflags(write=False)
-            entry = mode_gains, grid
-            with _detection_lock:
-                if key not in self._detection and len(self._detection) >= _DETECTION_KEYS:
-                    del self._detection[next(iter(self._detection))]
-                self._detection[key] = entry
-        return entry
 
 
 def _bessel_range_error(order: int, x: float) -> str | None:

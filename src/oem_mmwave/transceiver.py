@@ -6,11 +6,11 @@ Channels come as the ``ModeChannels`` of ``build_mode_channels``: mode l's
 matrix is c_l * B, which the decomposition over V elements scales by V, so
 reception and detection of all modes are one product with B or its
 zero-forcing filter, scaled per mode.  Detection's per-stream SNR weights
-are computed once per link, V and noise level and handed out as one
-read-only grid.  The DFT matrices over the element and mode indices are
-built once per size.  Each step scales, adds and divides in place in
-the array its own product has just made, never in one it was given or
-that a link shares.
+are kept for the 8 most recent (link, V, noise level) keys of the process
+and handed out as one read-only grid.  The DFT matrices over the element
+and mode indices are built once per size.  Each step scales, adds and
+divides in place in the array its own product has just made, never in
+one it was given or that a link shares.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import ModeChannels
 from .config import OemConfig
-from .errors import InvalidConfigError
-from .waterfill import SnrGrid
+from .errors import InvalidConfigError, RankDeficientError
+from .waterfill import SnrGrid, _check_nonnegative
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +68,30 @@ def _dft(rows: int, cols: int, period: int, inverse: bool = False) -> np.ndarray
     return dft
 
 
+@lru_cache(maxsize=8)
+def _zf_weights(channels: ModeChannels, v_elems: int, sigma2: float
+                ) -> tuple[np.ndarray, SnrGrid]:
+    """Mode gains V * c, (U,), and the SnrGrid of zero-forcing weights
+    |V c_l|^2 / (sigma2 [(B^H B)^{-1}]_ii) of one link, V and positive
+    mode-noise variance sigma2, both read-only.
+
+    Kept for the 8 most recent (link, V, sigma2) keys of the process; a
+    link is keyed by identity and held alive while its key is kept.  A
+    zero c_l raises RankDeficientError before ``zf_solution`` is
+    evaluated; no failure is kept, so each call with a dead mode, a
+    rank-deficient B or weights outside SnrGrid's range raises again.
+    """
+    dead = np.flatnonzero(channels.coefficients == 0.0)
+    if dead.size:
+        raise RankDeficientError(f"mode {dead[0]} gain vanished")
+    _, noise_gains = channels.zf_solution
+    mode_gains = v_elems * channels.coefficients
+    grid = SnrGrid(np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None]))
+    mode_gains.setflags(write=False)
+    grid.values.setflags(write=False)
+    return mode_gains, grid
+
+
 def _checked_symbols(symbols, cfg: OemConfig) -> np.ndarray:
     """``symbols`` as a complex (N, U) array; any other shape raises InvalidConfigError."""
     symbols = np.asarray(symbols, dtype=complex)
@@ -105,10 +129,7 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
     that is not a nonnegative integer (bools included) raises
     InvalidConfigError.
     """
-    if isinstance(noise_seed, bool) or not isinstance(noise_seed, Integral):
-        raise InvalidConfigError(f"noise_seed must be an integer, got {noise_seed!r}")
-    if noise_seed < 0:
-        raise InvalidConfigError(f"noise_seed must be nonnegative, got {noise_seed}")
+    _check_nonnegative(noise_seed, "noise_seed")
     symbols = _checked_symbols(symbols, cfg)
     if len(channels) != cfg.u_elems:
         raise InvalidConfigError(f"need one channel per mode 0..{cfg.u_elems - 1}")
@@ -158,10 +179,10 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
     noiseless case (sigma_l^2 = 0) the weights are reported per unit
     mode-noise variance instead.  The filter and noise gains of B come
     from ``ModeChannels.zf_solution``, which evaluates (B^H B)^{-1} from
-    B's SVD once per link.  The mode gains and the weights are computed
-    once per link, V and noise level, and the returned grid is read-only
-    and shared by every block of that key, so a block costs one product
-    for all modes and one divide.
+    B's SVD once per link.  The mode gains and the weights are kept for
+    the 8 most recent (link, V, noise level) keys of the process, and the
+    returned grid is read-only and shared by every block of that key, so
+    a block costs one product for all modes and one divide.
     """
     values = decomposed.values
     m_rx, u = values.shape
@@ -174,7 +195,9 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
             f"decomposed signal has {m_rx} receive UCAs, "
             f"the channel matrices have M={channels.base.shape[0]}"
         )
-    mode_gains, weights = channels._zf_weights(decomposed.v_elems, decomposed.noise_var_per_mode)
+    noise_var = decomposed.noise_var_per_mode
+    mode_gains, weights = _zf_weights(channels, decomposed.v_elems,
+                                      noise_var if noise_var > 0.0 else 1.0)
     zf_filter, _ = channels.zf_solution
     estimates = zf_filter @ values
     estimates /= mode_gains

@@ -118,6 +118,13 @@ def _check_integer(value: int, noun: str) -> None:
         raise InvalidConfigError(f"{noun} must be an integer, got {value!r}")
 
 
+def _check_nonnegative(value: int, noun: str) -> None:
+    """InvalidConfigError unless ``value`` is an integer >= 0; see ``_check_integer``."""
+    _check_integer(value, noun)
+    if value < 0:
+        raise InvalidConfigError(f"{noun} must be nonnegative, got {value}")
+
+
 def _check_samples(count: int, noun: str) -> None:
     _check_integer(count, noun)
     if count < MIN_SAMPLES:
@@ -149,7 +156,7 @@ def _prefix_level(inv: np.ndarray, heads: Sequence[float], total_power: float) -
         else:
             hi = j - 1
     start = lo * _PREFIX_BLOCK
-    block = inv[start:start + _PREFIX_BLOCK] if len(heads) > 1 else inv
+    block = inv[start:start + _PREFIX_BLOCK]
     base = total_power + heads[lo]
     cums = np.add.accumulate(block)
     lo, hi = 0, block.size
@@ -233,10 +240,10 @@ def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
 
 
 def _check_draws(n_channels: int, count: int, seed: int) -> None:
-    """InvalidConfigError unless ``seed`` is an integer >= 0 and the draws fit in MAX_DRAWS."""
-    _check_integer(seed, "seed")
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be nonnegative, got {seed}")
+    """InvalidConfigError unless ``count`` and ``seed`` are integers >= 0
+    and the draws fit in MAX_DRAWS."""
+    _check_nonnegative(count, "count")
+    _check_nonnegative(seed, "seed")
     if n_channels * count > MAX_DRAWS:
         raise InvalidConfigError(
             f"{count} trials of {n_channels} channels exceed the {MAX_DRAWS} draws"
@@ -361,8 +368,11 @@ def _fading_draws(means: np.ndarray, count: int, seed: int, stage: int = 0,
     new array otherwise.  Only the rows in the range ``rows`` of the K
     are drawn, each still under its own key k, so two calls on the two
     halves of the rows fill ``out`` with the draws of one call on all.
+    A count, seed or stage that is not an integer >= 0 (a bool included)
+    raises InvalidConfigError before any seed word is computed.
     """
     _check_draws(means.size, count, seed)
+    _check_nonnegative(stage, "stage")
     if out is None:
         out = np.empty((means.size, count))
     keys = np.arange(*rows.indices(means.size))
@@ -387,7 +397,8 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
     """Draw (count, K) i.i.d. exponential SNRs, one substream per channel.
 
     Column k is row k of ``_fading_draws``, scaled by ``mean_flat[k]``
-    when drawn.  The means are checked by ``SnrGrid``.
+    when drawn.  The means are checked by ``SnrGrid``, the count, seed
+    and stage by ``_fading_draws``.
     """
     mean_flat = _grid_values(mean_flat).flatten(order="F")
     return _fading_draws(mean_flat, count, seed, stage).T

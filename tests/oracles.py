@@ -33,7 +33,7 @@ from oem_mmwave.channel import ModeChannels, _base_gain, _mode_coefficients
 from oem_mmwave.config import OemConfig
 from oem_mmwave.errors import DomainError, InvalidConfigError
 from oem_mmwave.geometry import build_layout
-from oem_mmwave.transceiver import _dft
+from oem_mmwave.transceiver import _dft, _zf_weights
 from oem_mmwave.waterfill import GridLike, PowerPolicy, _grid_values, _water_levels
 
 
@@ -166,14 +166,15 @@ def link_block_oracle(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfi
     instantaneous water filling and its sum rate, each step a new array.
 
     The water level is ``_water_levels`` on a copy of the ZF weights; the
-    ZF filter and weights are the link's cached ones.
+    ZF filter is the link's cached one and the weights those ``zf_detect``
+    caches.
     """
     u, v = cfg.u_elems, cfg.v_elems
     received = ((channels.base @ symbols) * channels.coefficients) @ _dft(u, v, v)
     if cfg.noise_var > 0.0:
         noise = np.random.default_rng(noise_seed).standard_normal((2, cfg.m_rx, v))
         received += np.sqrt(cfg.noise_var / 2.0) * (noise[0] + 1j * noise[1])
-    gains, weights = channels._zf_weights(v, v * cfg.noise_var)
+    gains, weights = _zf_weights(channels, v, v * cfg.noise_var if cfg.noise_var > 0.0 else 1.0)
     zf, _ = channels.zf_solution
     gamma = weights.values
     water = _water_levels(gamma.copy(), [total_power])[0]

@@ -1,7 +1,9 @@
+import gc
 import math
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from oem_mmwave import (
     synthesize_elements,
     zf_detect,
 )
-from oem_mmwave.channel import _DETECTION_KEYS, VARIANTS
+from oem_mmwave.channel import VARIANTS
 from oem_mmwave.capacity import instantaneous_se
-from oem_mmwave.transceiver import DecomposedSignal
+from oem_mmwave.transceiver import DecomposedSignal, _zf_weights
 from oem_mmwave.errors import InvalidConfigError, RankDeficientError
 from oem_mmwave.waterfill import waterfill_instantaneous
 
@@ -443,11 +445,41 @@ class TestZfCache:
         channels, blocks = self.blocks(base_cfg, 200, noise_vars=noise_vars)
         for dec in blocks:
             est, grid = zf_detect(dec, channels)
-            assert len(channels._detection) <= _DETECTION_KEYS
+            assert _zf_weights.cache_info().currsize <= 8
             oracle_est, oracle_weights = self.uncached(dec, channels)
             assert np.array_equal(est, oracle_est)
             assert np.array_equal(grid.values, oracle_weights)
-        assert len(channels._detection) == _DETECTION_KEYS
+        assert _zf_weights.cache_info().currsize == _zf_weights.cache_info().maxsize == 8
+
+    def test_cache_keeps_eight_links_and_releases_evicted_ones(self, base_cfg, monkeypatch):
+        channels, dec = self.near_field_link(base_cfg)
+        links = [ModeChannels(channels.base, channels.coefficients) for _ in range(9)]
+        first = weakref.ref(links[0])
+        svds = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svds.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        before = _zf_weights.cache_info()
+        expected = [zf_detect(dec, link) for link in links]
+        assert _zf_weights.cache_info().currsize == 8
+        assert len(svds) == 9
+        # each link was evicted by the one detected after it in the first
+        # pass, or by the one before it in this one: every call misses,
+        # recomputes only the weights and gives the same bytes
+        for link, (want_est, want_grid) in zip(links, expected):
+            est, grid = zf_detect(dec, link)
+            assert np.array_equal(est, want_est)
+            assert np.array_equal(grid.values, want_grid.values)
+        after = _zf_weights.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (0, 18)
+        assert len(svds) == 9
+        del links[0]
+        gc.collect()
+        assert first() is None
 
     def test_concurrent_callers_give_the_serial_results(self, base_cfg):
         # four threads on one link, over more keys than the cache keeps,
@@ -478,7 +510,7 @@ class TestZfCache:
             for (est, grid), (want_est, want_grid) in zip(results, expected):
                 assert np.array_equal(est, want_est)
                 assert np.array_equal(grid.values, want_grid.values)
-        assert len(channels._detection) <= _DETECTION_KEYS
+        assert _zf_weights.cache_info().currsize <= 8
 
     def test_matches_pseudo_inverse_oracle(self, base_cfg):
         # pinv(H) = (H^H H)^{-1} H^H, and pinv(H) pinv(H)^H = (H^H H)^{-1},

@@ -449,6 +449,30 @@ class TestSampling:
         with pytest.raises(InvalidConfigError, match="overflow the float range"):
             sample_snr_realizations(np.array([1.0, 1e308]), 100, seed=0)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("stage", -1, "stage must be nonnegative, got -1"),
+        ("stage", 1.5, "stage must be an integer, got 1.5"),
+        ("stage", True, "stage must be an integer, got True"),
+        ("count", 1000.0, "count must be an integer, got 1000.0"),
+        ("count", True, "count must be an integer, got True"),
+        ("count", -5, "count must be nonnegative, got -5"),
+    ])
+    def test_bad_count_or_stage_rejected_before_any_seed_word(self, name, value, message,
+                                                              monkeypatch):
+        # a negative stage never ends the split into 32-bit seed words, so
+        # the check must come first; the stub keeps a missing one bounded
+        def no_words(*args):
+            raise AssertionError("seed words computed")
+
+        monkeypatch.setattr(waterfill, "_seed_words", no_words)
+        args = {"count": 5, "stage": 0, name: value}
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            sample_snr_realizations(np.ones(3), args["count"], 0, stage=args["stage"])
+
+    def test_numpy_integer_count_and_stage_accepted(self):
+        draws = sample_snr_realizations(np.ones(3), np.int64(5), 0, stage=np.uint8(1))
+        assert np.array_equal(draws, sample_snr_realizations(np.ones(3), 5, 0, stage=1))
+
 
 class TestKeyedSeeds:
     """Row k of a stage is drawn by numpy's ``default_rng([seed, stage, k])``.
