@@ -26,7 +26,6 @@ from .channel import (
 from .config import OemConfig
 from .geometry import (
     ScenarioReport,
-    adjacent_distances,
     build_layout,
     scenario_check,
 )

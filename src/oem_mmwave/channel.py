@@ -216,9 +216,12 @@ def mode_power_profile(cfg: OemConfig, kind: str = "convergent") -> np.ndarray:
     """Relative per-mode power gains g_l = |c_l / c_0|^2 of one channel variant.
 
     These are also the squared Frobenius-norm ratios of the mode matrices
-    that ``build_mode_channels`` returns for the same variant.
+    that ``build_mode_channels`` returns; a g_l that overflows raises InvalidConfigError.
     """
     amps = np.abs(_mode_coefficients(cfg, kind))
     if amps[0] == 0.0:
         raise DomainError("mode 0 gain vanished; cannot normalize the profile")
+    top = float(amps.max()) / float(amps[0])
+    if not math.isfinite(top * top):
+        raise InvalidConfigError("conv_gains give mode powers |c_l / c_0|^2 beyond the float range")
     return (amps / amps[0]) ** 2

@@ -251,6 +251,9 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_scenario(args) -> None:
     report = scenario_check(OemConfig.load(args.config))
+    # the spacings are finite, so below 1.4e154 m: only the wavelength can overflow in mm
+    if not math.isfinite(report.wavelength * 1e3):
+        raise InvalidConfigError(f"wavelength={report.wavelength:g} m overflows in mm")
     record = {
         "scenario": report.scenario,
         "use_oem": report.use_oem,

@@ -1,12 +1,12 @@
 """UCA placement, adjacent spacings and the wavelength regime.
 
 Propagation runs along the z-axis: the transmit OEM circle lies in the
-z=0 plane, the receive circle in the z=link_distance plane.  UCA centers
-sit equidistantly on circles of radius r1; array-elements sit
-equidistantly on circles of radius r2 around each center, in the same
-transverse plane.  The link needs only the distances between UCA
-centers: the element offsets enter the channel through the per-mode
-factors of ``channel``, so ``build_layout`` places the centers alone.
+z=0 plane, the receive circle in the parallel z=link_distance plane.
+UCA centers sit equidistantly on circles of radius r1; array-elements
+sit equidistantly on circles of radius r2 around each center, in the
+same transverse plane.  The link needs only the center distances,
+sqrt(dx^2 + dy^2 + D^2) of in-plane offsets (elements enter through the
+mode factors of ``channel``); ``scenario_check`` gives the spacings.
 """
 
 from __future__ import annotations
@@ -60,21 +60,14 @@ class ScenarioReport:
         return self.scenario == "I"
 
 
-def _ring(center: np.ndarray, radius: float, count: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(count) / count
-    ring = np.zeros((count, 3))
-    ring[:, 0] = radius * np.cos(angles)
-    ring[:, 1] = radius * np.sin(angles)
-    return center[None, :] + ring
-
-
 def build_layout(cfg: OemConfig) -> np.ndarray:
     """(M, N) matrix of distances d_mn from transmit UCA n to receive UCA m (m).
 
     UCA centers sit at angles 2*pi*k/N (transmit) and 2*pi*k/M (receive)
     on radius-r1 circles, measured from the x-axis.  Raises
-    InvalidConfigError, before any array is built, when the (M, N, 3)
-    center differences would exceed ``waterfill.MAX_DRAWS`` values.
+    InvalidConfigError, before any array is built, when the three (M, N)
+    arrays dx, dy and d would exceed ``waterfill.MAX_DRAWS`` values, or
+    when (2 r1)^2 + D^2 overflows or D^2 underflows to 0.
     """
     n, m = cfg.n_tx, cfg.m_rx
     if 3 * m * n > waterfill.MAX_DRAWS:
@@ -82,27 +75,20 @@ def build_layout(cfg: OemConfig) -> np.ndarray:
             f"N={n} transmit and M={m} receive UCAs need {3 * m * n} layout values,"
             f" more than the {waterfill.MAX_DRAWS} one array may hold"
         )
-    tx_centers = _ring(np.zeros(3), cfg.r1, n)
-    rx_centers = _ring(np.array([0.0, 0.0, cfg.link_distance]), cfg.r1, m)
-    return np.linalg.norm(rx_centers[:, None, :] - tx_centers[None, :, :], axis=-1)
+    r1, d2 = cfg.r1, cfg.link_distance * cfg.link_distance
+    if not (d2 > 0.0 and math.isfinite(4.0 * r1 * r1 + d2)):
+        raise InvalidConfigError(f"r1={r1:g} and link_distance={cfg.link_distance:g} give"
+                                 " squared UCA center distances outside the float range")
+    tx, rx = (2.0 * np.pi * np.arange(count) / count for count in (n, m))
+    dx = (r1 * np.cos(rx))[:, None] - r1 * np.cos(tx)
+    dy = (r1 * np.sin(rx))[:, None] - r1 * np.sin(tx)
+    return np.sqrt(dx * dx + dy * dy + d2)
 
 
 def chord_length(radius: float, count: int) -> float:
-    """Distance between adjacent points equispaced on a circle.
-
-    Law-of-cosines form sqrt(2 r^2 (1 - cos(2 pi / count))), identical to
-    2 r sin(pi / count).
-    """
+    """Distance between adjacent points equispaced on a circle, in the law-of-cosines
+    form sqrt(2 r^2 (1 - cos(2 pi / count))), identical to 2 r sin(pi / count)."""
     return math.sqrt(2.0 * radius * radius * (1.0 - math.cos(2.0 * math.pi / count)))
-
-
-def adjacent_distances(cfg: OemConfig) -> tuple[float, float]:
-    """Return (d_a, d_e): adjacent UCA-center and element spacings (m)."""
-    if cfg.n_tx < 2 or cfg.u_elems < 2:
-        raise InvalidConfigError(
-            f"adjacent distances need N >= 2 and U >= 2, got N={cfg.n_tx} U={cfg.u_elems}"
-        )
-    return chord_length(cfg.r1, cfg.n_tx), chord_length(cfg.r2, cfg.u_elems)
 
 
 def scenario_check(cfg: OemConfig) -> ScenarioReport:
@@ -111,8 +97,16 @@ def scenario_check(cfg: OemConfig) -> ScenarioReport:
     Scenario I requires d_a > lambda/2 and d_e <= lambda/2 (boundary
     inclusive), i.e. lambda in the admissible interval
     [r2*sqrt(8(1-cos(2 pi/U))), r1*sqrt(8(1-cos(2 pi/N)))) = [2*d_e, 2*d_a),
-    so the regime is read off the interval; the interval can be empty
-    when the two constraints cannot hold together.
+    so the regime is read off the interval, which can be empty.  Raises
+    InvalidConfigError for N < 2 or U < 2 and for a spacing that overflows.
     """
-    d_a, d_e = adjacent_distances(cfg)
+    if cfg.n_tx < 2 or cfg.u_elems < 2:
+        raise InvalidConfigError(
+            f"adjacent distances need N >= 2 and U >= 2, got N={cfg.n_tx} U={cfg.u_elems}"
+        )
+    d_a, d_e = chord_length(cfg.r1, cfg.n_tx), chord_length(cfg.r2, cfg.u_elems)
+    for name, spacing in (("r1", d_a), ("r2", d_e)):
+        if not math.isfinite(spacing):
+            raise InvalidConfigError(f"{name}={getattr(cfg, name):g} gives an adjacent"
+                                     " spacing beyond the float range")
     return ScenarioReport(d_adjacent_uca=d_a, d_adjacent_element=d_e, wavelength=cfg.wavelength)

@@ -88,7 +88,6 @@ def _zf_weights(channels: ModeChannels, v_elems: int, sigma2: float
     mode_gains = v_elems * channels.coefficients
     grid = SnrGrid(np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None]))
     mode_gains.setflags(write=False)
-    grid.values.setflags(write=False)
     return mode_gains, grid
 
 

@@ -59,13 +59,14 @@ class SnrGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2:
             raise InvalidConfigError(f"SNR grid must be a vector or a matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
             raise InvalidConfigError("SNR grid entries must be finite and nonnegative")
+        v.setflags(write=False)  # a read-only copy: no write to the caller's array reaches it
         object.__setattr__(self, "values", v)
 
 
@@ -412,10 +413,10 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     given means.  The sample-average budget over those T draws of K
     channels is instantaneous water filling over the T*K pooled draws
     with budget T*P, so the exact water level w of the pooled draws
-    gives mu* = 1/(w ln 2), and the rule
-    P(gamma) = max(0, 1/(mu* ln 2) - 1/gamma) meets the budget on the
-    sample to rounding.  This is the unit-SNR case of the solver that
-    ``capacity`` runs for every point of a sweep.  Returns (mu_star, rule).
+    gives mu* = 1/(w ln 2), and the rule P(gamma) = max(0, w - 1/gamma)
+    meets the budget on the sample to rounding.  This is the unit-SNR
+    case of the solver that ``capacity`` runs for every point of a
+    sweep.  Returns (mu_star, rule).
     """
     _check_power(total_power)
     _check_samples(samples, "samples")
@@ -425,14 +426,13 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     draws = _fading_draws(means, samples, seed)
     water = _water_levels(draws, [samples * total_power])[0]
     mu_star = 1.0 / (water * LN2) if water > 0.0 else math.inf
-    level = 1.0 / (mu_star * LN2)
 
     def rule(gamma: np.ndarray) -> np.ndarray:
         # 1/gamma where gamma > 0; +inf, which gets no power, for gamma <= 0 and NaN
         gamma = np.asarray(gamma, dtype=float)
         with np.errstate(over="ignore"):
             inv = np.divide(1.0, gamma, out=np.full_like(gamma, np.inf), where=gamma > 0.0)
-        return _fill(inv, level)
+        return _fill(inv, water)
 
     return mu_star, rule
 

@@ -6,6 +6,8 @@ what the package computes in closed or vectorized form.
 * ``brute_force_oracle`` — exhaustive active-set search for water filling.
 * ``uca_placement`` — one UCA's center and array-elements in 3-D, placed
   point by point from the config; the package places only the centers.
+* ``layout_3d`` — the (M, N) center distances as norms of 3-D center
+  differences, where the package squares the in-plane offsets and D.
 * ``element_gain`` — the literal far-field gain of one element pair, on
   the placement of ``uca_placement``.
 * ``mode_gain`` — one entry c_l * B[m, n] of a mode matrix, without V.
@@ -93,6 +95,24 @@ def uca_placement(cfg: OemConfig, receive: bool, k: int) -> tuple[np.ndarray, np
         count, elems, z = cfg.n_tx, cfg.u_elems, 0.0
     center = _circle_point(cfg.r1, count, k) + np.array([0.0, 0.0, z])
     return center, np.array([center + _circle_point(cfg.r2, elems, e) for e in range(elems)])
+
+
+def layout_3d(cfg: OemConfig) -> np.ndarray:
+    """(M, N) distances between receive and transmit UCA centers placed in 3-D.
+
+    Each circle's centers are (r1 cos a, r1 sin a, z) rows at angles
+    a = 2 pi k / count, z = 0 (transmit) or link_distance (receive); the
+    distances are ``np.linalg.norm`` of every (M, N, 3) center difference.
+    """
+    def ring(z: float, count: int) -> np.ndarray:
+        angles = 2.0 * np.pi * np.arange(count) / count
+        points = np.zeros((count, 3))
+        points[:, 0] = cfg.r1 * np.cos(angles)
+        points[:, 1] = cfg.r1 * np.sin(angles)
+        return np.array([0.0, 0.0, z])[None, :] + points
+
+    tx_centers, rx_centers = ring(0.0, cfg.n_tx), ring(cfg.link_distance, cfg.m_rx)
+    return np.linalg.norm(rx_centers[:, None, :] - tx_centers[None, :, :], axis=-1)
 
 
 def element_gain(cfg: OemConfig, m: int, n: int, u: int, v: int) -> complex:

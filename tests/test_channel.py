@@ -304,6 +304,21 @@ class TestConvergenceGains:
         expected = [abs(mode_ratio_oracle(cfg, "convergent", l)) ** 2 for l in range(cfg.u_elems)]
         assert np.allclose(mode_power_profile(cfg, "convergent"), expected, rtol=1e-9, atol=0.0)
 
+    def test_overflowing_power_ratio_rejected_naming_the_gains(self, base_cfg):
+        # |c_1 / c_0| is about 1e302: its square overflowed in the profile
+        cfg = base_cfg.with_(conv_gains=(1e-300, 180.0, 1.0, 1.0))
+        with pytest.raises(InvalidConfigError, match=re.escape("conv_gains give mode power")):
+            mode_power_profile(cfg, "convergent")
+        # the Bessel model ignores the gains
+        assert mode_power_profile(cfg, "bessel")[0] == 1.0
+
+    def test_largest_finite_power_ratio_accepted(self, base_cfg):
+        cfg = base_cfg.with_(conv_gains=(1.0, 1.0, 1.0, 1.0))
+        bessel = mode_power_profile(cfg, "convergent")
+        top = 1e150 / math.sqrt(bessel[1])
+        profile = mode_power_profile(cfg.with_(conv_gains=(1.0, top, 1.0, 1.0)), "convergent")
+        assert math.isfinite(profile[1]) and profile[1] > 1e299
+
     @pytest.mark.parametrize("build", [build_mode_channels, mode_power_profile])
     def test_each_bessel_value_is_computed_once(self, base_cfg, build, monkeypatch):
         # the default gains and the coefficients share the U values J_l
@@ -372,15 +387,17 @@ class TestSizeCap:
     # every array a channel build makes holds at most waterfill.MAX_DRAWS
     # values; the cap is lowered here, the real sizes are never run
     def test_layout_cap_is_inclusive(self, base_cfg, monkeypatch):
-        cfg = base_cfg.with_(n_tx=4, m_rx=5)  # (5, 4, 3) center differences
+        cfg = base_cfg.with_(n_tx=4, m_rx=5)  # three (5, 4) arrays: dx, dy and d
         monkeypatch.setattr(waterfill, "MAX_DRAWS", 60)
         assert build_layout(cfg).shape == (5, 4)
 
-        def unexpected(*args):
-            raise AssertionError("placed the UCAs of an oversized link")
+        class NoArrays:
+            # geometry's numpy: its first array call, or any other, fails
+            def __getattr__(self, name):
+                raise AssertionError("placed the UCAs of an oversized link")
 
         monkeypatch.setattr(waterfill, "MAX_DRAWS", 59)
-        monkeypatch.setattr(geometry, "_ring", unexpected)
+        monkeypatch.setattr(geometry, "np", NoArrays())
         with pytest.raises(InvalidConfigError, match="N=4 transmit and M=5 receive UCAs need 60"):
             build_mode_channels(cfg)
 

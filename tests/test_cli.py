@@ -116,6 +116,25 @@ class TestScenario:
         lo, hi = record["wavelength_interval_mm"]
         assert lo <= record["wavelength_mm"] < hi
 
+    def test_report_bytes_are_strict_json(self, base_cfg, tmp_path, capsys):
+        path = tmp_path / "s1.json"
+        base_cfg.with_(n_tx=8, u_elems=8, v_elems=8).save(path)
+        code, out, err = run(capsys, "scenario", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "scenario": "I",\n  "use_oem": true,\n'
+            '  "d_adjacent_uca_mm": 76.53668647301795,\n'
+            '  "d_adjacent_element_mm": 3.061467458920718,\n'
+            '  "wavelength_mm": 8.5654988,\n'
+            '  "wavelength_interval_mm": [\n    6.122934917841436,\n    153.0733729460359\n  ],\n'
+            '  "no_valid_wavelength": false\n}\n'
+        )
+
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert json.loads(out, parse_constant=not_json)["scenario"] == "I"
+
     def test_missing_config_exits_3(self, tmp_path, capsys):
         code, out, err = run(capsys, "scenario", "--config", str(tmp_path / "missing.json"))
         assert code == 3
@@ -750,6 +769,38 @@ class TestBesselRange:
         assert err.startswith(f"config error: the {model} model needs ")
         assert reason in err
         assert sorted(os.listdir(tmp_path)) == ["wide.json"]
+
+
+class TestFloatRange:
+    """A config whose lengths or mode powers leave the float range exits 3 with
+    one line naming its field, and no output, before numpy could warn (the
+    suite fails on any RuntimeWarning).  ``scenario`` printed Infinity, which
+    is not JSON, and exited 0; the others warned before their exit 3."""
+
+    @pytest.mark.parametrize("command, fields, named", [
+        ("scenario", dict(r1=1e300), "r1=1e+300 gives an adjacent spacing"),
+        ("scenario", dict(wavelength=1.7e308), "wavelength=1.7e+308 m overflows in mm"),
+        ("channel", dict(r1=1e300), "r1=1e+300 and link_distance=100"),
+        ("channel", dict(link_distance=1e-320), "link_distance=9.99989e-321 give squared"),
+        ("simulate", dict(conv_gains=[1e-300, 180.0, 1.0, 1.0]), "conv_gains give mode power"),
+    ])
+    def test_exits_3_naming_the_field(self, command, fields, named, base_cfg, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        link = dict(n_tx=4, m_rx=4, u_elems=4, v_elems=4, link_distance=100.0)
+        base_cfg.with_(**{**link, **fields}).save(path)
+        out = tmp_path / "x.csv"
+        argv = {
+            "scenario": ["scenario"],
+            "channel": ["channel", "--out", str(out)],
+            "simulate": ["simulate", "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
+                         "--out", str(out)],
+        }[command] + ["--config", str(path)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and named in err
+        assert sorted(os.listdir(tmp_path)) == ["far.json"]
 
 
 class TestOutputs:

@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oem_mmwave import OemConfig, adjacent_distances, build_layout, scenario_check
+from oem_mmwave import OemConfig, build_layout, scenario_check
 from oem_mmwave.errors import InvalidConfigError
 from oem_mmwave.geometry import chord_length
 
 from conftest import WAVELENGTH_35GHZ
-from oracles import uca_placement
+from oracles import layout_3d, uca_placement
 
 
 def law_of_cosines(r, k):
@@ -32,6 +33,37 @@ class TestBuildLayout:
         distances = build_layout(cfg)
         assert distances.shape == (m, n)
         assert np.allclose(distances, expected, rtol=1e-12, atol=0.0)
+
+    def test_matches_the_3d_construction_bytewise(self, base_cfg):
+        # in-plane offsets squared with D give the bytes of the norm of
+        # 3-D center differences, for N != M and for D far below and far
+        # above r1
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            n, m = (int(k) for k in rng.integers(1, 97, size=2))
+            r1 = float(10.0 ** rng.uniform(-3.0, 1.0))
+            d = float(10.0 ** rng.uniform(-6.0, 6.0))
+            cfg = base_cfg.with_(n_tx=n, m_rx=m, r1=r1, r2=r1 / 10.0, link_distance=d)
+            distances, want = build_layout(cfg), layout_3d(cfg)
+            assert (distances.dtype, distances.shape) == (want.dtype, want.shape)
+            assert distances.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("changes, message", [
+        # (2 r1)^2 overflowed in the norm, and 1/d of d = inf gave NaN gains
+        ({"r1": 1e300}, "r1=1e+300 and link_distance=50"),
+        ({"r1": 7e153}, "r1=7e+153 and link_distance=50"),
+        ({"link_distance": 1e300}, "r1=0.1 and link_distance=1e+300"),
+        # D^2 underflowed to 0: coincident UCAs 0 m apart, 1/0 in the gains
+        ({"link_distance": 1e-320}, "link_distance=9.99989e-321 give squared"),
+    ])
+    def test_distances_beyond_the_float_range_rejected_naming_the_field(
+            self, base_cfg, changes, message):
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            build_layout(base_cfg.with_(**changes))
+
+    def test_link_distance_with_a_subnormal_square_accepted(self, base_cfg):
+        d = build_layout(base_cfg.with_(n_tx=1, m_rx=1, link_distance=5e-162))
+        assert d.tolist() == [[math.sqrt(5e-162 * 5e-162)]]
 
     def test_single_element_offset_along_reference_azimuth(self, base_cfg):
         cfg = base_cfg.with_(n_tx=1, m_rx=1, u_elems=1, v_elems=1, r2=0.01)
@@ -64,21 +96,34 @@ class TestBuildLayout:
 
 
 class TestAdjacentDistances:
+    # the spacings come through scenario_check, which carries both
     def test_antipodal(self, base_cfg):
-        d_a, _ = adjacent_distances(base_cfg.with_(n_tx=2, r1=1.0))
+        d_a = scenario_check(base_cfg.with_(n_tx=2, r1=1.0)).d_adjacent_uca
         assert d_a == pytest.approx(2.0, rel=1e-12)
 
     def test_hexagon(self, base_cfg):
-        d_a, _ = adjacent_distances(base_cfg.with_(n_tx=6, r1=1.0))
+        d_a = scenario_check(base_cfg.with_(n_tx=6, r1=1.0)).d_adjacent_uca
         assert d_a == pytest.approx(1.0, rel=1e-12)
 
     def test_square_elements(self, base_cfg):
-        _, d_e = adjacent_distances(base_cfg.with_(u_elems=4, v_elems=4, r2=0.005))
+        d_e = scenario_check(base_cfg.with_(u_elems=4, v_elems=4, r2=0.005)).d_adjacent_element
         assert d_e == pytest.approx(0.005 * math.sqrt(2.0), rel=1e-12)
 
     def test_requires_two_points(self, base_cfg):
-        with pytest.raises(InvalidConfigError):
-            adjacent_distances(base_cfg.with_(n_tx=1))
+        with pytest.raises(InvalidConfigError, match="need N >= 2 and U >= 2, got N=1 U=4"):
+            scenario_check(base_cfg.with_(n_tx=1))
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"r1": 1e300}, "r1=1e+300"),
+        ({"r1": 1.5e300, "r2": 1e300}, "r1=1.5e+300"),
+        ({"r1": 8e153, "r2": 7e153, "n_tx": 64, "u_elems": 2}, "r2=7e+153"),
+    ])
+    def test_spacing_beyond_the_float_range_rejected_naming_the_field(
+            self, base_cfg, changes, field):
+        # chord_length squares the radius: 2 r^2 (1 - cos(2 pi / k)) leaves
+        # the float range above r = 1.3e154, and above 6.7e153 for k = 2
+        with pytest.raises(InvalidConfigError, match=re.escape(f"{field} gives an adjacent")):
+            scenario_check(base_cfg.with_(**changes))
 
     @given(st.integers(2, 200), st.floats(1e-6, 1e3))
     def test_closed_form_equivalence(self, k, r):
@@ -97,7 +142,7 @@ class TestScenarioCheck:
 
     def test_boundary_element_spacing_counts_as_scenario_one(self, base_cfg):
         cfg = base_cfg.with_(n_tx=8, u_elems=8, v_elems=8)
-        _, d_e = adjacent_distances(cfg)
+        d_e = scenario_check(cfg).d_adjacent_element
         report = scenario_check(cfg.with_(wavelength=2 * d_e))
         assert report.scenario == "I"
 

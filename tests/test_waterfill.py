@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from oem_mmwave import (
     SnrGrid,
     classify_region,
+    instantaneous_se,
     waterfill,
     waterfill_ergodic,
     waterfill_instantaneous,
@@ -88,6 +89,25 @@ class TestInstantaneous:
         policy = waterfill_instantaneous(np.array([1e-308]), 7e307)
         assert policy.water_level == 7e307 + 1e308
         assert policy.allocations.sum() == pytest.approx(7e307, rel=1e-12)
+
+    @pytest.mark.parametrize("entries", [[4.0, 1.0, 2.0], [[4.0, 1.0], [2.0, 0.5]]])
+    @pytest.mark.parametrize("later", [math.nan, -5.0])
+    def test_grid_owns_its_values(self, entries, later):
+        # the grid kept the caller's array, so a write after the check gave
+        # NaN powers or a log2 of a negative number, and no error
+        source = np.array(entries)
+        grid = SnrGrid(source)
+        policy = waterfill_instantaneous(grid, 1.0)
+        before = grid.values.tobytes()
+        source.flat[1] = later
+        assert grid.values.tobytes() == before
+        assert not grid.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[0, 0] = 0.0
+        again = waterfill_instantaneous(grid, 1.0)
+        assert again.allocations.tobytes() == policy.allocations.tobytes()
+        assert instantaneous_se(grid, again) == instantaneous_se(grid, policy)
+        assert math.isfinite(instantaneous_se(grid, again))
 
     def test_grid_input_keeps_shape(self):
         grid = SnrGrid(values=np.array([[4.0, 1.0], [2.0, 0.1]]))
@@ -344,6 +364,15 @@ class TestErgodic:
         mu, _ = waterfill_ergodic(means, budget, samples=1_000, seed=seed)
         pooled = sample_snr_realizations(means, 1_000, seed=seed)
         assert mu == waterfill_instantaneous(pooled, 1_000 * budget).mu_star
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rule_fills_to_the_solved_level_bitwise(self, seed):
+        # the rule filled to 1/(mu* ln 2), which missed the solved level w
+        # by an ulp at seeds 6 and 8
+        means = np.array([2.0, 0.5, 0.0, 1.0])
+        _, rule = waterfill_ergodic(means, 1.0, samples=1_000, seed=seed)
+        water = _water_levels(waterfill._fading_draws(means, 1_000, seed), [1_000.0])[0]
+        assert rule(np.array([np.inf]))[0].hex() == water.hex()
 
     def test_rule_is_monotone_and_saturates(self):
         mu, rule = waterfill_ergodic(np.array([[10.0]]), 1.0, samples=5_000, seed=0)
