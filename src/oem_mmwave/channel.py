@@ -168,7 +168,8 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
 
     The exact sum builds U x U phase tables; a U whose tables would exceed
     ``waterfill.MAX_DRAWS`` values raises InvalidConfigError before any is built,
-    as does a Bessel order U-1 or argument outside ``bessel_j``'s range.
+    as does a Bessel order U-1 or argument outside ``bessel_j``'s range, or a
+    convergence gain whose product with sqrt(U) overflows.
     """
     u_count = cfg.u_elems
     if kind not in VARIANTS:
@@ -192,13 +193,25 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
         # configured gains, or the default ones of the same J_l values
         bessel = _bessel_factors(cfg, kind)
         amps = cfg.conv_gains if cfg.conv_gains is not None else _equalizing_gains(bessel)
+        # |J_l| <= 1 and the phasor is unit, so c_l is finite when amps[l] * sqrt(U) is
+        top = float(max(amps))
+        if not math.isfinite(top * math.sqrt(u_count)):
+            raise InvalidConfigError(f"conv_gains up to {top:g} give mode coefficients"
+                                     f" beyond the float range at U={u_count}")
     return np.array([float(amps[l]) * math.sqrt(u_count) * (np.exp(1j * cfg.theta * l) * (1j) ** l)
                      * float(bessel[l]) for l in range(u_count)])
 
 
 def _base_gain(cfg: OemConfig, d):
-    """Distance term beta * lambda * exp(-j 2 pi d / lambda) / (4 pi d), elementwise in d."""
+    """Distance term beta * lambda * exp(-j 2 pi d / lambda) / (4 pi d), elementwise in d.
+
+    Raises InvalidConfigError when the phase 2 pi d / lambda of the largest
+    center distance sqrt((2 r1)^2 + D^2) overflows.
+    """
     lam = cfg.wavelength
+    if not math.isfinite(2.0 * math.pi * math.hypot(2.0 * cfg.r1, cfg.link_distance) / lam):
+        raise InvalidConfigError(f"wavelength={lam:g} m gives a center-distance phase"
+                                 " 2 pi d / wavelength beyond the float range")
     return cfg.beta * lam * np.exp(1j * (-2.0 * math.pi * d / lam)) / (4.0 * math.pi * d)
 
 

@@ -117,22 +117,35 @@ def _cmd_channel(args) -> None:
     channels = build_mode_channels(cfg, kind=args.model)
     modes = range(len(channels)) if args.mode is None else [args.mode]
     m_rx, n_tx = channels.base.shape
-    # One %-template over the (m, n) grid per dump, filled with (l, re, im)
-    # per entry: one write per mode, as one string for the whole dump would
-    # hold all M*N*U rows.  %.12g formats a float as format(x, ".12g") does.
-    template = "".join(
-        f"%d,{m},{n},%.12g,%.12g\n" for m in range(1, m_rx + 1) for n in range(1, n_tx + 1)
-    )
-    values = [0] * (3 * m_rx * n_tx)
+    # Row pieces "l,", "m,n,", re text and im text, one row of this array per
+    # entry; the (m, n) column is filled once per dump.  Each mode is one
+    # join and one write, as one string for the whole dump would hold all
+    # M*N*U rows.
+    pieces = np.empty((m_rx * n_tx, 4), dtype=object)
+    pieces[:, 1] = [f"{m},{n}," for m in range(1, m_rx + 1) for n in range(1, n_tx + 1)]
     with _replace_on_success(args.out) as fh:
         fh.write("mode,m,n,re,im\n")
         for l in modes:
             matrix = cfg.v_elems * channels[l].matrix  # V * (c_l * B)
-            values[0::3] = [l] * (m_rx * n_tx)
-            values[1::3] = matrix.real.ravel().tolist()
-            values[2::3] = matrix.imag.ravel().tolist()
-            fh.write(template % tuple(values))
+            pieces[:, 0] = f"{l},"
+            pieces[:, 2] = _field_texts(matrix.real, ",")
+            pieces[:, 3] = _field_texts(matrix.imag, "\n")
+            fh.write("".join(pieces.ravel().tolist()))
     _write_manifest("channel", cfg.to_json_dict(), None, [args.out])
+
+
+def _field_texts(part: np.ndarray, end: str) -> np.ndarray:
+    """The entries of ``part`` in row-major order as ``format(x, ".12g") + end``, an object array.
+
+    Identical bits give identical text, so each distinct bit pattern is
+    formatted once, all of them in one %-template pass.  Keying on bits,
+    not values, keeps 0.0 and -0.0 apart.  A mode matrix c_l * B of a
+    square link is circulant, so it holds about M/2 distinct values per part.
+    """
+    bits, inverse = np.unique(part.ravel().view(np.uint64), return_inverse=True)
+    # a NUL, which no %.12g text holds, closes each field
+    texts = (f"%.12g{end}\0" * bits.size % tuple(bits.view(np.float64).tolist())).split("\0")
+    return np.array(texts[:-1], dtype=object)[inverse]
 
 
 # -- waterfill -----------------------------------------------------------

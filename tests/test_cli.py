@@ -240,10 +240,16 @@ class TestChannel:
         # theta = 135 degrees gives entries of both signs in both parts.  At
         # U = V = 16 the full convergent dump also holds dead modes (0 and -0
         # entries), and exact-sum and bessel write exponent forms (1.2e-05).
+        # The writer formats each distinct bit pattern once: the 4 x 5 link
+        # has few repeats, while each mode of the square 8 x 8 link is
+        # circulant (5 distinct values per part), and at 1 m its dead
+        # convergent modes hold 0 and -0 in one part.
         link = base_cfg.with_(n_tx=4, m_rx=5, theta=math.radians(135.0))
+        square = link.with_(n_tx=8, m_rx=8, link_distance=1.0)
         path, out_csv = tmp_path / "link.json", tmp_path / "h.csv"
         argv = ["channel", "--config", str(path), "--model", model, "--out", str(out_csv)]
-        for cfg in (link, link.with_(u_elems=16, v_elems=16)):
+        for cfg in (link, link.with_(u_elems=16, v_elems=16),
+                    square.with_(v_elems=4), square.with_(u_elems=16, v_elems=16)):
             cfg.save(path)
             assert run(capsys, *argv, *([] if mode is None else ["--mode", str(mode)]))[0] == 0
             channels = build_mode_channels(OemConfig.load(path), model)
@@ -783,6 +789,9 @@ class TestFloatRange:
         ("channel", dict(r1=1e300), "r1=1e+300 and link_distance=100"),
         ("channel", dict(link_distance=1e-320), "link_distance=9.99989e-321 give squared"),
         ("simulate", dict(conv_gains=[1e-300, 180.0, 1.0, 1.0]), "conv_gains give mode power"),
+        ("channel", dict(conv_gains=[1.7e308, 1.0, 1.0, 1.0]), "conv_gains up to 1.7e+308"),
+        ("simulate", dict(conv_gains=[1.7e308, 1.0, 1.0, 1.0]), "conv_gains up to 1.7e+308"),
+        ("exact-sum channel", dict(wavelength=5e-324), "wavelength=4.94066e-324 m gives"),
     ])
     def test_exits_3_naming_the_field(self, command, fields, named, base_cfg, tmp_path, capsys):
         path = tmp_path / "far.json"
@@ -792,6 +801,7 @@ class TestFloatRange:
         argv = {
             "scenario": ["scenario"],
             "channel": ["channel", "--out", str(out)],
+            "exact-sum channel": ["channel", "--model", "exact-sum", "--out", str(out)],
             "simulate": ["simulate", "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
                          "--out", str(out)],
         }[command] + ["--config", str(path)]
