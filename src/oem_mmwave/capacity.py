@@ -35,14 +35,15 @@ one pass over the rates:
   holds up to k and fails beyond, so a bisection over the block edges,
   then over the cumulative sum of one block, finds k; the prefix is then
   re-summed pairwise.
-* every stage runs on two threads, the caller and one worker: the
-  caller draws the first half of the stage-0 rows and the worker the
-  rest; while the caller sorts and solves stage 0, the worker solves
-  the MIMO baseline's levels, if any, then draws stage 1 into an array
-  the caller has allocated; and each thread sums the rates of one half
-  of the trials.  Every row comes from its own keyed generator and
-  every trial's rate sum from its own column, so the bytes do not
-  depend on how the two threads are scheduled.
+* every stage runs on the caller and one worker thread, which the
+  curve starts once and joins when it returns: the caller draws the
+  first half of the stage-0 rows and the worker the rest; while the
+  caller sorts and solves stage 0, the worker solves the MIMO
+  baseline's levels, if any, then draws stage 1 into an array the
+  caller has allocated; and each thread sums the rates of one half of
+  the trials.  Every row comes from its own keyed generator and every
+  trial's rate sum from its own column, so the bytes do not depend on
+  how the two threads are scheduled.
 * stage 1 uses L = log2(u*g).  With w = w~/s the rate
   log2(1 + max(0, w - 1/gamma)*gamma) of a draw gamma = s*u*g is
   max(0, L + log2 w~), so a point needs no divide and no log per draw.
@@ -64,9 +65,8 @@ checked once, before anything is drawn.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -86,8 +86,6 @@ from .waterfill import (
 )
 
 NORMALIZATIONS = ("per-channel", "total")
-
-_R = TypeVar("_R")
 
 # Largest |mean SNR| in dB that the estimators accept.  Far beyond any
 # physical link, and well inside the float range of 10**(dB/10).
@@ -159,32 +157,6 @@ def _rate_sums(draws: np.ndarray, waters: Sequence[float], rates: np.ndarray,
             work.sum(axis=0, out=row[lo:hi])
 
 
-def _both(first: Callable[[], _R], second: Callable[[], object]) -> _R:
-    """Run ``second`` on a worker thread while ``first`` runs here; return first's result.
-
-    The worker is joined before anything leaves, so no thread outlives
-    the call.  An error of ``first`` wins; the worker's is stored and
-    raised here only when ``first`` returned.
-    """
-    failed = []
-
-    def run() -> None:
-        try:
-            second()
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=run, name="oem-curve-worker")
-    worker.start()
-    try:
-        result = first()
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return result
-
-
 def _ergodic_curves(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequence[float],
                     trials: int, seed: int, base_rows: int = 0,
                     base_budgets: Sequence[float] = ()) -> tuple[tuple[SePoint, ...], ...]:
@@ -194,52 +166,63 @@ def _ergodic_curves(gains: np.ndarray, budgets: Sequence[float], snr_db: Sequenc
     on rows [0, ``base_rows``) at ``base_budgets`` (empty when there are
     none); those rows must have the baseline's gain, exactly 1.
 
-    Each step runs here and on one worker (``_both``), in that order: the
-    stage-0 rows [0, K//2) and [K//2, K); the stage-0 levels w~ and the
-    baseline's levels, solved on a copy of its rows in the stage-1 array
-    (so stage 0 holds two draw arrays), then the stage-1 draws; the rate
-    sums of trials [0, T//2) and [T//2, T), each at least MIN_SAMPLES // 2
-    wide, so no block is one trial.  Both rate halves' block buffers are
-    allocated here: a thread's own allocations come from a malloc arena
-    of its own, which stays resident after the curve.  The baseline's
-    sums take them too, as a per-trial sum does not depend on the block
-    width.  An error here wins, so a stage-0 level overflow is raised
-    before a stage-1 draw overflow.  Stage 0 is freed before the rate
-    sums take its place, and stage 1 takes the points in groups of at
-    most as many as there are channels, so their rate sums never outgrow
-    the draws, whatever the point count.
+    The curve runs here and on one worker thread, started once and
+    joined before the curve returns.  Each step submits the worker's
+    share, runs the caller's here, then waits for the worker's.  The
+    shares, here then on the worker: the stage-0 rows [0, K//2) and
+    [K//2, K); the stage-0 levels w~ and the baseline's levels, solved
+    on a copy of its rows in the stage-1 array (so stage 0 holds two
+    draw arrays), then the stage-1 draws; the rate sums of trials
+    [0, T//2) and [T//2, T), each at least MIN_SAMPLES // 2 wide, so no
+    block is one trial.  Both rate halves' block buffers are allocated
+    here: a thread's own allocations come from a malloc arena of its
+    own, which stays resident after the curve.  The baseline's sums take
+    them too, as a per-trial sum does not depend on the block width.  An
+    error here wins, so a stage-0 level overflow is raised before a
+    stage-1 draw overflow; the worker's error is raised here otherwise.
+    Stage 0 is freed before the rate sums take its place, and stage 1
+    takes the points in groups of at most as many as there are channels,
+    so their rate sums never outgrow the draws, whatever the point count.
     """
+    # imported here, as only a curve starts a thread: about 6 ms at import
+    from concurrent.futures import ThreadPoolExecutor
+
     half = gains.size // 2
-    draws = np.empty((gains.size, trials))
-    _both(lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half)),
-          lambda: _fading_draws(gains, trials, seed, out=draws, rows=slice(half, None)))
-    later = np.empty_like(draws)
-    later[:base_rows] = draws[:base_rows]
-    base_waters = []
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="oem-curve-worker") as worker:
+        draws = np.empty((gains.size, trials))
+        job = worker.submit(_fading_draws, gains, trials, seed, out=draws, rows=slice(half, None))
+        _fading_draws(gains, trials, seed, out=draws, rows=slice(half))
+        job.result()
+        later = np.empty_like(draws)
+        later[:base_rows] = draws[:base_rows]
 
-    def base_levels_then_stage_one() -> None:
-        base_waters.extend(_water_levels(later[:base_rows], base_budgets))
-        _fading_draws(gains, trials, seed, _SE_STAGE, out=later)
+        def base_levels_then_stage_one() -> list[float]:
+            base_waters = _water_levels(later[:base_rows], base_budgets)
+            _fading_draws(gains, trials, seed, _SE_STAGE, out=later)
+            return base_waters
 
-    waters = _both(lambda: _water_levels(draws, budgets), base_levels_then_stage_one)
-    del draws
+        job = worker.submit(base_levels_then_stage_one)
+        waters = _water_levels(draws, budgets)
+        base_waters = job.result()
+        del draws
 
-    rates = np.empty((min(len(waters), gains.size), trials))
-    mid = trials // 2
-    here, there = _block_buffers(gains.size), _block_buffers(gains.size)
+        rates = np.empty((min(len(waters), gains.size), trials))
+        mid = trials // 2
+        here, there = _block_buffers(gains.size), _block_buffers(gains.size)
 
-    def curve(rows: np.ndarray, curve_waters: Sequence[float]) -> tuple[SePoint, ...]:
-        points = []
-        for first in range(0, len(curve_waters), len(rates)):
-            group = curve_waters[first:first + len(rates)]
-            _both(lambda: _rate_sums(rows[:, :mid], group, rates[:, :mid], here),
-                  lambda: _rate_sums(rows[:, mid:], group, rates[:, mid:], there))
-            for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
-                stderr = per_trial.std(ddof=1) / math.sqrt(trials)
-                points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))
-        return tuple(points)
+        def curve(rows: np.ndarray, curve_waters: Sequence[float]) -> tuple[SePoint, ...]:
+            points = []
+            for first in range(0, len(curve_waters), len(rates)):
+                group = curve_waters[first:first + len(rates)]
+                job = worker.submit(_rate_sums, rows[:, mid:], group, rates[:, mid:], there)
+                _rate_sums(rows[:, :mid], group, rates[:, :mid], here)
+                job.result()
+                for point_db, per_trial in zip(snr_db[first:first + len(group)], rates):
+                    stderr = per_trial.std(ddof=1) / math.sqrt(trials)
+                    points.append(SePoint(point_db, float(per_trial.mean()), float(stderr)))
+            return tuple(points)
 
-    return curve(later, waters), curve(later[:base_rows], base_waters)
+        return curve(later, waters), curve(later[:base_rows], base_waters)
 
 
 def _checked_profile(cfg: OemConfig, mode_profile: np.ndarray) -> np.ndarray:

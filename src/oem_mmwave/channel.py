@@ -168,7 +168,8 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
 
     The exact sum builds U x U phase tables; a U whose tables would exceed
     ``waterfill.MAX_DRAWS`` values raises InvalidConfigError before any is built,
-    as does a Bessel order U-1 or argument outside ``bessel_j``'s range, or a
+    as does an element phase 2 pi r2 sin(phi) / lambda that overflows, a
+    Bessel order U-1 or argument outside ``bessel_j``'s range, or a
     convergence gain whose product with sqrt(U) overflows.
     """
     u_count = cfg.u_elems
@@ -180,6 +181,9 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
                 f"the exact sum over U={u_count} elements needs {u_count * u_count} phase"
                 f" values, more than the {waterfill.MAX_DRAWS} one array may hold"
             )
+        if not math.isfinite(2.0 * math.pi / cfg.wavelength * cfg.r2 * math.sin(cfg.phi)):
+            raise InvalidConfigError(f"wavelength={cfg.wavelength:g} m gives an element phase"
+                                     " 2 pi r2 sin(phi) / wavelength beyond the float range")
         psi_u = 2.0 * math.pi * np.arange(u_count) / u_count
         ramp = np.exp(1j * np.outer(np.arange(u_count), psi_u))
         wavefront = np.exp(

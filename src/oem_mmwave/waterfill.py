@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .config import _field_number
 from .errors import DomainError, InvalidConfigError
 
 LN2 = math.log(2.0)
@@ -30,9 +30,10 @@ MIN_SAMPLES = 1_000
 # Most draws (channels x trials) one stage may hold: 2**27 float64 values
 # are 1 GiB.  A sweep keeps at most two buffers of this size alive (the
 # stage-0 draws and the stage-1 draws filled alongside them, or the
-# stage-1 draws and the rate sums).  The two threads of a curve share
-# them, drawing row halves of one array or summing trial halves into one,
-# so the second thread adds no buffer of this size.  A run stays within a
+# stage-1 draws and the rate sums).  A curve's caller and its one worker
+# thread, started once and joined when the curve returns, share them,
+# drawing row halves of one array or summing trial halves into one, so
+# the worker adds no buffer of this size.  A run stays within a
 # few GiB and fails with a message, not a MemoryError, beyond that.  The
 # 64x64 U=16 link at 10k trials uses 1e7 draws, 1/13 of the cap.  The
 # channel build caps its layout and exact-sum tables at the same count.
@@ -113,21 +114,15 @@ def _check_power(total_power: float) -> None:
         raise InvalidConfigError(f"total power must be positive and finite, got {total_power}")
 
 
-def _check_integer(value: int, noun: str) -> None:
-    """InvalidConfigError unless ``value`` is an integer (a numpy one too), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidConfigError(f"{noun} must be an integer, got {value!r}")
-
-
 def _check_nonnegative(value: int, noun: str) -> None:
-    """InvalidConfigError unless ``value`` is an integer >= 0; see ``_check_integer``."""
-    _check_integer(value, noun)
+    """InvalidConfigError unless ``value`` is an integer >= 0 (a numpy one too), not a bool."""
+    _field_number(noun, value, integer=True)
     if value < 0:
         raise InvalidConfigError(f"{noun} must be nonnegative, got {value}")
 
 
 def _check_samples(count: int, noun: str) -> None:
-    _check_integer(count, noun)
+    _field_number(noun, count, integer=True)
     if count < MIN_SAMPLES:
         raise InvalidConfigError(f"need at least {MIN_SAMPLES} {noun}, got {count}")
 

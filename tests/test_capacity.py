@@ -585,21 +585,53 @@ class TestStageOneWorker:
                            1_000, 1)
         assert threading.enumerate() == before
 
-    def test_a_caller_error_wins_over_the_workers(self):
-        def fail(where):
-            def run():
-                raise RuntimeError(where)
-            return run
+    @staticmethod
+    def failing_draws(monkeypatch, *where):
+        """Patch the stage-0 draws of the named shares to raise their name.
 
+        The caller draws rows [0, K//2), the worker [K//2, K); a failing
+        caller waits until the worker has run, so both errors exist.
+        """
+        fading_draws, worker_ran = waterfill._fading_draws, threading.Event()
+
+        def draw(means, count, seed, stage=0, out=None, rows=slice(None)):
+            if stage == 0:
+                share = "worker" if rows.start else "caller"
+                if share == "worker":
+                    worker_ran.set()
+                else:
+                    assert worker_ran.wait(timeout=30)
+                if share in where:
+                    raise RuntimeError(share)
+            return fading_draws(means, count, seed, stage, out=out, rows=rows)
+
+        monkeypatch.setattr(capacity, "_fading_draws", draw)
+
+    def test_a_caller_error_wins_over_the_workers(self, monkeypatch):
+        inputs = capacity._curve_inputs([1.0, 0.5], 2, 2, 1.0, "per-channel", [0.0], 1_000, 3)
+        expected = capacity._ergodic_curves(*inputs, [0.0], 1_000, 3)
         before = threading.enumerate()
+        self.failing_draws(monkeypatch, "caller", "worker")
         with pytest.raises(RuntimeError, match="caller"):
-            capacity._both(fail("caller"), fail("worker"))
+            capacity._ergodic_curves(*inputs, [0.0], 1_000, 3)
         assert threading.enumerate() == before
+        self.failing_draws(monkeypatch, "worker")
         with pytest.raises(RuntimeError, match="worker"):
-            capacity._both(lambda: None, fail("worker"))
+            capacity._ergodic_curves(*inputs, [0.0], 1_000, 3)
         assert threading.enumerate() == before
-        assert capacity._both(lambda: 3, lambda: None) == 3
+        self.failing_draws(monkeypatch)
+        assert capacity._ergodic_curves(*inputs, [0.0], 1_000, 3) == expected
         assert threading.enumerate() == before
+
+    def test_one_worker_thread_per_curve(self, base_cfg, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name) or start(thread))
+        profile = np.ones(base_cfg.u_elems)
+        sweep(base_cfg, profile, [0.0, 10.0, 20.0], 1.0, 1_000, seed=2)
+        assert len(started) == 1
+        ergodic_se_oem(base_cfg, profile, 10.0, 1.0, 1_000, seed=2)
+        assert len(started) == 2
 
 
 class TestIntegerArguments:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,16 @@ class TestBuildModeChannels:
     def test_unknown_variant_rejected(self, base_cfg):
         with pytest.raises(InvalidConfigError, match="unknown channel variant"):
             build_mode_channels(base_cfg, "bad")
+
+    def test_overflowing_element_phase_rejected_naming_the_wavelength(self, base_cfg):
+        # 2 pi / 5e-324 overflows: the exact sum's wavefront phases were
+        # NaN, and so were its coefficients, with no warning
+        cfg = base_cfg.with_(wavelength=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match=re.escape(
+                    "wavelength=4.94066e-324 m gives an element phase")):
+                _mode_coefficients(cfg, "exact-sum")
 
 
 class TestModeChannelImmutable:

@@ -792,6 +792,7 @@ class TestFloatRange:
         ("channel", dict(conv_gains=[1.7e308, 1.0, 1.0, 1.0]), "conv_gains up to 1.7e+308"),
         ("simulate", dict(conv_gains=[1.7e308, 1.0, 1.0, 1.0]), "conv_gains up to 1.7e+308"),
         ("exact-sum channel", dict(wavelength=5e-324), "wavelength=4.94066e-324 m gives"),
+        ("exact-sum simulate", dict(wavelength=5e-324), "wavelength=4.94066e-324 m gives"),
     ])
     def test_exits_3_naming_the_field(self, command, fields, named, base_cfg, tmp_path, capsys):
         path = tmp_path / "far.json"
@@ -804,6 +805,8 @@ class TestFloatRange:
             "exact-sum channel": ["channel", "--model", "exact-sum", "--out", str(out)],
             "simulate": ["simulate", "--snr-db", "0:10:5", "--trials", "1000", "--seed", "7",
                          "--out", str(out)],
+            "exact-sum simulate": ["simulate", "--model", "exact-sum", "--snr-db", "0:10:5",
+                                   "--trials", "1000", "--seed", "7", "--out", str(out)],
         }[command] + ["--config", str(path)]
         code, stdout, err = run(capsys, *argv)
         assert code == 3
