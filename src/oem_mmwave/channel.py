@@ -168,8 +168,7 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
 
     The exact sum builds U x U phase tables; a U whose tables would exceed
     ``waterfill.MAX_DRAWS`` values raises InvalidConfigError before any is built,
-    as does an element phase 2 pi r2 sin(phi) / lambda that overflows, a
-    Bessel order U-1 or argument outside ``bessel_j``'s range, or a
+    as does a Bessel order U-1 or argument outside ``bessel_j``'s range, or a
     convergence gain whose product with sqrt(U) overflows.
     """
     u_count = cfg.u_elems
@@ -181,9 +180,6 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
                 f"the exact sum over U={u_count} elements needs {u_count * u_count} phase"
                 f" values, more than the {waterfill.MAX_DRAWS} one array may hold"
             )
-        if not math.isfinite(2.0 * math.pi / cfg.wavelength * cfg.r2 * math.sin(cfg.phi)):
-            raise InvalidConfigError(f"wavelength={cfg.wavelength:g} m gives an element phase"
-                                     " 2 pi r2 sin(phi) / wavelength beyond the float range")
         psi_u = 2.0 * math.pi * np.arange(u_count) / u_count
         ramp = np.exp(1j * np.outer(np.arange(u_count), psi_u))
         wavefront = np.exp(
@@ -207,15 +203,8 @@ def _mode_coefficients(cfg: OemConfig, kind: str) -> np.ndarray:
 
 
 def _base_gain(cfg: OemConfig, d):
-    """Distance term beta * lambda * exp(-j 2 pi d / lambda) / (4 pi d), elementwise in d.
-
-    Raises InvalidConfigError when the phase 2 pi d / lambda of the largest
-    center distance sqrt((2 r1)^2 + D^2) overflows.
-    """
+    """Distance term beta * lambda * exp(-j 2 pi d / lambda) / (4 pi d), elementwise in d."""
     lam = cfg.wavelength
-    if not math.isfinite(2.0 * math.pi * math.hypot(2.0 * cfg.r1, cfg.link_distance) / lam):
-        raise InvalidConfigError(f"wavelength={lam:g} m gives a center-distance phase"
-                                 " 2 pi d / wavelength beyond the float range")
     return cfg.beta * lam * np.exp(1j * (-2.0 * math.pi * d / lam)) / (4.0 * math.pi * d)
 
 

@@ -115,6 +115,11 @@ def _cmd_channel(args) -> None:
     if args.mode is not None and not (0 <= args.mode < cfg.u_elems):
         args.usage_error(f"argument --mode: must lie in 0..{cfg.u_elems - 1}, got {args.mode}")
     channels = build_mode_channels(cfg, kind=args.model)
+    # c and B are finite, but the dumped entries V * c_l * B[m, n] may not be
+    c_top, b_top = (float(np.abs(part).max()) for part in (channels.coefficients, channels.base))
+    if not math.isfinite(cfg.v_elems * c_top * b_top):
+        raise InvalidConfigError(f"beta={cfg.beta} and {args.model} mode coefficients up to"
+                                 f" {c_top:g} give entries V * c_l * B beyond the float range")
     modes = range(len(channels)) if args.mode is None else [args.mode]
     m_rx, n_tx = channels.base.shape
     # Row pieces "l,", "m,n,", re text and im text, one row of this array per
@@ -264,9 +269,6 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_scenario(args) -> None:
     report = scenario_check(OemConfig.load(args.config))
-    # the spacings are finite, so below 1.4e154 m: only the wavelength can overflow in mm
-    if not math.isfinite(report.wavelength * 1e3):
-        raise InvalidConfigError(f"wavelength={report.wavelength:g} m overflows in mm")
     record = {
         "scenario": report.scenario,
         "use_oem": report.use_oem,

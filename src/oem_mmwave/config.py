@@ -5,6 +5,10 @@ The JSON schema mirrors the dataclass field names one-to-one.  Angles
 converted to radians on load; ``beta`` is stored as a two-element
 ``[re, im]`` list.  Everything else is SI units (meters, watts).
 Counts must be JSON integers, every other value a finite JSON number.
+The four lengths (``r1``, ``r2``, ``wavelength``, ``link_distance``) lie
+in [1e-150, 1e150] m, so every product or ratio of two of them is a
+normal float; |beta| * wavelength / (4 pi link_distance), the largest
+distance gain of the link, must be finite as well.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import Optional, Sequence
 from .errors import InvalidConfigError
 
 _ANGLES = ("phi", "phi_c", "theta")
+_LENGTHS = ("r1", "r2", "wavelength", "link_distance")
+_LENGTH_MIN, _LENGTH_MAX = 1e-150, 1e150
 
 
 @contextlib.contextmanager
@@ -120,10 +126,12 @@ class OemConfig:
             problems.append(
                 f"alias-free decomposition needs V >= U, got V={self.v_elems} U={self.u_elems}"
             )
-        if not (math.inf > self.r1 > self.r2 > 0.0):
-            problems.append(f"need finite r1 > r2 > 0, got r1={self.r1} r2={self.r2}")
-        if not (0.0 < self.wavelength < math.inf):
-            problems.append(f"wavelength must be positive and finite, got {self.wavelength}")
+        lengths = [name for name in _LENGTHS
+                   if not _LENGTH_MIN <= getattr(self, name) <= _LENGTH_MAX]
+        problems += [f"{name} must lie in [{_LENGTH_MIN:g}, {_LENGTH_MAX:g}] m,"
+                     f" got {getattr(self, name)}" for name in lengths]
+        if not (lengths or self.r1 > self.r2):
+            problems.append(f"need r1 > r2, got r1={self.r1} r2={self.r2}")
         if not (0.0 < self.phi < math.pi / 2):
             problems.append(f"divergence angle phi must lie in (0, pi/2), got {self.phi}")
         if not (0.0 <= self.phi_c <= self.phi):
@@ -132,6 +140,12 @@ class OemConfig:
             problems.append(f"theta must be finite, got {self.theta}")
         if not cmath.isfinite(self.beta):
             problems.append(f"beta must be finite, got {self.beta}")
+        elif not lengths:
+            # the largest |B[m, n]|, at d = D, in _base_gain's order: |beta| * lambda first
+            gain = math.hypot(self.beta.real, self.beta.imag) * self.wavelength
+            if not math.isfinite(gain / (4.0 * math.pi * self.link_distance)):
+                problems.append(f"beta={self.beta} gives a distance gain |beta| * wavelength"
+                                " / (4 pi link_distance) beyond the float range")
         if self.conv_gains is not None:
             if len(self.conv_gains) != self.u_elems:
                 problems.append(
@@ -139,8 +153,6 @@ class OemConfig:
                 )
             elif not all(0.0 <= g < math.inf for g in self.conv_gains):
                 problems.append("conv_gains entries must be finite and nonnegative")
-        if not (0.0 < self.link_distance < math.inf):
-            problems.append(f"link_distance must be positive and finite, got {self.link_distance}")
         if not (0.0 <= self.noise_var < math.inf):
             problems.append(f"noise_var must be nonnegative and finite, got {self.noise_var}")
         if problems:

@@ -66,8 +66,7 @@ def build_layout(cfg: OemConfig) -> np.ndarray:
     UCA centers sit at angles 2*pi*k/N (transmit) and 2*pi*k/M (receive)
     on radius-r1 circles, measured from the x-axis.  Raises
     InvalidConfigError, before any array is built, when the three (M, N)
-    arrays dx, dy and d would exceed ``waterfill.MAX_DRAWS`` values, or
-    when (2 r1)^2 + D^2 overflows or D^2 underflows to 0.
+    arrays dx, dy and d would exceed ``waterfill.MAX_DRAWS`` values.
     """
     n, m = cfg.n_tx, cfg.m_rx
     if 3 * m * n > waterfill.MAX_DRAWS:
@@ -76,9 +75,6 @@ def build_layout(cfg: OemConfig) -> np.ndarray:
             f" more than the {waterfill.MAX_DRAWS} one array may hold"
         )
     r1, d2 = cfg.r1, cfg.link_distance * cfg.link_distance
-    if not (d2 > 0.0 and math.isfinite(4.0 * r1 * r1 + d2)):
-        raise InvalidConfigError(f"r1={r1:g} and link_distance={cfg.link_distance:g} give"
-                                 " squared UCA center distances outside the float range")
     tx, rx = (2.0 * np.pi * np.arange(count) / count for count in (n, m))
     dx = (r1 * np.cos(rx))[:, None] - r1 * np.cos(tx)
     dy = (r1 * np.sin(rx))[:, None] - r1 * np.sin(tx)
@@ -98,15 +94,12 @@ def scenario_check(cfg: OemConfig) -> ScenarioReport:
     inclusive), i.e. lambda in the admissible interval
     [r2*sqrt(8(1-cos(2 pi/U))), r1*sqrt(8(1-cos(2 pi/N)))) = [2*d_e, 2*d_a),
     so the regime is read off the interval, which can be empty.  Raises
-    InvalidConfigError for N < 2 or U < 2 and for a spacing that overflows.
+    InvalidConfigError for N < 2 or U < 2.
     """
     if cfg.n_tx < 2 or cfg.u_elems < 2:
         raise InvalidConfigError(
             f"adjacent distances need N >= 2 and U >= 2, got N={cfg.n_tx} U={cfg.u_elems}"
         )
-    d_a, d_e = chord_length(cfg.r1, cfg.n_tx), chord_length(cfg.r2, cfg.u_elems)
-    for name, spacing in (("r1", d_a), ("r2", d_e)):
-        if not math.isfinite(spacing):
-            raise InvalidConfigError(f"{name}={getattr(cfg, name):g} gives an adjacent"
-                                     " spacing beyond the float range")
-    return ScenarioReport(d_adjacent_uca=d_a, d_adjacent_element=d_e, wavelength=cfg.wavelength)
+    return ScenarioReport(d_adjacent_uca=chord_length(cfg.r1, cfg.n_tx),
+                          d_adjacent_element=chord_length(cfg.r2, cfg.u_elems),
+                          wavelength=cfg.wavelength)

@@ -170,13 +170,38 @@ class TestBuildModeChannels:
 
     def test_overflowing_element_phase_rejected_naming_the_wavelength(self, base_cfg):
         # 2 pi / 5e-324 overflows: the exact sum's wavefront phases were
-        # NaN, and so were its coefficients, with no warning
-        cfg = base_cfg.with_(wavelength=5e-324)
+        # NaN, and so were its coefficients, with no warning.  The config's
+        # length rule rejects that wavelength; at the corner of the length box
+        # the phase 2 pi r2 sin(phi) / wavelength is below 6.3e300
+        with pytest.raises(InvalidConfigError, match=re.escape(
+                "wavelength must lie in [1e-150, 1e+150] m, got 5e-324")):
+            base_cfg.with_(wavelength=5e-324)
+        corner = base_cfg.with_(r1=1e150, r2=math.nextafter(1e150, 0.0), wavelength=1e-150)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidConfigError, match=re.escape(
-                    "wavelength=4.94066e-324 m gives an element phase")):
-                _mode_coefficients(cfg, "exact-sum")
+            assert np.all(np.isfinite(_mode_coefficients(corner, "exact-sum")))
+
+    def test_overflowing_distance_gain_rejected_naming_beta(self, base_cfg):
+        # |beta| * wavelength overflowed in _base_gain, numpy warned "invalid
+        # value encountered in divide", and the exit 3 named no field
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError,
+                               match=re.escape("beta=(1e+300+0j) gives a distance gain")):
+                base_cfg.with_(beta=1e300 + 0j, wavelength=1e10)
+
+    @pytest.mark.parametrize("beta, wavelength, d", [
+        (1e300, 1.0, 1.0),              # largest gain 8e298
+        (1e150, 1e150, 1e150),          # |beta| lambda = 1e300
+        (1.0, 1e150, 1e-150),           # the widest ratio of two lengths
+    ])
+    def test_finite_distance_gain_builds_without_warning(self, base_cfg, beta, wavelength, d):
+        cfg = base_cfg.with_(beta=beta, wavelength=wavelength, link_distance=d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = build_mode_channels(cfg, "bessel").base
+        assert np.all(np.isfinite(base))
+        assert np.abs(base).max() <= beta * wavelength / (4.0 * math.pi * d) * (1.0 + 1e-12)
 
 
 class TestModeChannelImmutable:

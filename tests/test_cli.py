@@ -6,6 +6,7 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from oem_mmwave import ModeChannels, OemConfig, build_mode_channels, cli, waterfill
 from oem_mmwave.channel import VARIANTS
@@ -778,26 +779,42 @@ class TestBesselRange:
 
 
 class TestFloatRange:
-    """A config whose lengths or mode powers leave the float range exits 3 with
-    one line naming its field, and no output, before numpy could warn (the
-    suite fails on any RuntimeWarning).  ``scenario`` printed Infinity, which
-    is not JSON, and exited 0; the others warned before their exit 3."""
+    """A config whose lengths, distance gain or mode powers leave the float
+    range exits 3 with one line naming its field, and no output, before numpy
+    could warn (the suite fails on any RuntimeWarning).  A length outside
+    [1e-150, 1e150] m or an overflowing |beta| * wavelength / (4 pi D) fails
+    at load, from every subcommand; ``scenario`` once printed Infinity, which
+    is not JSON, and the others warned before their exit 3.  The JSON is
+    written directly, as ``OemConfig`` rejects most of these values."""
 
     @pytest.mark.parametrize("command, fields, named", [
-        ("scenario", dict(r1=1e300), "r1=1e+300 gives an adjacent spacing"),
-        ("scenario", dict(wavelength=1.7e308), "wavelength=1.7e+308 m overflows in mm"),
-        ("channel", dict(r1=1e300), "r1=1e+300 and link_distance=100"),
-        ("channel", dict(link_distance=1e-320), "link_distance=9.99989e-321 give squared"),
+        ("scenario", dict(r1=1e300), "r1 must lie in [1e-150, 1e+150] m, got 1e+300"),
+        ("scenario", dict(wavelength=1.7e308),
+         "wavelength must lie in [1e-150, 1e+150] m, got 1.7e+308"),
+        ("channel", dict(r1=1e300), "r1 must lie in [1e-150, 1e+150] m, got 1e+300"),
+        ("channel", dict(link_distance=1e-320),
+         "link_distance must lie in [1e-150, 1e+150] m, got 1e-320"),
         ("simulate", dict(conv_gains=[1e-300, 180.0, 1.0, 1.0]), "conv_gains give mode power"),
         ("channel", dict(conv_gains=[1.7e308, 1.0, 1.0, 1.0]), "conv_gains up to 1.7e+308"),
         ("simulate", dict(conv_gains=[1.7e308, 1.0, 1.0, 1.0]), "conv_gains up to 1.7e+308"),
-        ("exact-sum channel", dict(wavelength=5e-324), "wavelength=4.94066e-324 m gives"),
-        ("exact-sum simulate", dict(wavelength=5e-324), "wavelength=4.94066e-324 m gives"),
+        ("exact-sum channel", dict(wavelength=5e-324),
+         "wavelength must lie in [1e-150, 1e+150] m, got 5e-324"),
+        ("exact-sum simulate", dict(wavelength=5e-324),
+         "wavelength must lie in [1e-150, 1e+150] m, got 5e-324"),
+        # |beta| * wavelength overflowed: numpy warned "invalid value
+        # encountered in divide", and the exit 3 named no field
+        ("channel", dict(beta=[1e300, 0.0], wavelength=1e10),
+         "beta=(1e+300+0j) gives a distance gain"),
+        ("simulate", dict(beta=[1e300, 0.0], wavelength=1e10),
+         "beta=(1e+300+0j) gives a distance gain"),
+        # c_l and B were finite, c_l * B was not: numpy warned and the dump held inf
+        ("channel", dict(beta=[1e155, 0.0], conv_gains=[1.0, 1e160, 1.0, 1.0]),
+         "beta=(1e+155+0j) and convergent mode coefficients up to"),
     ])
     def test_exits_3_naming_the_field(self, command, fields, named, base_cfg, tmp_path, capsys):
         path = tmp_path / "far.json"
         link = dict(n_tx=4, m_rx=4, u_elems=4, v_elems=4, link_distance=100.0)
-        base_cfg.with_(**{**link, **fields}).save(path)
+        path.write_text(json.dumps({**base_cfg.with_(**link).to_json_dict(), **fields}))
         out = tmp_path / "x.csv"
         argv = {
             "scenario": ["scenario"],
@@ -814,6 +831,82 @@ class TestFloatRange:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1 and named in err
         assert sorted(os.listdir(tmp_path)) == ["far.json"]
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# Edge values for the config's float fields: the bounds of the length box and
+# the floats just outside it, zeros, subnormals, the float extremes, negatives
+# and non-finite values, with any float and any float of a working link beside them.
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, 1e-320, 1e-300, math.nextafter(1e-150, 0.0), 1e-150, 1e-3, 0.1, 1.0,
+    180.0, 1e150, math.nextafter(1e150, math.inf), 1e300, 1.7976931348623157e308, -1.0,
+    math.nan, math.inf, -math.inf,
+]) | st.floats() | st.floats(1e-3, 1e3)
+FLOAT_FIELDS = st.fixed_dictionaries({}, optional={
+    "r1": EDGE_FLOATS, "r2": EDGE_FLOATS, "wavelength": EDGE_FLOATS,
+    "link_distance": EDGE_FLOATS, "beta": st.lists(EDGE_FLOATS, min_size=2, max_size=2),
+    "theta": EDGE_FLOATS, "noise_var": EDGE_FLOATS,
+    "conv_gains": st.none() | st.lists(EDGE_FLOATS, min_size=4, max_size=4),
+})
+# r1 > r2 keeps r1 off the lower bound of the box and r2 off the upper one
+_ABOVE_MIN, _BELOW_MAX = math.nextafter(1e-150, 1.0), math.nextafter(1e150, 0.0)
+BOX_CORNERS = [
+    dict(r1=r1, r2=r2, wavelength=wavelength, link_distance=distance)
+    for r1, r2 in [(1e150, 1e-150), (1e150, _BELOW_MAX), (_ABOVE_MIN, 1e-150)]
+    for wavelength in (1e-150, 1e150) for distance in (1e-150, 1e150)
+]
+# the float-range cases mended one by one before the length rule
+MENDED = [
+    dict(r1=1e300), dict(wavelength=1.7e308), dict(link_distance=1e-320),
+    dict(conv_gains=[1e-300, 180.0, 1.0, 1.0]), dict(conv_gains=[1.7e308, 1.0, 1.0, 1.0]),
+    dict(wavelength=5e-324), dict(beta=[1e300, 0.0], wavelength=1e10),
+    dict(beta=[1e155, 0.0], conv_gains=[1.0, 1e160, 1.0, 1.0]),
+]
+
+
+def _with_examples(test):
+    for fields in BOX_CORNERS + MENDED:
+        test = example(fields=fields, model="exact-sum")(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=FLOAT_FIELDS, model=st.sampled_from(VARIANTS))
+def test_float_fields_keep_the_exit_contract(fields, model, base_cfg, tmp_path, capsys):
+    """Any values of the config's float fields: every subcommand that reads the
+    config exits 0, 3 or 4 (a vanished mode 0 in ``simulate``), with one stderr
+    line and no output on a failure, strict JSON from ``scenario`` and only
+    finite numbers in a written CSV; numpy may not warn on the way."""
+    path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    link = dict(n_tx=4, m_rx=4, u_elems=4, v_elems=4, link_distance=100.0)
+    path.write_text(json.dumps({**base_cfg.with_(**link).to_json_dict(), **fields}))
+    for argv in (["scenario"], *(["channel", "--model", m, "--out", str(out)] for m in VARIANTS),
+                 ["simulate", "--model", model, "--snr-db", "10:10:1", "--trials", "1000",
+                  "--seed", "1", "--out", str(out)]):
+        code, stdout, err = run(capsys, *argv, "--config", str(path))
+        assert code in (0, 3, 4), (argv, err)
+        if code == 0:
+            assert err == ""
+            if argv[0] == "scenario":
+                json.loads(stdout, parse_constant=_not_json)
+            else:
+                with open(out, newline="") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
+        else:
+            assert stdout == "" and err.count("\n") == 1
+            assert err.startswith("config error: " if code == 3 else
+                                  "simulation error: mode 0 gain vanished")
+        assert sorted(os.listdir(tmp_path)) == (
+            ["cfg.json"] if code or argv[0] == "scenario"
+            else ["cfg.json", "x.csv", "x.csv.manifest.json"])
+        for written in (out, tmp_path / "x.csv.manifest.json"):
+            written.unlink(missing_ok=True)
 
 
 class TestOutputs:

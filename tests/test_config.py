@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oem_mmwave import OemConfig
+from oem_mmwave.cli import main
 from oem_mmwave.errors import InvalidConfigError
 
 from conftest import WAVELENGTH_35GHZ
@@ -62,6 +64,52 @@ class TestValidation:
     def test_numpy_integer_counts_accepted(self, base_cfg):
         counts = {"n_tx": 2, "m_rx": 3, "u_elems": 4, "v_elems": 8}
         assert base_cfg.with_(**{k: np.int64(v) for k, v in counts.items()}) == base_cfg
+
+
+def _outside_the_box(field, value):
+    return {field: value}, f"{field} must lie in [1e-150, 1e+150] m, got {value}"
+
+
+# Lengths at and beside the bounds of [1e-150, 1e150] m, each with the one
+# problem it gives, or None.  r1 > r2 keeps r1 off the lower bound and r2 off
+# the upper one: there the range rule passes and r1 > r2 alone fails.
+LENGTH_CASES = [
+    ({"r1": 1e150}, None),
+    ({"r1": math.nextafter(1e-150, 1.0), "r2": 1e-150}, None),
+    ({"r1": 1e-150, "r2": 1e-150}, "need r1 > r2, got r1=1e-150 r2=1e-150"),
+    ({"r2": 1e-150}, None),
+    ({"r1": 1e150, "r2": math.nextafter(1e150, 0.0)}, None),
+    ({"r1": 1e150, "r2": 1e150}, "need r1 > r2, got r1=1e+150 r2=1e+150"),
+    ({"wavelength": 1e-150}, None),
+    ({"wavelength": 1e150}, None),
+    ({"link_distance": 1e-150}, None),
+    ({"link_distance": 1e150}, None),
+] + [
+    _outside_the_box(field, value)
+    for field in ("r1", "r2", "wavelength", "link_distance")
+    for value in (math.nextafter(1e-150, 0.0), math.nextafter(1e150, math.inf),
+                  0.0, -1.0, math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("fields, problem", LENGTH_CASES)
+def test_lengths_lie_in_the_box_both_bounds_included(fields, problem, base_cfg, tmp_path,
+                                                      capsys):
+    kwargs = {**dataclasses.asdict(base_cfg), **fields}
+    if problem is None:
+        OemConfig(**kwargs)
+    else:
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(problem)}$"):
+            OemConfig(**kwargs)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base_cfg.to_json_dict(), **fields}))
+    code = main(["scenario", "--config", str(path)])
+    out, err = capsys.readouterr()
+    if problem is None:
+        assert (code, err) == (0, "")
+        json.loads(out, parse_constant=lambda constant: pytest.fail(f"{constant} in {out}"))
+    else:
+        assert (code, out, err) == (3, "", f"config error: {problem}\n")
 
 
 class TestJsonRoundTrip:

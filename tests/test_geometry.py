@@ -50,20 +50,29 @@ class TestBuildLayout:
 
     @pytest.mark.parametrize("changes, message", [
         # (2 r1)^2 overflowed in the norm, and 1/d of d = inf gave NaN gains
-        ({"r1": 1e300}, "r1=1e+300 and link_distance=50"),
-        ({"r1": 7e153}, "r1=7e+153 and link_distance=50"),
-        ({"link_distance": 1e300}, "r1=0.1 and link_distance=1e+300"),
+        ({"r1": 1e300}, "r1 must lie in [1e-150, 1e+150] m, got 1e+300"),
+        ({"r1": 7e153}, "r1 must lie in [1e-150, 1e+150] m, got 7e+153"),
+        ({"link_distance": 1e300}, "link_distance must lie in [1e-150, 1e+150] m, got 1e+300"),
         # D^2 underflowed to 0: coincident UCAs 0 m apart, 1/0 in the gains
-        ({"link_distance": 1e-320}, "link_distance=9.99989e-321 give squared"),
+        ({"link_distance": 1e-320}, "link_distance must lie in [1e-150, 1e+150] m, got 1e-320"),
     ])
     def test_distances_beyond_the_float_range_rejected_naming_the_field(
             self, base_cfg, changes, message):
-        with pytest.raises(InvalidConfigError, match=re.escape(message)):
-            build_layout(base_cfg.with_(**changes))
+        # the config's length rule rejects them, so no layout is built from them
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            base_cfg.with_(**changes)
 
-    def test_link_distance_with_a_subnormal_square_accepted(self, base_cfg):
-        d = build_layout(base_cfg.with_(n_tx=1, m_rx=1, link_distance=5e-162))
-        assert d.tolist() == [[math.sqrt(5e-162 * 5e-162)]]
+    @pytest.mark.parametrize("r1", [math.nextafter(1e-150, 1.0), 1.0, 1e150])
+    @pytest.mark.parametrize("d", [1e-150, 1.0, 1e150])
+    def test_distances_at_the_corners_of_the_length_box_are_finite_and_normal(
+            self, base_cfg, r1, d):
+        # inside [1e-150, 1e150] m, (2 r1)^2 + D^2 neither overflows nor leaves
+        # the normal floats, so d_mn >= D needs no guard
+        cfg = base_cfg.with_(n_tx=7, m_rx=5, r1=r1, r2=1e-150, link_distance=d)
+        distances = build_layout(cfg)
+        assert np.all(np.isfinite(distances))
+        assert np.all(distances >= d * (1.0 - 1e-15))
+        assert np.all(distances <= math.hypot(2.0 * r1, d) * (1.0 + 1e-15))
 
     def test_single_element_offset_along_reference_azimuth(self, base_cfg):
         cfg = base_cfg.with_(n_tx=1, m_rx=1, u_elems=1, v_elems=1, r2=0.01)
@@ -113,17 +122,29 @@ class TestAdjacentDistances:
         with pytest.raises(InvalidConfigError, match="need N >= 2 and U >= 2, got N=1 U=4"):
             scenario_check(base_cfg.with_(n_tx=1))
 
-    @pytest.mark.parametrize("changes, field", [
-        ({"r1": 1e300}, "r1=1e+300"),
-        ({"r1": 1.5e300, "r2": 1e300}, "r1=1.5e+300"),
-        ({"r1": 8e153, "r2": 7e153, "n_tx": 64, "u_elems": 2}, "r2=7e+153"),
+    @pytest.mark.parametrize("changes, message", [
+        ({"r1": 1e300}, "r1 must lie in [1e-150, 1e+150] m, got 1e+300"),
+        ({"r1": 1.5e300, "r2": 1e300},
+         "r1 must lie in [1e-150, 1e+150] m, got 1.5e+300; "
+         "r2 must lie in [1e-150, 1e+150] m, got 1e+300"),
+        ({"r1": 8e153, "r2": 7e153, "n_tx": 64, "u_elems": 2},
+         "r1 must lie in [1e-150, 1e+150] m, got 8e+153; "
+         "r2 must lie in [1e-150, 1e+150] m, got 7e+153"),
     ])
     def test_spacing_beyond_the_float_range_rejected_naming_the_field(
-            self, base_cfg, changes, field):
+            self, base_cfg, changes, message):
         # chord_length squares the radius: 2 r^2 (1 - cos(2 pi / k)) leaves
-        # the float range above r = 1.3e154, and above 6.7e153 for k = 2
-        with pytest.raises(InvalidConfigError, match=re.escape(f"{field} gives an adjacent")):
-            scenario_check(base_cfg.with_(**changes))
+        # the float range above r = 1.3e154, and above 6.7e153 for k = 2; the
+        # config's length rule rejects such radii, each one naming its field
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            base_cfg.with_(**changes)
+
+    @pytest.mark.parametrize("r1, r2", [(1e150, math.nextafter(1e150, 0.0)),
+                                        (math.nextafter(1e-150, 1.0), 1e-150)])
+    def test_spacings_at_the_corners_of_the_length_box_are_finite(self, base_cfg, r1, r2):
+        report = scenario_check(base_cfg.with_(n_tx=2, u_elems=2, v_elems=2, r1=r1, r2=r2))
+        assert report.d_adjacent_uca == pytest.approx(2.0 * r1, rel=1e-12)
+        assert report.d_adjacent_element == pytest.approx(2.0 * r2, rel=1e-12)
 
     @given(st.integers(2, 200), st.floats(1e-6, 1e3))
     def test_closed_form_equivalence(self, k, r):
