@@ -79,7 +79,7 @@ from .waterfill import (
     _check_draws,
     _check_samples,
     _fading_draws,
-    _grid_values,
+    _grid,
     _water_levels,
     sample_snr_realizations,  # noqa: F401  bound here for perfbench/tracing.py
     waterfill_ergodic,  # noqa: F401  bound here for perfbench/tracing.py
@@ -108,15 +108,26 @@ class SePoint:
 
 
 def instantaneous_se(snr: GridLike, policy: PowerPolicy) -> float:
-    """Sum rate sum_{i,l} log2(1 + P_{i,l} gamma_{i,l}) in bits/s/Hz."""
-    gamma = _grid_values(snr)
-    if gamma.shape != policy.allocations.shape:
+    """Sum rate sum_{i,l} log2(1 + P_{i,l} gamma_{i,l}) in bits/s/Hz.
+
+    Where P * gamma overflows, its rate is log2 P + log2 gamma, which
+    log2(1 + P gamma) equals to rounding there.
+    """
+    gamma, allocations = _grid(snr).values, policy.allocations
+    if gamma.shape != allocations.shape:
         raise InvalidConfigError(
-            f"SNR grid shape {gamma.shape} does not match policy shape {policy.allocations.shape}"
+            f"SNR grid shape {gamma.shape} does not match policy shape {allocations.shape}"
         )
-    rates = policy.allocations * gamma
+    with np.errstate(over="ignore"):
+        rates = allocations * gamma
     rates += 1.0
-    return float(np.log2(rates, out=rates).sum())
+    np.log2(rates, out=rates)
+    se = float(rates.sum())
+    if se == math.inf:
+        overflowed = np.isinf(rates)
+        rates[overflowed] = np.log2(allocations[overflowed]) + np.log2(gamma[overflowed])
+        se = float(rates.sum())
+    return se
 
 
 def _block_buffers(k: int) -> np.ndarray:

@@ -4,7 +4,8 @@ The JSON schema mirrors the dataclass field names one-to-one.  Angles
 (``phi``, ``phi_c``, ``theta``) are stored in DEGREES in the file and
 converted to radians on load; ``beta`` is stored as a two-element
 ``[re, im]`` list.  Everything else is SI units (meters, watts).
-Counts must be JSON integers, every other value a finite JSON number.
+Counts must be JSON integers within the float range, every other value
+a finite JSON number.
 The four lengths (``r1``, ``r2``, ``wavelength``, ``link_distance``) lie
 in [1e-150, 1e150] m, so every product or ratio of two of them is a
 normal float; |beta| * wavelength / (4 pi link_distance), the largest
@@ -18,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from numbers import Integral
 from pathlib import Path
@@ -116,7 +118,10 @@ class OemConfig:
 
     def validate(self) -> None:
         for name in ("n_tx", "m_rx", "u_elems", "v_elems"):
-            _field_number(name, getattr(self, name), integer=True)
+            # a count meets floats in the channel products, V * c_l * B
+            if _field_number(name, getattr(self, name), integer=True) > sys.float_info.max:
+                raise InvalidConfigError(
+                    f"{name} must not exceed the float range ({sys.float_info.max:g})")
         problems = []
         if self.n_tx < 1 or self.m_rx < 1:
             problems.append("need at least one transmit and one receive UCA")

@@ -58,6 +58,24 @@ class DecomposedSignal:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _of_projection(cls, values: np.ndarray, noise_var_per_mode: float, v_elems: int
+                       ) -> "DecomposedSignal":
+        """The signal of a complex (M, U) projection just made from a checked config.
+
+        ``values`` is made read-only in place, not copied, and V is not
+        re-checked; V * noise_var may still overflow, which raises as in
+        the public constructor.
+        """
+        if not noise_var_per_mode < math.inf:
+            raise InvalidConfigError(
+                f"noise_var_per_mode must be finite and >= 0, got {noise_var_per_mode}")
+        values.setflags(write=False)
+        signal = object.__new__(cls)
+        vars(signal).update(values=values, noise_var_per_mode=noise_var_per_mode,
+                            v_elems=v_elems)
+        return signal
+
 
 @lru_cache(maxsize=16)
 def _dft(rows: int, cols: int, period: int, inverse: bool = False) -> np.ndarray:
@@ -124,7 +142,8 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
     sums of the mode matrices c_l * B are c_l * (B s_l), scaled by c in
     the product B s.  The noise is drawn as one (2, M, V) array of
     standard normals, scaled once by sqrt(noise_var / 2) and added to the
-    real and the imaginary parts of the received signal.  A noise_seed
+    real and the imaginary parts of the received signal in one pass over
+    its interleaved (M, V, 2) float view.  A noise_seed
     that is not a nonnegative integer (bools included) raises
     InvalidConfigError.
     """
@@ -143,8 +162,8 @@ def propagate(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfig,
     if cfg.noise_var > 0.0:
         noise = np.random.default_rng(noise_seed).standard_normal((2, m_rx, v))
         noise *= math.sqrt(cfg.noise_var / 2.0)
-        out.real += noise[0]
-        out.imag += noise[1]
+        parts = out.view(float).reshape(m_rx, v, 2)
+        parts += noise.transpose(1, 2, 0)
     return out
 
 
@@ -153,7 +172,8 @@ def decompose_modes(observation: np.ndarray, cfg: OemConfig) -> DecomposedSignal
 
     y~_{m,l0} = sum_v y_{m,v} exp(-j 2 pi (v-1) l0 / V).  Exact DFT
     orthogonality cancels every mode l != l0 as V >= U; the projected
-    noise variance grows to V times the element variance.
+    noise variance grows to V times the element variance.  The product
+    becomes the signal's values without a copy.
     """
     observation = np.asarray(observation, dtype=complex)
     if observation.shape != (cfg.m_rx, cfg.v_elems):
@@ -162,8 +182,7 @@ def decompose_modes(observation: np.ndarray, cfg: OemConfig) -> DecomposedSignal
         )
     v, u = cfg.v_elems, cfg.u_elems
     proj = _dft(v, u, v, inverse=True)  # (v_idx, l0)
-    return DecomposedSignal(values=observation @ proj, noise_var_per_mode=v * cfg.noise_var,
-                            v_elems=v)
+    return DecomposedSignal._of_projection(observation @ proj, v * cfg.noise_var, v)
 
 
 def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
@@ -181,7 +200,8 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
     B's SVD once per link.  The mode gains and the weights are kept for
     the 8 most recent (link, V, noise level) keys of the process, and the
     returned grid is read-only and shared by every block of that key, so
-    a block costs one product for all modes and one divide.
+    a block costs one product for all modes and one divide; the grid also
+    keeps its last water filling (see ``waterfill_instantaneous``).
     """
     values = decomposed.values
     m_rx, u = values.shape

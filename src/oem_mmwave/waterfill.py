@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -55,9 +55,16 @@ GridLike = Union["SnrGrid", np.ndarray]
 
 @dataclass(frozen=True)
 class SnrGrid:
-    """Finite, nonnegative SNR weights gamma_{i,l}, shape (streams, modes); a vector is one mode."""
+    """Finite, nonnegative SNR weights gamma_{i,l}, shape (streams, modes); a vector is one mode.
+
+    ``_solve`` is the last ``waterfill_instantaneous`` solve on the grid,
+    one tuple (budget, water level, read-only allocations) swapped in
+    whole, so a thread reads either the old solve or the new one; None
+    before any.
+    """
 
     values: np.ndarray
+    _solve: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -67,7 +74,10 @@ class SnrGrid:
             raise InvalidConfigError(f"SNR grid must be a vector or a matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
             raise InvalidConfigError("SNR grid entries must be finite and nonnegative")
-        v.setflags(write=False)  # a read-only copy: no write to the caller's array reaches it
+        # a copy held in immutable bytes: no write to the caller's array
+        # reaches it, and neither the values nor any base under them can
+        # be made writable, so the kept solve stays the solve of the values
+        v = np.frombuffer(v.tobytes(), dtype=float).reshape(v.shape)
         object.__setattr__(self, "values", v)
 
 
@@ -103,9 +113,9 @@ class PowerPolicy:
         return not self.allocations.any()
 
 
-def _grid_values(snr: GridLike) -> np.ndarray:
-    """The checked (streams, modes) values of ``snr``; see ``SnrGrid``."""
-    return (snr if isinstance(snr, SnrGrid) else SnrGrid(snr)).values
+def _grid(snr: GridLike) -> SnrGrid:
+    """``snr`` itself if it is an ``SnrGrid``, else the checked grid of its values."""
+    return snr if isinstance(snr, SnrGrid) else SnrGrid(snr)
 
 
 def _check_power(total_power: float) -> None:
@@ -224,15 +234,31 @@ def waterfill_instantaneous(snr: GridLike, total_power: float) -> PowerPolicy:
     place.  A zero SNR, and one whose reciprocal overflows, has a
     reciprocal of +inf and gets no power; channels at the level exactly
     count as inactive.  If no channel has positive SNR the outage
-    (all-zero) policy is returned.  The allocations share no memory with
-    ``snr``.
+    (all-zero) policy is returned.  The allocations are a new, writable
+    array that shares no memory with ``snr``.
+
+    An ``SnrGrid`` passed in keeps the last solve that succeeded on it
+    (``SnrGrid._solve``), so a call at the same budget, of the same type,
+    copies its allocations instead of solving again, as every block of a
+    link does on the grid ``zf_detect`` shares.  The budget and the grid
+    are checked first all the same; a solve that raises is not kept, and
+    a grid built here from an array keeps nothing.
     """
     _check_power(total_power)
-    inv = np.abs(_grid_values(snr))
+    grid = _grid(snr)
+    kept = grid._solve
+    if kept is not None and kept[0] == total_power and type(kept[0]) is type(total_power):
+        return PowerPolicy(kept[2].copy(), water_level=kept[1], total_power=total_power)
+    inv = np.abs(grid.values)
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, inv, out=inv)
         water = _reciprocal_levels(inv.flatten(), [total_power])[0]
-    return PowerPolicy(_fill(inv, water), water_level=water, total_power=total_power)
+    allocations = _fill(inv, water)
+    if grid is snr:
+        memo = allocations.copy()
+        memo.setflags(write=False)
+        object.__setattr__(grid, "_solve", (total_power, water, memo))
+    return PowerPolicy(allocations, water_level=water, total_power=total_power)
 
 
 def _check_draws(n_channels: int, count: int, seed: int) -> None:
@@ -396,7 +422,7 @@ def sample_snr_realizations(mean_flat: np.ndarray, count: int, seed: int,
     when drawn.  The means are checked by ``SnrGrid``, the count, seed
     and stage by ``_fading_draws``.
     """
-    mean_flat = _grid_values(mean_flat).flatten(order="F")
+    mean_flat = _grid(mean_flat).values.flatten(order="F")
     return _fading_draws(mean_flat, count, seed, stage).T
 
 
@@ -415,7 +441,7 @@ def waterfill_ergodic(mean_snr: GridLike, total_power: float, samples: int = 10_
     """
     _check_power(total_power)
     _check_samples(samples, "samples")
-    means = _grid_values(mean_snr).flatten(order="F")
+    means = _grid(mean_snr).values.flatten(order="F")
     if not np.any(means > 0.0):
         raise InvalidConfigError("at least one channel must have positive mean SNR")
     draws = _fading_draws(means, samples, seed)

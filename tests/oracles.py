@@ -36,7 +36,7 @@ from oem_mmwave.config import OemConfig
 from oem_mmwave.errors import DomainError, InvalidConfigError
 from oem_mmwave.geometry import build_layout
 from oem_mmwave.transceiver import _dft, _zf_weights
-from oem_mmwave.waterfill import GridLike, PowerPolicy, _grid_values, _water_levels
+from oem_mmwave.waterfill import GridLike, PowerPolicy, _grid, _water_levels
 
 
 def brute_force_oracle(snr: GridLike, total_power: float) -> PowerPolicy:
@@ -49,7 +49,7 @@ def brute_force_oracle(snr: GridLike, total_power: float) -> PowerPolicy:
     """
     if total_power <= 0.0:
         raise InvalidConfigError(f"total power must be positive, got {total_power}")
-    gamma = _grid_values(snr)
+    gamma = _grid(snr).values
     indices = [tuple(map(int, idx)) for idx in zip(*np.nonzero(gamma > 0.0))]
     if len(indices) > 6:
         raise DomainError(f"exhaustive search supports at most 6 channels, got {len(indices)}")

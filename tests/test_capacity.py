@@ -99,6 +99,29 @@ class TestInstantaneousSe:
         assert instantaneous_se(gamma, policy) == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(2.3399, abs=1e-4)
 
+    def test_overflowing_rate_is_the_sum_of_logs(self):
+        # P * gamma = 1e600 overflowed to an SE of inf, with a RuntimeWarning,
+        # which the suite turns into an error
+        gamma = np.array([1e300])
+        policy = waterfill_instantaneous(gamma, 1e300)
+        assert policy.allocations.ravel().tolist() == [1e300]
+        se = instantaneous_se(gamma, policy)
+        assert se == float(2.0 * np.log2(gamma)[0])
+        assert se == pytest.approx(1993.16, abs=0.01)
+
+    def test_overflow_takes_only_the_overflowing_channels(self):
+        # the largest P and the largest gamma would overflow together, but
+        # no product does: every rate is the plain expression's.  Then one
+        # product overflows, and only its rate changes
+        gamma = np.array([[1e300], [1.0], [0.0]])
+        policy = PowerPolicy(np.array([[1.0], [1e300], [5.0]]), water_level=2e300,
+                             total_power=1e300)
+        plain = np.log2(policy.allocations * gamma + 1.0)
+        assert instantaneous_se(gamma, policy) == float(plain.sum())
+        policy.allocations[0, 0] = 1e10
+        plain[0, 0] = (np.log2(np.array([1e10])) + np.log2(np.array([1e300])))[0]
+        assert instantaneous_se(gamma, policy) == float(plain.sum())
+
     def test_shape_mismatch_rejected(self):
         policy = waterfill_instantaneous(np.array([3.0]), 1.0)
         with pytest.raises(InvalidConfigError):

@@ -781,7 +781,8 @@ class TestBesselRange:
 class TestFloatRange:
     """A config whose lengths, distance gain or mode powers leave the float
     range exits 3 with one line naming its field, and no output, before numpy
-    could warn (the suite fails on any RuntimeWarning).  A length outside
+    could warn (the suite fails on any RuntimeWarning).  So does a count
+    beyond the float range.  A length outside
     [1e-150, 1e150] m or an overflowing |beta| * wavelength / (4 pi D) fails
     at load, from every subcommand; ``scenario`` once printed Infinity, which
     is not JSON, and the others warned before their exit 3.  The JSON is
@@ -807,6 +808,10 @@ class TestFloatRange:
          "beta=(1e+300+0j) gives a distance gain"),
         ("simulate", dict(beta=[1e300, 0.0], wavelength=1e10),
          "beta=(1e+300+0j) gives a distance gain"),
+        # V met a float first in the dump's V * c_l * B: "OverflowError: int
+        # too large to convert to float", exit 1 with a traceback
+        ("channel", dict(v_elems=10**400), "v_elems must not exceed the float range"),
+        ("scenario", dict(n_tx=2**1024), "n_tx must not exceed the float range"),
         # c_l and B were finite, c_l * B was not: numpy warned and the dump held inf
         ("channel", dict(beta=[1e155, 0.0], conv_gains=[1.0, 1e160, 1.0, 1.0]),
          "beta=(1e+155+0j) and convergent mode coefficients up to"),

@@ -106,6 +106,23 @@ class TestPropagate:
         im = rng.standard_normal((cfg.m_rx, cfg.v_elems))
         assert np.array_equal(y, math.sqrt(0.5 / 2.0) * (re + 1j * im))
 
+    @pytest.mark.parametrize("noise_seed", [0, 42, 2**63 - 1])
+    def test_noise_adds_as_the_two_part_sums(self, base_cfg, noise_seed):
+        # one add over the interleaved (M, V, 2) view gives the bits of
+        # out.real += noise[0]; out.imag += noise[1], here with M=3 != V=8
+        cfg = base_cfg.with_(noise_var=0.5)
+        assert cfg.m_rx != cfg.v_elems
+        channels = build_mode_channels(cfg)
+        s = random_symbols(cfg, seed=5)
+        expected = propagate(s, channels, cfg.with_(noise_var=0.0))
+        noise = np.random.default_rng(noise_seed).standard_normal((2, cfg.m_rx, cfg.v_elems))
+        noise *= math.sqrt(cfg.noise_var / 2.0)
+        expected.real += noise[0]
+        expected.imag += noise[1]
+        got = propagate(s, channels, cfg, noise_seed)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_channel_row_count_must_match_config(self, base_cfg):
         channels = build_mode_channels(base_cfg.with_(m_rx=base_cfg.m_rx + 1))
         with pytest.raises(InvalidConfigError):
@@ -225,6 +242,32 @@ class TestDecomposedSignal:
                                         base_cfg), base_cfg)
         with pytest.raises(ValueError):
             dec.values[0, 0] = 1.0
+
+    def test_decomposition_is_the_public_constructors_signal(self, base_cfg):
+        # decompose_modes keeps its product without a copy, read-only, with
+        # the fields the public constructor would give it
+        cfg = base_cfg.with_(noise_var=0.25)
+        received = propagate(random_symbols(cfg), build_mode_channels(cfg), cfg, noise_seed=9)
+        dec = decompose_modes(received, cfg)
+        proj = np.exp(-2j * np.pi * np.outer(np.arange(cfg.v_elems), np.arange(cfg.u_elems))
+                      / cfg.v_elems)
+        public = DecomposedSignal(values=received @ proj,
+                                  noise_var_per_mode=cfg.v_elems * cfg.noise_var,
+                                  v_elems=cfg.v_elems)
+        assert type(dec) is DecomposedSignal
+        assert not dec.values.flags.writeable
+        assert dec.values.dtype == public.values.dtype and dec.values.shape == public.values.shape
+        assert dec.values.tobytes() == public.values.tobytes()
+        assert (dec.noise_var_per_mode, dec.v_elems) == (public.noise_var_per_mode,
+                                                         public.v_elems)
+        assert not np.shares_memory(dec.values, received)
+        assert received.flags.writeable
+
+    def test_decomposition_rejects_an_overflowing_mode_noise(self, base_cfg):
+        # V * noise_var = 8 * 1e308 leaves the float range
+        cfg = base_cfg.with_(noise_var=1e308)
+        with pytest.raises(InvalidConfigError, match="noise_var_per_mode must be finite"):
+            decompose_modes(np.zeros((cfg.m_rx, cfg.v_elems), dtype=complex), cfg)
 
     def test_caller_array_is_copied_and_left_writeable(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0]])

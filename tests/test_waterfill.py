@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from oem_mmwave.errors import DomainError, InvalidConfigError
 from oem_mmwave.waterfill import LN2, _PREFIX_BLOCK, _water_levels, sample_snr_realizations
 from oracles import brute_force_oracle, where_allocation
 from test_capacity import gained_draws
+from test_transceiver import same_bits
 
 LOG2 = LN2  # natural log of 2, the "log 2" of the allocation formulas
 
@@ -159,6 +162,132 @@ class TestInstantaneous:
         for idx in policy.active_set:
             inactive[idx] = False
         assert np.all(gamma.reshape(-1, 1)[inactive] <= threshold * (1 + 1e-12))
+
+
+@pytest.fixture
+def level_searches(monkeypatch):
+    """The budgets of every ``_reciprocal_levels`` call during the test, one list per call."""
+    calls = []
+    reciprocal_levels = waterfill._reciprocal_levels
+
+    def spy(inv, budgets):
+        calls.append(list(budgets))
+        return reciprocal_levels(inv, budgets)
+
+    monkeypatch.setattr(waterfill, "_reciprocal_levels", spy)
+    return calls
+
+
+class TestSolveMemo:
+    """An SnrGrid keeps its last instantaneous solve, as every block of a link
+    water-fills the one grid ``zf_detect`` shares at one budget."""
+
+    GAMMA = np.array([[4.0, 1.0], [2.0, 0.1], [0.0, 7.5]])
+
+    def test_same_budget_makes_no_second_level_search(self, level_searches):
+        grid = SnrGrid(self.GAMMA)
+        first = waterfill_instantaneous(grid, 3.0)
+        again = waterfill_instantaneous(grid, 3.0)
+        assert level_searches == [[3.0]]
+        assert same_bits(again.allocations, first.allocations)
+        assert (again.water_level, again.total_power) == (first.water_level, 3.0)
+        assert again.allocations.flags.writeable
+        for other in (first.allocations, grid.values, grid._solve[2]):
+            assert not np.shares_memory(again.allocations, other)
+        fresh = waterfill_instantaneous(self.GAMMA, 3.0)
+        assert same_bits(again.allocations, fresh.allocations)
+        assert again.water_level == fresh.water_level
+
+    @pytest.mark.parametrize("entries", [GAMMA, GAMMA[:, 0]])
+    def test_grid_values_cannot_be_made_writable_again(self, entries):
+        # a grid written after its solve was kept would hand out a stale
+        # one: neither its values nor any array under them (the base of a
+        # view owns its data, and could otherwise be re-flagged) is writable
+        grid = SnrGrid(entries)
+        waterfill_instantaneous(grid, 3.0)
+        layer = grid.values
+        while isinstance(layer, np.ndarray):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                layer.setflags(write=True)
+            layer = layer.base
+        assert same_bits(grid.values, np.array(entries, dtype=float).reshape(grid.values.shape))
+
+    def test_writing_one_policy_leaves_the_next_alone(self):
+        grid = SnrGrid(self.GAMMA)
+        first = waterfill_instantaneous(grid, 3.0)
+        kept = first.allocations.copy()
+        first.allocations[:] = -1.0
+        assert same_bits(waterfill_instantaneous(grid, 3.0).allocations, kept)
+        with pytest.raises(ValueError, match="read-only"):
+            grid._solve[2][0, 0] = -1.0
+
+    def test_another_budget_solves_again(self, level_searches):
+        grid = SnrGrid(self.GAMMA)
+        budgets = [3.0, 0.5, 0.5, 3.0, 3]
+        policies = [waterfill_instantaneous(grid, budget) for budget in budgets]
+        # a budget of another type is another budget, though equal in value
+        assert level_searches == [[3.0], [0.5], [3.0], [3]]
+        assert type(policies[-1].total_power) is int
+        for budget, policy in zip(budgets, policies):
+            fresh = waterfill_instantaneous(self.GAMMA, budget)
+            assert same_bits(policy.allocations, fresh.allocations)
+            assert policy.water_level == fresh.water_level
+
+    def test_array_input_keeps_no_solve(self, level_searches):
+        for _ in range(2):
+            waterfill_instantaneous(self.GAMMA, 3.0)
+        assert level_searches == [[3.0], [3.0]]
+
+    def test_budget_and_grid_are_checked_before_the_memo(self):
+        grid = SnrGrid(self.GAMMA)
+        waterfill_instantaneous(grid, 3.0)
+        for budget in (math.nan, math.inf, 0.0):
+            with pytest.raises(InvalidConfigError, match="total power"):
+                waterfill_instantaneous(grid, budget)
+
+    def test_overflowing_solve_raises_on_every_call(self, level_searches):
+        grid = SnrGrid(np.array([1e-308, 2e-308]))
+        waterfill_instantaneous(grid, 1.0)
+        for _ in range(3):
+            with pytest.raises(InvalidConfigError, match="overflows the float range"):
+                waterfill_instantaneous(grid, 1.7e308)
+        assert grid._solve[0] == 1.0
+        assert level_searches == [[1.0]] + [[1.7e308]] * 3
+
+    def test_threads_alternating_budgets_give_the_serial_results(self):
+        # four threads switching every microsecond replace one grid's memo
+        # between two budgets; each reads a whole solve, never half of one
+        grid = SnrGrid(np.random.default_rng(4).exponential(size=(16, 4)))
+        budgets = (64.0, 1.0)
+        expected = {b: waterfill_instantaneous(grid.values, b)
+                    for b in budgets}
+        failures = []
+
+        def run(caller):
+            for i in range(400):
+                budget = budgets[(i + caller) % 2]
+                policy = waterfill_instantaneous(grid, budget)
+                want = expected[budget]
+                if not (same_bits(policy.allocations, want.allocations)
+                        and policy.water_level == want.water_level):
+                    failures.append((caller, i))
+                policy.allocations[:] = math.nan
+
+        callers = [threading.Thread(target=run, args=(c,)) for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert failures == []
+        budget, water, allocations = grid._solve
+        assert same_bits(allocations, expected[budget].allocations)
+        assert water == expected[budget].water_level
 
 
 def full_prefix_level(gamma, total_power):
