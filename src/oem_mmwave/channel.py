@@ -5,8 +5,8 @@ a per-mode coefficient c_l times the distance term B[m, n] = beta *
 lambda * exp(-j 2 pi d_mn / lambda) / (4 pi d_mn); neither factor depends
 on the receive element count V.  So every mode matrix is c_l * B, and the
 mode power profile is |c_l / c_0|^2.  ``build_mode_channels`` returns the
-link in that factored form, as one ``ModeChannels`` of B and c: one
-zero-forcing solution of B serves every mode.  The variants differ only in c_l:
+link in that factored form, as one ``ModeChannels`` of B and c.  The
+variants differ only in c_l:
 
 * ``exact-sum`` — the finite sum over transmit elements of the far-field
   element phases with the progressive per-element phase ramp.
@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import waterfill
 from .config import OemConfig
-from .errors import DomainError, InvalidConfigError, RankDeficientError
+from .errors import DomainError, InvalidConfigError
 from .geometry import build_layout
 
 VARIANTS = ("exact-sum", "bessel", "convergent")
@@ -51,8 +51,9 @@ class ModeChannels:
     base : complex (M, N) distance matrix B.
     coefficients : complex (U,) per-mode factors c; mode l is position l.
 
-    Both arrays are read-only complex copies of the ones passed in, so
-    the zero-forcing solution of B computed on first use stays valid.
+    Both arrays are complex copies of the ones passed in, held in
+    immutable bytes (see ``waterfill._immutable``), so a result cached
+    for the link stays the result of its B and c.
     ``channels[l].matrix`` is mode l's full matrix, computed on access.
     Channel sets compare and hash by identity, as an ndarray field has
     no single truth value.
@@ -62,8 +63,8 @@ class ModeChannels:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        base = np.array(self.base, dtype=complex)
-        coefficients = np.array(self.coefficients, dtype=complex)
+        base = np.asarray(self.base, dtype=complex)
+        coefficients = np.asarray(self.coefficients, dtype=complex)
         if base.ndim != 2 or coefficients.ndim != 1:
             raise InvalidConfigError(
                 f"need an (M, N) base matrix and (U,) mode coefficients, "
@@ -71,10 +72,8 @@ class ModeChannels:
             )
         if not (np.all(np.isfinite(base)) and np.all(np.isfinite(coefficients))):
             raise InvalidConfigError("channel matrices have non-finite entries")
-        base.setflags(write=False)
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "base", waterfill._immutable(base))
+        object.__setattr__(self, "coefficients", waterfill._immutable(coefficients))
 
     def __len__(self) -> int:
         return self.coefficients.size
@@ -83,36 +82,6 @@ class ModeChannels:
         matrix = self.coefficients[l] * self.base
         matrix.setflags(write=False)
         return ModeMatrix(matrix)
-
-    @cached_property
-    def zf_solution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-forcing filter (B^H B)^{-1} B^H, (N, M), and the noise gains
-        diag((B^H B)^{-1}), (N,), both read-only.
-
-        Both come from one thin SVD B = U S V^H, as V S^{-1} U^H and the
-        squared row norms of V S^{-1}; with no Gram matrix formed they are
-        accurate to about cond(B) * eps inside the ten-decade gate.  Every
-        mode's filter and noise gains follow from these by its factor c_l.
-        Raises RankDeficientError, on every access, when M < N or the
-        singular values of B span more than ten decades.
-        """
-        b = self.base
-        if b.shape[0] < b.shape[1]:
-            raise RankDeficientError(
-                f"zero forcing needs M >= N, got M={b.shape[0]} N={b.shape[1]}"
-            )
-        left, svals, right_h = np.linalg.svd(b, full_matrices=False)
-        if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
-            ratio = svals[-1] / svals[0] if svals[0] > 0.0 else 0.0
-            raise RankDeficientError(
-                f"channel matrix is rank deficient (singular value ratio {ratio:.2e})"
-            )
-        scaled = right_h.conj().T / svals
-        zf_filter = scaled @ left.conj().T
-        noise_gains = np.sum(np.abs(scaled) ** 2, axis=1)
-        zf_filter.setflags(write=False)
-        noise_gains.setflags(write=False)
-        return zf_filter, noise_gains
 
 
 def _bessel_range_error(order: int, x: float) -> str | None:
@@ -128,8 +97,12 @@ def bessel_j(order: int, x: float) -> float:
     Trapezoid quadrature of (1/pi) * integral_0^pi cos(order*t - x*sin t) dt
     with a node count scaled to the oscillation rate.  Accurate to well
     below 1e-10 absolute for order <= 16 and |x| <= 20; supported for
-    order <= 64 and |x| <= 1e3.
+    integer order <= 64 and finite real |x| <= 1e3.  Any other order or
+    x raises DomainError.
     """
+    if isinstance(order, bool) or not (isinstance(order, Integral) and isinstance(x, Real)
+                                       and math.isfinite(x)):
+        raise DomainError(f"need an integer order and a finite real x, got {order!r}, {x!r}")
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
     reason = _bessel_range_error(order, x)

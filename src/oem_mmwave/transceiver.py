@@ -5,12 +5,13 @@ mode l on transmit UCA n.  Element observations live on an M x V grid.
 Channels come as the ``ModeChannels`` of ``build_mode_channels``: mode l's
 matrix is c_l * B, which the decomposition over V elements scales by V, so
 reception and detection of all modes are one product with B or its
-zero-forcing filter, scaled per mode.  Detection's per-stream SNR weights
-are kept for the 8 most recent (link, V, noise level) keys of the process
-and handed out as one read-only grid.  The DFT matrices over the element
-and mode indices are built once per size.  Each step scales, adds and
-divides in place in the array its own product has just made, never in
-one it was given or that a link shares.
+zero-forcing filter, scaled per mode.  Detection's filter, mode gains and
+per-stream SNR weights are kept together for the 8 most recent (link, V,
+noise level) keys of the process, the weights handed out as one read-only
+grid.  The DFT matrices over the element and mode indices are built once
+per size.  Each step scales, adds and divides in place in the array its
+own product has just made, never in one it was given or that a link
+shares.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class DecomposedSignal:
     values : complex (M, U) array, entry (m, l) is the mode-l signal at
         receive UCA m; a read-only complex copy of the one passed in.
     noise_var_per_mode : variance of the projected noise, V times the
-        per-element variance; finite and nonnegative.
+        per-element variance; a finite, nonnegative real number, not a bool.
     v_elems : the V of the decomposition, a positive integer; detection
         divides by V times each mode's coefficient.
 
@@ -53,8 +54,9 @@ class DecomposedSignal:
             raise InvalidConfigError(f"decomposed values must be (M, U), got shape {values.shape}")
         if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
             raise InvalidConfigError(f"v_elems must be a positive integer, got {v!r}")
-        if not 0.0 <= noise < math.inf:
-            raise InvalidConfigError(f"noise_var_per_mode must be finite and >= 0, got {noise}")
+        if isinstance(noise, bool) or not isinstance(noise, Real) or not 0.0 <= noise < math.inf:
+            raise InvalidConfigError(
+                f"noise_var_per_mode must be a finite real number >= 0, got {noise!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -88,25 +90,42 @@ def _dft(rows: int, cols: int, period: int, inverse: bool = False) -> np.ndarray
 
 @lru_cache(maxsize=8)
 def _zf_weights(channels: ModeChannels, v_elems: int, sigma2: float
-                ) -> tuple[np.ndarray, SnrGrid]:
-    """Mode gains V * c, (U,), and the SnrGrid of zero-forcing weights
-    |V c_l|^2 / (sigma2 [(B^H B)^{-1}]_ii) of one link, V and positive
-    mode-noise variance sigma2, both read-only.
+                ) -> tuple[np.ndarray, np.ndarray, SnrGrid]:
+    """Zero-forcing filter (B^H B)^{-1} B^H, (N, M), mode gains V * c, (U,),
+    and the SnrGrid of weights |V c_l|^2 / (sigma2 [(B^H B)^{-1}]_ii) of
+    one link, V and positive mode-noise variance sigma2, all read-only.
 
-    Kept for the 8 most recent (link, V, sigma2) keys of the process; a
-    link is keyed by identity and held alive while its key is kept.  A
-    zero c_l raises RankDeficientError before ``zf_solution`` is
-    evaluated; no failure is kept, so each call with a dead mode, a
-    rank-deficient B or weights outside SnrGrid's range raises again.
+    The filter and the noise gains diag((B^H B)^{-1}) come from one thin
+    SVD B = U S V^H, as V S^{-1} U^H and the squared row norms of
+    V S^{-1}; with no Gram matrix formed they are accurate to about
+    cond(B) * eps inside the ten-decade gate.  Kept for the 8 most
+    recent (link, V, sigma2) keys of the process; a link is keyed by
+    identity and held alive while its key is kept.  A zero c_l raises
+    RankDeficientError before the SVD, as do M < N and singular values
+    of B that span more than ten decades; no failure is kept, so each
+    such call, and one whose weights fall outside SnrGrid's range,
+    raises again.
     """
     dead = np.flatnonzero(channels.coefficients == 0.0)
     if dead.size:
         raise RankDeficientError(f"mode {dead[0]} gain vanished")
-    _, noise_gains = channels.zf_solution
+    b = channels.base
+    if b.shape[0] < b.shape[1]:
+        raise RankDeficientError(f"zero forcing needs M >= N, got M={b.shape[0]} N={b.shape[1]}")
+    left, svals, right_h = np.linalg.svd(b, full_matrices=False)
+    if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
+        ratio = svals[-1] / svals[0] if svals[0] > 0.0 else 0.0
+        raise RankDeficientError(
+            f"channel matrix is rank deficient (singular value ratio {ratio:.2e})"
+        )
+    scaled = right_h.conj().T / svals
+    zf_filter = scaled @ left.conj().T
+    noise_gains = np.sum(np.abs(scaled) ** 2, axis=1)
     mode_gains = v_elems * channels.coefficients
     grid = SnrGrid(np.abs(mode_gains) ** 2 / (sigma2 * noise_gains[:, None]))
+    zf_filter.setflags(write=False)
     mode_gains.setflags(write=False)
-    return mode_gains, grid
+    return zf_filter, mode_gains, grid
 
 
 def _checked_symbols(symbols, cfg: OemConfig) -> np.ndarray:
@@ -195,13 +214,13 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
     [(H_l^H H_l)^{-1}]_{ii}) = |V c_l|^2 / (sigma_l^2 * [(B^H B)^{-1}]_{ii}),
     so a stream carrying power P is received at SNR P * gamma_{i,l}.  In the
     noiseless case (sigma_l^2 = 0) the weights are reported per unit
-    mode-noise variance instead.  The filter and noise gains of B come
-    from ``ModeChannels.zf_solution``, which evaluates (B^H B)^{-1} from
-    B's SVD once per link.  The mode gains and the weights are kept for
-    the 8 most recent (link, V, noise level) keys of the process, and the
+    mode-noise variance instead.  The filter ZF(B), from B's SVD, the mode
+    gains and the weights are kept together for the 8 most recent (link,
+    V, noise level) keys of the process (see ``_zf_weights``), and the
     returned grid is read-only and shared by every block of that key, so
-    a block costs one product for all modes and one divide; the grid also
-    keeps its last water filling (see ``waterfill_instantaneous``).
+    a block costs one cache lookup, one product for all modes and one
+    divide; the grid also keeps its last water filling (see
+    ``waterfill_instantaneous``).
     """
     values = decomposed.values
     m_rx, u = values.shape
@@ -215,9 +234,8 @@ def zf_detect(decomposed: DecomposedSignal, channels: ModeChannels
             f"the channel matrices have M={channels.base.shape[0]}"
         )
     noise_var = decomposed.noise_var_per_mode
-    mode_gains, weights = _zf_weights(channels, decomposed.v_elems,
-                                      noise_var if noise_var > 0.0 else 1.0)
-    zf_filter, _ = channels.zf_solution
+    zf_filter, mode_gains, weights = _zf_weights(channels, decomposed.v_elems,
+                                                 noise_var if noise_var > 0.0 else 1.0)
     estimates = zf_filter @ values
     estimates /= mode_gains
     return estimates, weights

@@ -53,37 +53,48 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 GridLike = Union["SnrGrid", np.ndarray]
 
 
-@dataclass(frozen=True)
+def _immutable(array: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` held in immutable bytes.
+
+    No write to ``array`` reaches the copy, and neither the copy nor any
+    base under it can be made writable, so a result kept for its values
+    stays the result of those values.
+    """
+    return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
+
+
+@dataclass(frozen=True, eq=False)
 class SnrGrid:
     """Finite, nonnegative SNR weights gamma_{i,l}, shape (streams, modes); a vector is one mode.
 
+    ``values`` is an immutable float copy of the real array passed in.
     ``_solve`` is the last ``waterfill_instantaneous`` solve on the grid,
     one tuple (budget, water level, read-only allocations) swapped in
     whole, so a thread reads either the old solve or the new one; None
-    before any.
+    before any.  Grids compare and hash by identity, as an ndarray field
+    has no single truth value.
     """
 
     values: np.ndarray
-    _solve: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _solve: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = np.asarray(self.values)
+        if np.iscomplexobj(v):
+            raise InvalidConfigError("SNR grid entries must be real")
+        v = np.asarray(v, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2:
             raise InvalidConfigError(f"SNR grid must be a vector or a matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
             raise InvalidConfigError("SNR grid entries must be finite and nonnegative")
-        # a copy held in immutable bytes: no write to the caller's array
-        # reaches it, and neither the values nor any base under them can
-        # be made writable, so the kept solve stays the solve of the values
-        v = np.frombuffer(v.tobytes(), dtype=float).reshape(v.shape)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _immutable(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerPolicy:
-    """Result of one water-filling solve.
+    """Result of one water-filling solve; compares and hashes by identity.
 
     allocations : nonnegative powers, same shape as the input grid.
     water_level : common value of P + 1/gamma on active channels,

@@ -186,16 +186,15 @@ def link_block_oracle(symbols: np.ndarray, channels: ModeChannels, cfg: OemConfi
     instantaneous water filling and its sum rate, each step a new array.
 
     The water level is ``_water_levels`` on a copy of the ZF weights; the
-    ZF filter is the link's cached one and the weights those ``zf_detect``
-    caches.
+    ZF filter, mode gains and weights are the ones ``zf_detect`` caches.
     """
     u, v = cfg.u_elems, cfg.v_elems
     received = ((channels.base @ symbols) * channels.coefficients) @ _dft(u, v, v)
     if cfg.noise_var > 0.0:
         noise = np.random.default_rng(noise_seed).standard_normal((2, cfg.m_rx, v))
         received += np.sqrt(cfg.noise_var / 2.0) * (noise[0] + 1j * noise[1])
-    gains, weights = _zf_weights(channels, v, v * cfg.noise_var if cfg.noise_var > 0.0 else 1.0)
-    zf, _ = channels.zf_solution
+    zf, gains, weights = _zf_weights(channels, v,
+                                     v * cfg.noise_var if cfg.noise_var > 0.0 else 1.0)
     gamma = weights.values
     water = _water_levels(gamma.copy(), [total_power])[0]
     allocations = where_allocation(gamma, water)

@@ -224,6 +224,19 @@ class TestDecomposedSignal:
             DecomposedSignal(values=np.zeros((2, 1), dtype=complex),
                              noise_var_per_mode=noise_var, v_elems=1)
 
+    @pytest.mark.parametrize("noise_var", [True, False, "1.0", 1j, None, np.array([1.0])])
+    def test_noise_variance_that_is_not_a_real_number_rejected(self, noise_var):
+        # a bool was taken as 0 or 1, and a string or None raised a raw TypeError
+        with pytest.raises(InvalidConfigError, match="noise_var_per_mode must be a finite real"):
+            DecomposedSignal(values=np.zeros((2, 1), dtype=complex),
+                             noise_var_per_mode=noise_var, v_elems=1)
+
+    @pytest.mark.parametrize("noise_var", [0, 3, 0.5, np.float32(0.5), np.int64(2)])
+    def test_real_noise_variance_of_any_number_type_accepted(self, noise_var):
+        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex),
+                               noise_var_per_mode=noise_var, v_elems=1)
+        assert dec.noise_var_per_mode is noise_var
+
     @pytest.mark.parametrize("v_elems", [0, -4, 2.0, True])
     def test_bad_element_count_rejected(self, v_elems):
         # zf_detect divides by V times the mode coefficients
@@ -347,7 +360,7 @@ class TestZfDetect:
         c = channels.coefficients
         repeated = ModeChannels(channels.base, [c[0], c[0], c[2], c[3]])
         est, grid = zf_detect(dec, repeated)
-        zf_filter, _ = channels.zf_solution
+        zf_filter, _ = TestZfCache.svd_solution(channels.base)
         mode_0 = (zf_filter @ dec.values) / (dec.v_elems * c[0])
         assert np.array_equal(est[:, 1], mode_0[:, 1])
         assert np.array_equal(grid.values[:, 1], grid.values[:, 0])
@@ -392,8 +405,9 @@ class TestZfCache:
         received = propagate(random_symbols(cfg, seed=4), channels, cfg, noise_seed=9)
         return channels, decompose_modes(received, cfg)
 
-    def test_second_call_makes_no_second_factorization(self, base_cfg, monkeypatch):
-        channels, dec = self.near_field_link(base_cfg)
+    @staticmethod
+    def counted_factorizations(monkeypatch):
+        """Calls of ``np.linalg.svd`` and ``np.linalg.inv`` from now on, by name."""
         calls = {"svd": 0, "inv": 0}
 
         def counting(name):
@@ -407,25 +421,50 @@ class TestZfCache:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        first_est, first_grid = zf_detect(dec, channels)
-        assert calls == {"svd": 1, "inv": 0}
-        second_est, second_grid = zf_detect(dec, channels)
-        assert calls == {"svd": 1, "inv": 0}
-        assert np.array_equal(first_est, second_est)
-        assert np.array_equal(first_grid.values, second_grid.values)
+        return calls
 
-    def test_rank_deficient_raises_on_every_call(self):
-        channels = ModeChannels(np.ones((2, 2)), [1.0])
-        dec = DecomposedSignal(values=np.zeros((2, 1), dtype=complex), noise_var_per_mode=1.0,
-                               v_elems=1)
-        for _ in range(3):
+    def test_second_call_makes_no_second_factorization(self, base_cfg, monkeypatch):
+        # the blocks cycle four (V, noise level) keys of one link: each
+        # key's first call factorizes B once, every later call not at all
+        channels, blocks = self.blocks(base_cfg, 16)
+        calls = self.counted_factorizations(monkeypatch)
+        before = _zf_weights.cache_info()
+        seen = set()
+        for dec in blocks:
+            seen.add((dec.v_elems, dec.noise_var_per_mode))
+            first_est, first_grid = zf_detect(dec, channels)
+            second_est, second_grid = zf_detect(dec, channels)
+            assert calls == {"svd": len(seen), "inv": 0}
+            assert np.array_equal(first_est, second_est)
+            assert second_grid is first_grid
+        after = _zf_weights.cache_info()
+        assert len(seen) == 4
+        assert (after.hits - before.hits, after.misses - before.misses) == (28, 4)
+
+    @pytest.mark.parametrize("base, svds", [(np.ones((2, 2)), 1), (np.ones((1, 2)), 0)])
+    def test_rank_deficient_raises_on_every_call(self, base, svds, monkeypatch):
+        # a rank-one B is factorized and rejected anew on each call; M < N
+        # is rejected before any SVD
+        channels = ModeChannels(base, [1.0])
+        dec = DecomposedSignal(values=np.zeros((base.shape[0], 1), dtype=complex),
+                               noise_var_per_mode=1.0, v_elems=1)
+        calls = self.counted_factorizations(monkeypatch)
+        for call in range(1, 4):
             with pytest.raises(RankDeficientError):
                 zf_detect(dec, channels)
+            assert calls == {"svd": call * svds, "inv": 0}
+
+    @staticmethod
+    def svd_solution(base):
+        """The zero-forcing filter and noise gains of B, written out from its thin SVD."""
+        left, svals, right_h = np.linalg.svd(base, full_matrices=False)
+        scaled = right_h.conj().T / svals
+        return scaled @ left.conj().T, np.sum(np.abs(scaled) ** 2, axis=1)
 
     @staticmethod
     def uncached(dec, channels):
         """zf_detect's estimates and weights, by its formula from the SVD solution."""
-        zf_filter, noise_gains = channels.zf_solution
+        zf_filter, noise_gains = TestZfCache.svd_solution(channels.base)
         mode_gains = dec.v_elems * channels.coefficients
         sigma2 = dec.noise_var_per_mode if dec.noise_var_per_mode > 0.0 else 1.0
         return ((zf_filter @ dec.values) / mode_gains,
@@ -470,6 +509,16 @@ class TestZfCache:
         assert np.array_equal(again.values, before)
         assert np.array_equal(again.values, self.uncached(blocks[0], channels)[1])
 
+    def test_filter_gains_and_grid_are_read_only(self, base_cfg):
+        channels, dec = self.near_field_link(base_cfg)
+        zf_filter, mode_gains, grid = _zf_weights(channels, dec.v_elems, dec.noise_var_per_mode)
+        for array in (zf_filter, mode_gains, grid.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert zf_filter.shape == channels.base.shape[::-1]
+        assert np.array_equal(mode_gains, dec.v_elems * channels.coefficients)
+
     def test_dead_mode_raises_on_every_call_without_a_factorization(self, base_cfg,
                                                                      monkeypatch):
         cfg = base_cfg.with_(n_tx=16, m_rx=16, u_elems=4, v_elems=4, link_distance=1.0,
@@ -512,14 +561,14 @@ class TestZfCache:
         assert len(svds) == 9
         # each link was evicted by the one detected after it in the first
         # pass, or by the one before it in this one: every call misses,
-        # recomputes only the weights and gives the same bytes
+        # factorizes its link again and gives the same bytes
         for link, (want_est, want_grid) in zip(links, expected):
             est, grid = zf_detect(dec, link)
             assert np.array_equal(est, want_est)
             assert np.array_equal(grid.values, want_grid.values)
         after = _zf_weights.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (0, 18)
-        assert len(svds) == 9
+        assert len(svds) == 18
         del links[0]
         gc.collect()
         assert first() is None
@@ -591,10 +640,12 @@ class TestZfConditioning:
 
     @pytest.mark.parametrize("distance", [3.0, 5.0, 10.0])
     def test_solution_matches_qr_oracle(self, base_cfg, distance):
-        _, channels = self.link(base_cfg, distance)
+        cfg, channels = self.link(base_cfg, distance)
         oracle_filter, oracle_gains = zf_qr_oracle(channels.base)
-        zf_filter, noise_gains = channels.zf_solution
-        assert np.max(np.abs(noise_gains - oracle_gains) / oracle_gains) <= 1e-6
+        sigma2 = 1e-7
+        zf_filter, mode_gains, grid = _zf_weights(channels, cfg.v_elems, sigma2)
+        oracle_weights = np.abs(mode_gains) ** 2 / (sigma2 * oracle_gains[:, None])
+        assert np.max(np.abs(grid.values - oracle_weights) / oracle_weights) <= 1e-6
         assert np.max(np.abs(zf_filter - oracle_filter)) <= 1e-6 * np.max(np.abs(oracle_filter))
 
 

@@ -112,6 +112,26 @@ class TestInstantaneous:
         assert instantaneous_se(grid, again) == instantaneous_se(grid, policy)
         assert math.isfinite(instantaneous_se(grid, again))
 
+    @pytest.mark.parametrize("entries", [[4.0 + 0j, 1.0], np.array([[4.0, 1.0j]]),
+                                         np.ones(2, dtype=np.complex64)])
+    def test_complex_grid_rejected(self, entries):
+        # the imaginary part was dropped with a ComplexWarning
+        with pytest.raises(InvalidConfigError, match="must be real"):
+            SnrGrid(entries)
+        with pytest.raises(InvalidConfigError, match="must be real"):
+            waterfill_instantaneous(entries, 1.0)
+
+    def test_grid_and_policy_compare_and_hash_by_identity(self):
+        # equality by fields compared two ndarrays ("truth value ...
+        # ambiguous"), and hashing them raised TypeError
+        grids = [SnrGrid(np.array([[4.0, 1.0]])) for _ in range(2)]
+        policies = [waterfill_instantaneous(grid, 1.0) for grid in grids]
+        for a, b in (grids, policies):
+            assert a == a
+            assert a != b
+            assert hash(a) == hash(a)
+            assert {a: "a", b: "b"}[a] == "a"
+
     def test_grid_input_keeps_shape(self):
         grid = SnrGrid(values=np.array([[4.0, 1.0], [2.0, 0.1]]))
         policy = waterfill_instantaneous(grid, 1.0)
